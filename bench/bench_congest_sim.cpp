@@ -11,14 +11,15 @@
 // on_round out over the work-stealing pool. This bench times both on
 // identical workloads (BFS flood, Algorithm 1 bounded-hop SSSP, and the
 // Algorithm 4 overlay embedding), asserts the ledgers, traces and
-// program outputs are byte-identical (including across worker counts,
-// with the sharded mailbox merge forced on, and at both extremes of
-// the pooled_round_min_work fallback knob), and writes
+// program outputs are byte-identical (including across worker counts
+// and at both extremes of the pooled_round_min_work knob, whose 0
+// forces the sharded mailbox merge on), and writes
 // BENCH_congest_sim.json with one row per (workload, variant, n,
 // workers). The alg1 "fast pooled" row runs with the default
-// pooled_round_min_work, which auto-serializes its tiny rounds; the
-// "fast pooled always-pool" row forces the pool on every round and
-// documents the fan-out tax the fallback removes.
+// pooled_round_min_work, which keeps its tiny rounds on the calling
+// thread; the "fast pooled always-pool" row forces the pool on every
+// program phase and every merge, and documents the fan-out tax the
+// threshold removes.
 //
 // Usage: bench_congest_sim [--smoke] [--large] [--n N] [--out FILE]
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
@@ -496,14 +497,11 @@ Outcome run_seed(const WeightedGraph& g, const Make& make, bool trace) {
 template <typename Program, typename Make>
 Outcome run_fast(const WeightedGraph& g, const Make& make, bool trace,
                  unsigned workers,
-                 std::size_t sharded_min =
-                     congest::Config::Execution{}.sharded_merge_min_messages,
                  std::size_t min_work =
                      congest::Config::Execution{}.pooled_round_min_work) {
   congest::Config cfg;
-  cfg.record_trace = trace;
-  cfg.workers = workers;
-  cfg.execution.sharded_merge_min_messages = sharded_min;
+  cfg.hooks.record_trace = trace;
+  cfg.execution.workers = workers;
   cfg.execution.pooled_round_min_work = min_work;
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   programs.reserve(g.node_count());
@@ -523,7 +521,7 @@ struct Row {
   std::string workload;
   std::string variant;
   NodeId n = 0;           ///< node count of the graph this row ran on
-  unsigned workers = 1;   ///< Config::workers used (1 for the seed engine)
+  unsigned workers = 1;   ///< Config::Execution::workers (1 for seed)
   double seconds = 0;
   double speedup = 1.0;   ///< vs the workload's baseline variant (same n)
   bool identical = true;  ///< outcome equals the baseline outcome
@@ -640,10 +638,10 @@ int main(int argc, char** argv) {
 
     const Outcome golden = run_seed<SeedP>(g, seed_make, /*trace=*/true);
     for (const unsigned w : benched_workers) {
-      // Force the sharded merge (min=0) so the identity check covers the
-      // parallel scatter path even where n is below the default threshold.
+      // Force the pool (min=0) so the identity check covers the parallel
+      // scatter path even where n is below the default threshold.
       const Outcome got =
-          run_fast<FastP>(g, fast_make, /*trace=*/true, w, /*sharded_min=*/0);
+          run_fast<FastP>(g, fast_make, /*trace=*/true, w, /*min_work=*/0);
       all_identical &= got == golden;
     }
 
@@ -682,15 +680,14 @@ int main(int argc, char** argv) {
     const Outcome golden = run_seed<SeedP>(g, seed_make, /*trace=*/true);
     for (const unsigned w : benched_workers) {
       const Outcome got =
-          run_fast<FastP>(g, fast_make, /*trace=*/true, w, /*sharded_min=*/0);
+          run_fast<FastP>(g, fast_make, /*trace=*/true, w, /*min_work=*/0);
       all_identical &= got == golden;
-      // Both extremes of the auto-serial fallback knob must agree too:
-      // the knob may only trade wall-clock, never bytes.
-      const Outcome forced = run_fast<FastP>(
-          g, fast_make, /*trace=*/true, w,
-          congest::Config::Execution{}.sharded_merge_min_messages,
-          /*min_work=*/0);
-      all_identical &= forced == golden;
+      // Both extremes of the pool threshold must agree: the knob may
+      // only trade wall-clock, never bytes.
+      const Outcome never =
+          run_fast<FastP>(g, fast_make, /*trace=*/true, w,
+                          std::numeric_limits<std::size_t>::max());
+      all_identical &= never == golden;
     }
     // Workload shape for the docs/perf.md serial-bound analysis: alg1
     // runs many rounds each carrying very few deliveries, so neither
@@ -702,8 +699,6 @@ int main(int argc, char** argv) {
                 double(golden.stats.messages) /
                     double(std::max<std::uint64_t>(1, golden.stats.rounds)));
 
-    const std::size_t def_sharded =
-        congest::Config::Execution{}.sharded_merge_min_messages;
     const std::function<void()> variants[] = {
         [&] {
           for (int r = 0; r < reps_hop; ++r) run_seed<SeedP>(g, seed_make, false);
@@ -714,16 +709,15 @@ int main(int argc, char** argv) {
         [&] {
           for (int r = 0; r < reps_hop; ++r) run_fast<FastP>(g, fast_make, false, 8);
         },
-        // Diagnostic: the pool forced on for every round (the pre-knob
-        // behaviour). With ~112 deliveries/round the fan-out/join tax
+        // Diagnostic: the pool forced on for every program phase and
+        // every merge. With ~112 deliveries/round the fan-out/join tax
         // dwarfs the work, which is exactly why pooled_round_min_work
         // exists — the default-knob "fast pooled" row above must not
         // regress below "fast w=1", while this row documents the cost
-        // the fallback removes.
+        // the threshold removes.
         [&] {
           for (int r = 0; r < reps_hop; ++r) {
-            run_fast<FastP>(g, fast_make, false, 8, def_sharded,
-                            /*min_work=*/0);
+            run_fast<FastP>(g, fast_make, false, 8, /*min_work=*/0);
           }
         },
     };
@@ -754,10 +748,10 @@ int main(int argc, char** argv) {
     for (const NodeId s : sources) approx_rows.push_back(dijkstra(gg, s));
     const paths::Params params = paths::Params::make(nn, /*D=*/16);
 
-    const auto run_overlay = [&](unsigned w, std::size_t sharded_min) {
+    const auto run_overlay = [&](unsigned w, std::size_t min_work) {
       congest::Config cfg;
-      cfg.workers = w;
-      cfg.execution.sharded_merge_min_messages = sharded_min;
+      cfg.execution.workers = w;
+      cfg.execution.pooled_round_min_work = min_work;
       return paths::distributed_embed_overlay(
           gg, approx_rows,
           paths::RunRequest{}
@@ -771,7 +765,7 @@ int main(int argc, char** argv) {
              a.max_w2 == b2.max_w2 && a.stats == b2.stats;
     };
     const std::size_t def_min =
-        congest::Config::Execution{}.sharded_merge_min_messages;
+        congest::Config::Execution{}.pooled_round_min_work;
 
     paths::OverlayEmbedding golden;
     const double t_base =

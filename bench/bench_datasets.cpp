@@ -265,8 +265,8 @@ struct FloodOutcome {
 
 FloodOutcome run_flood(const WeightedGraph& g, unsigned workers) {
   congest::Config cfg;
-  cfg.workers = workers;
-  cfg.execution.sharded_merge_min_messages = 0;  // the sharded-merge row
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = 0;  // the sharded-merge row
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   programs.reserve(g.node_count());
   const std::uint32_t bits = 32;
@@ -634,7 +634,7 @@ int main(int argc, char** argv) {
         const paths::Params params = paths::Params::make(nn, /*D=*/16);
         const auto run_overlay = [&](unsigned w) {
           congest::Config cfg;
-          cfg.workers = w;
+          cfg.execution.workers = w;
           return paths::distributed_embed_overlay(
               g, approx_rows,
               paths::RunRequest{}

@@ -3,7 +3,7 @@
 // The fault engine is supposed to be pay-for-what-you-use: an empty
 // `Config::Faults` plan leaves the simulator on its arena fast path
 // (the engine is not even constructed), while an active plan reroutes
-// the serial merge through the per-message decision procedure. This
+// the mailbox merge through the serial per-message decision procedure. This
 // bench measures both against the no-plan baseline on a min-id flood
 // workload, asserts the empty-plan run is byte-identical to baseline
 // (ledger, trace, outputs) and that a seeded plan yields the same
@@ -79,8 +79,8 @@ struct Outcome {
 Outcome run_flood(const WeightedGraph& g, const FaultPlan& plan,
                   unsigned workers, bool trace) {
   Config cfg;
-  cfg.record_trace = trace;
-  cfg.workers = workers;
+  cfg.hooks.record_trace = trace;
+  cfg.execution.workers = workers;
   cfg.faults = plan;
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId v = 0; v < g.node_count(); ++v) {

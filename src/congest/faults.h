@@ -148,8 +148,8 @@ struct FaultCounters {
 
 /// Resolves a `FaultPlan` message by message. Engine-internal: the
 /// simulator constructs one per execution when the plan is non-empty
-/// and consults it from the serial merge, so resolution order — and
-/// with it every counter — is identical at any worker count. Pure
+/// and consults it from its serial faulted merge, so resolution order
+/// — and with it every counter — is identical at any worker count. Pure
 /// decision logic: the tallies live in the simulator's FaultCounters.
 class FaultEngine {
  public:

@@ -5,6 +5,7 @@
 #include <new>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "runtime/thread_pool.h"
 
@@ -128,7 +129,6 @@ void Simulator::queue_broadcast(NodeId from, const Message& m) {
   }
   const std::uint32_t bits = m.bit_size();
   const std::size_t base = slots_->edge_index(from, 0);
-  auto& box = outbox_[from];
   for (std::uint32_t s = 0; s < row.size(); ++s) {
     const std::uint32_t used = edge_bits_[base + s] + bits;
     if (used > bandwidth_) {
@@ -140,24 +140,8 @@ void Simulator::queue_broadcast(NodeId from, const Message& m) {
     }
     edge_bits_[base + s] = used;
   }
+  auto& box = outbox_[from];
   box.bcasts.emplace_back(box.next_seq++, m);
-  if (queue_accounting_) {
-    stats_.messages += row.size();
-    stats_.bits += std::uint64_t{bits} * row.size();
-    queued_count_ += row.size();
-    if (config_.hooks.record_trace) {
-      for (std::uint32_t s = 0; s < row.size(); ++s) {
-        trace_.push_back(TraceEntry{round_, from, row[s].to, bits});
-      }
-    }
-    for (std::uint32_t s = 0; s < row.size(); ++s) {
-      const NodeId to = row[s].to;
-      if (pending_count_[to]++ == 0) {
-        pending_touched_->push_back(to);
-        pending_flag_[to] = 1;
-      }
-    }
-  }
 }
 
 void Simulator::admit(NodeId from, NodeId to, std::uint32_t slot, Message&& m) {
@@ -177,27 +161,8 @@ void Simulator::admit(NodeId from, NodeId to, std::uint32_t slot, Message&& m) {
                      " in round " + std::to_string(round_));
   }
   edge_bits_[e] = used;
-  const std::uint32_t bits = m.bit_size();
   auto& box = outbox_[from];
   box.singles.emplace_back(to, slot, box.next_seq++, std::move(m));
-  if (queue_accounting_) account(from, to, bits);
-}
-
-// Queue-time accounting (serial engine only): admissions arrive in
-// (sender id, program order) — the exact order the merge pass would
-// replay — so the ledger, trace, and receiver counts can be taken here
-// and the merge's counting pass skipped.
-void Simulator::account(NodeId from, NodeId to, std::uint32_t bits) {
-  stats_.messages += 1;
-  stats_.bits += bits;
-  if (config_.hooks.record_trace) {
-    trace_.push_back(TraceEntry{round_, from, to, bits});
-  }
-  if (pending_count_[to]++ == 0) {
-    pending_touched_->push_back(to);
-    pending_flag_[to] = 1;
-  }
-  ++queued_count_;
 }
 
 void Simulator::clear_mailbox(int b) {
@@ -210,9 +175,9 @@ void Simulator::clear_mailbox(int b) {
 
 // Shared placement pass: assigns contiguous arena rows (begin offsets +
 // fill cursors) for `rows` starting at `off`; returns the end offset.
-// All three merges route through here — the fast and faulted merges
-// place every touched receiver from offset 0, the sharded merge places
-// each shard's receivers from that shard's arena base.
+// Row placement is not observable (programs see spans), only row
+// contents are, so each shard places its own receivers from its own
+// arena base.
 std::size_t Simulator::place_rows(std::span<const NodeId> rows, int dst,
                                   std::size_t off) {
   auto& begin = inbox_begin_[dst];
@@ -225,137 +190,9 @@ std::size_t Simulator::place_rows(std::span<const NodeId> rows, int dst,
   return off;
 }
 
-// Serial merge of the per-sender outboxes into mailbox buffer `dst`.
-// Iterating senders in actives_ order (ascending node id) and each
-// outbox in program order reproduces exactly the ledger/trace ordering
-// of queue-time accounting in a serial engine — which is what makes
-// pooled rounds byte-identical to serial ones.
-void Simulator::merge_outboxes(int dst) {
-  auto& arena = arena_[dst];
-  auto& count = inbox_count_[dst];
-  auto& touched = touched_[dst];
-
-  // Pass 1: ledger, trace, per-receiver counts, replaying each sender's
-  // singles and broadcasts interleaved in seq (= program) order. Skipped
-  // when the serial engine already accounted at queue time (admission
-  // order is the same order this pass replays).
-  std::size_t total;
-  if (queue_accounting_) {
-    total = queued_count_;
-  } else {
-    total = 0;
-    for (NodeId from : actives_) {
-      const Outbox& box = outbox_[from];
-      auto si = box.singles.begin();
-      auto bi = box.bcasts.begin();
-      const auto row = csr_->neighbors(from);
-      while (si != box.singles.end() || bi != box.bcasts.end()) {
-        if (bi == box.bcasts.end() ||
-            (si != box.singles.end() && si->seq < bi->seq)) {
-          const std::uint32_t bits = si->msg.bit_size();
-          stats_.messages += 1;
-          stats_.bits += bits;
-          if (config_.hooks.record_trace) {
-            trace_.push_back(TraceEntry{round_, from, si->to, bits});
-          }
-          if (count[si->to]++ == 0) {
-            touched.push_back(si->to);
-            touched_flag_[dst][si->to] = 1;
-          }
-          ++total;
-          ++si;
-        } else {
-          const std::uint32_t bits = bi->msg.bit_size();
-          stats_.messages += row.size();
-          stats_.bits += std::uint64_t{bits} * row.size();
-          total += row.size();
-          for (const HalfEdge& he : row) {
-            if (config_.hooks.record_trace) {
-              trace_.push_back(TraceEntry{round_, from, he.to, bits});
-            }
-            if (count[he.to]++ == 0) {
-              touched.push_back(he.to);
-              touched_flag_[dst][he.to] = 1;
-            }
-          }
-          ++bi;
-        }
-      }
-    }
-    queued_count_ = total;
-  }
-
-  // Pass 2: lay out contiguous per-receiver rows (first-receipt order —
-  // row placement is not observable, only row contents are). The arena
-  // only ever grows and never default-constructs ahead of use.
-  arena.ensure_capacity(total);
-  place_rows(touched, dst, 0);
-
-  // Pass 3: scatter, replaying seq order per sender so each receiver's
-  // row is in (sender id, program order) — the order the old
-  // per-receiver push_back produced; broadcasts expand to one copy per
-  // neighbour here (the last edge steals the parked message). Also
-  // resets the bandwidth slots the round actually used (first visit
-  // reads the edge's final total — the utilization sample — and zeroes
-  // it; later visits no-op).
-  Incoming* a = arena.data();
-  const std::size_t watermark = arena.constructed();
-  const auto reset_edge = [&](std::size_t e) {
-    if (edge_bits_[e] != 0) {
-      round_max_edge_bits_ = std::max(round_max_edge_bits_, edge_bits_[e]);
-      edge_bits_[e] = 0;
-    }
-  };
-  const auto put_move = [&](NodeId to, NodeId from, Message&& m) {
-    const std::size_t idx = fill_[to]++;
-    if (idx < watermark) {
-      a[idx].from = from;
-      a[idx].msg = std::move(m);
-    } else {
-      ::new (a + idx) Incoming{from, std::move(m)};
-    }
-  };
-  const auto put_copy = [&](NodeId to, NodeId from, const Message& m) {
-    const std::size_t idx = fill_[to]++;
-    if (idx < watermark) {
-      a[idx].from = from;
-      a[idx].msg = m;
-    } else {
-      ::new (a + idx) Incoming{from, m};
-    }
-  };
-  for (NodeId from : actives_) {
-    Outbox& box = outbox_[from];
-    if (box.empty()) continue;
-    auto si = box.singles.begin();
-    auto bi = box.bcasts.begin();
-    const auto row = csr_->neighbors(from);
-    const std::size_t base = row.empty() ? 0 : slots_->edge_index(from, 0);
-    while (si != box.singles.end() || bi != box.bcasts.end()) {
-      if (bi == box.bcasts.end() ||
-          (si != box.singles.end() && si->seq < bi->seq)) {
-        reset_edge(slots_->edge_index(from, si->slot));
-        put_move(si->to, from, std::move(si->msg));
-        ++si;
-      } else {
-        for (std::size_t s = 0; s + 1 < row.size(); ++s) {
-          reset_edge(base + s);
-          put_copy(row[s].to, from, bi->msg);
-        }
-        const std::size_t last = row.size() - 1;
-        reset_edge(base + last);
-        put_move(row[last].to, from, std::move(bi->msg));
-        ++bi;
-      }
-    }
-    box.clear();
-  }
-  arena.note_filled(total);
-}
-
 // Builds (or rebuilds, when the worker count changes) the receiver
-// shard plan for the parallel merge. Topology-only: shard boundaries
-// come from the CSR's degree-balanced prefix-sum cut, and the broadcast
+// shard plan for pooled merges. Topology-only: shard boundaries come
+// from the CSR's degree-balanced prefix-sum cut, and the broadcast
 // buckets are a per-row counting sort of each sender's adjacency slots
 // by destination shard — both deterministic, both reusable across runs.
 // Shards are capped at 64: node_shard_ stays one byte per node, and
@@ -375,35 +212,102 @@ void Simulator::ensure_shard_plan(unsigned workers) {
   }
   // Broadcast buckets: for every sender row, the local slots grouped by
   // destination shard, stable within a group (ascending slot — the
-  // order the serial scatter visits them). bucket_off_ holds absolute
+  // order a one-shard scatter visits them). bucket_off_ holds absolute
   // cuts into bucket_slot_, so a row's group sh is
   // bucket_slot_[off[sh], off[sh+1]).
   bucket_off_.assign(static_cast<std::size_t>(n) * (S + 1), 0);
   bucket_slot_.resize(slots_->directed_edge_count());
-  bucket_cursor_.assign(S, 0);
+  std::vector<std::size_t> cursor(S);
   for (NodeId from = 0; from < n; ++from) {
     const auto row = csr_->neighbors(from);
     std::size_t* off =
         bucket_off_.data() + static_cast<std::size_t>(from) * (S + 1);
     off[0] = slots_->edge_index(from, 0);  // = the row's CSR offset
-    std::fill(bucket_cursor_.begin(), bucket_cursor_.end(), 0);
-    for (const HalfEdge& he : row) ++bucket_cursor_[node_shard_[he.to]];
-    for (std::size_t sh = 0; sh < S; ++sh) {
-      off[sh + 1] = off[sh] + bucket_cursor_[sh];
-    }
-    std::copy(off, off + S, bucket_cursor_.begin());
+    std::fill(cursor.begin(), cursor.end(), 0);
+    for (const HalfEdge& he : row) ++cursor[node_shard_[he.to]];
+    for (std::size_t sh = 0; sh < S; ++sh) off[sh + 1] = off[sh] + cursor[sh];
+    std::copy(off, off + S, cursor.begin());
     for (std::uint32_t s = 0; s < row.size(); ++s) {
-      bucket_slot_[bucket_cursor_[node_shard_[row[s].to]]++] = s;
+      bucket_slot_[cursor[node_shard_[row[s].to]]++] = s;
     }
   }
   shard_touched_.resize(S);
-  shard_base_.assign(S + 1, 0);
 }
 
-// Shard-parallel merge — the pooled counterpart of merge_outboxes, and
-// the reason pooled rounds scale past the program phase (docs/perf.md,
-// "Sharded mailbox delivery"). Two parallel phases around one serial
-// reduce:
+namespace {
+
+// Replays one sender's outbox in program order: singles and broadcasts
+// interleave by their shared seq counter. Every merge pass whose output
+// order is observable (trace, mailbox rows, fault decisions) walks the
+// outbox through here.
+template <typename Box, typename Single, typename Bcast>
+void replay(Box& box, Single&& single, Bcast&& bcast) {
+  auto si = box.singles.begin();
+  auto bi = box.bcasts.begin();
+  while (si != box.singles.end() || bi != box.bcasts.end()) {
+    if (bi == box.bcasts.end() ||
+        (si != box.singles.end() && si->seq < bi->seq)) {
+      single(*si++);
+    } else {
+      bcast(*bi++);
+    }
+  }
+}
+
+// Writes deliveries into receiver rows at each row's fill cursor:
+// assignment below the arena's constructed watermark, placement-new past
+// it (the arena never default-constructs ahead of use).
+struct Scatter {
+  Incoming* a;
+  std::size_t watermark;
+  std::size_t* fill;
+
+  template <typename M>
+  void operator()(NodeId to, NodeId from, M&& m) const {
+    const std::size_t idx = fill[to]++;
+    if (idx < watermark) {
+      a[idx].from = from;
+      a[idx].msg = std::forward<M>(m);
+    } else {
+      ::new (a + idx) Incoming{from, std::forward<M>(m)};
+    }
+  }
+};
+
+// The first merge visit of a directed edge reads the bits it carried
+// this round (the utilization sample) and zeroes its bandwidth slot for
+// the next round; later visits find zero and do nothing.
+void drain_edge(std::uint32_t& edge_bits, std::uint32_t& max_bits) {
+  if (edge_bits != 0) {
+    max_bits = std::max(max_bits, edge_bits);
+    edge_bits = 0;
+  }
+}
+
+}  // namespace
+
+// Lists the active senders that queued mail this phase, in ascending id
+// order, with a prefix sum of the deliveries each expands to (a
+// broadcast counts once per neighbour). Returns the phase's total.
+std::size_t Simulator::collect_senders() {
+  merge_senders_.clear();
+  sender_prefix_.assign(1, 0);
+  for (NodeId from : actives_) {
+    const Outbox& box = outbox_[from];
+    if (box.empty()) continue;
+    merge_senders_.push_back(from);
+    sender_prefix_.push_back(sender_prefix_.back() + box.singles.size() +
+                             box.bcasts.size() * csr_->degree(from));
+  }
+  return static_cast<std::size_t>(sender_prefix_.back());
+}
+
+// The fault-free mailbox merge (docs/perf.md, "Sharded mailbox
+// delivery"): moves every delivery queued this phase into mailbox
+// buffer `dst` and accounts the ledger and the trace. Receivers are
+// owned by S contiguous degree-balanced shards; S = 1 — a serial
+// engine, or a phase below pooled_round_min_work — runs every task
+// below on the calling thread. Two passes around one serial reduce:
 //   pass 1 fuses receiver-side counting (one task per shard: count[],
 //   touched, shard totals — every write receiver-owned, so shard-
 //   disjoint) with sender-side accounting (one task per balanced sender
@@ -414,198 +318,157 @@ void Simulator::ensure_shard_plan(unsigned workers) {
 //   turns shard totals into arena region bases;
 //   pass 2 places rows and scatters, one task per shard, each shard
 //   replaying ALL senders in (sender id, program order) but emitting
-//   only deliveries it owns — per-receiver row contents come out
-//   byte-identical to the serial merge. Broadcasts expand via the
-//   precomputed per-shard buckets; a directed edge's bandwidth slot is
-//   owned by its destination's shard, so the reset/utilization sample
-//   is race-free too.
-// What may differ from the serial merge is only unobservable: touched_
-// order (build_actives sorts or flag-scans), arena row placement
-// (programs see spans), and that broadcast payloads are always copied
-// (the serial merge moves the last copy).
-void Simulator::merge_outboxes_sharded(int dst, runtime::ThreadPool& pool) {
-  // Pass 0 (serial, O(#senders)): who queued mail and how many
-  // deliveries each sender expands to. The per-sender counts are both
-  // the balance weights for the accounting chunks and the trace-slice
-  // prefix.
-  merge_senders_.clear();
-  sender_prefix_.clear();
-  sender_prefix_.push_back(0);
-  for (NodeId from : actives_) {
-    const Outbox& box = outbox_[from];
-    if (box.empty()) continue;
-    merge_senders_.push_back(from);
-    sender_prefix_.push_back(sender_prefix_.back() + box.singles.size() +
-                             box.bcasts.size() * csr_->degree(from));
+//   only deliveries it owns, so every receiver's row is in that order
+//   at any S. Broadcasts expand via the precomputed per-shard buckets
+//   and are copied (other shards read them concurrently); a directed
+//   edge's bandwidth slot is owned by its destination's shard, so the
+//   reset/utilization sample is race-free too.
+// Only unobservable things depend on S: touched_ order (build_actives
+// sorts or flag-scans) and arena row placement (programs see spans).
+void Simulator::merge(int dst, runtime::ThreadPool* pool) {
+  const std::size_t total = collect_senders();
+  queued_count_ = total;
+  if (total == 0) return;
+  std::size_t S = 1;
+  if (pool != nullptr && total >= config_.execution.pooled_round_min_work) {
+    ensure_shard_plan(pool->worker_count());
+    S = shard_bounds_.size() - 1;
   }
-  const auto total = static_cast<std::size_t>(sender_prefix_.back());
-  const std::size_t S = shard_bounds_.size() - 1;
-  if (merge_senders_.empty() || S < 2 ||
-      total < config_.execution.sharded_merge_min_messages) {
-    merge_outboxes(dst);  // nothing mutated yet: clean fallback
-    return;
-  }
+  // Tasks [0, k): inline for one shard, else fanned over the pool.
+  const auto fan = [&](std::size_t k, auto&& task) {
+    if (S == 1) {
+      for (std::size_t t = 0; t < k; ++t) task(t);
+    } else {
+      runtime::parallel_for(*pool, k, task);
+    }
+  };
+  const auto owns = [&](std::size_t t, NodeId to) {
+    return S == 1 || node_shard_[to] == t;
+  };
+  // Adjacency slots of `from` whose receivers shard t owns, ascending.
+  const auto for_owned_slots = [&](NodeId from, std::size_t t, auto&& fn) {
+    if (S == 1) {
+      const auto deg = static_cast<std::uint32_t>(csr_->degree(from));
+      for (std::uint32_t s = 0; s < deg; ++s) fn(s);
+      return;
+    }
+    const std::size_t* off =
+        bucket_off_.data() + static_cast<std::size_t>(from) * (S + 1);
+    for (std::size_t i = off[t]; i < off[t + 1]; ++i) fn(bucket_slot_[i]);
+  };
 
   auto& arena = arena_[dst];
   auto& count = inbox_count_[dst];
   auto& touched = touched_[dst];
   char* tflag = touched_flag_[dst].data();
+  const auto rows_of = [&](std::size_t t) -> std::vector<NodeId>& {
+    return S == 1 ? touched : shard_touched_[t];
+  };
+  const bool record = config_.hooks.record_trace;
 
   stats_.messages += total;
   arena.ensure_capacity(total);
   const std::size_t trace_base = trace_.size();
-  if (config_.hooks.record_trace) trace_.resize(trace_base + total);
-
-  runtime::balanced_ranges(sender_prefix_, pool.worker_count() * 2,
-                           sender_bounds_);
+  if (record) trace_.resize(trace_base + total);
+  if (S == 1) {
+    sender_bounds_.assign({0, merge_senders_.size()});
+  } else {
+    runtime::balanced_ranges(sender_prefix_, pool->worker_count() * 2,
+                             sender_bounds_);
+    for (auto& mine : shard_touched_) mine.clear();
+  }
   const std::size_t C = sender_bounds_.size() - 1;
   merge_chunks_.assign(S + C, MergeChunk{});
-  for (auto& mine : shard_touched_) mine.clear();
 
-  // Pass 1 (parallel): tasks [0, S) count deliveries per owned
-  // receiver; tasks [S, S+C) account a sender chunk's ledger bits and
-  // fill its trace slice. The two sides touch disjoint state, so they
-  // share one fork/join.
-  runtime::parallel_for(pool, S + C, [&](std::size_t t) {
+  // Pass 1: tasks [0, S) count deliveries per owned receiver; tasks
+  // [S, S+C) account a sender chunk's ledger bits and fill its trace
+  // slice. The two sides touch disjoint state, so they share one
+  // fork/join.
+  fan(S + C, [&](std::size_t t) {
     if (t < S) {
-      const auto sh = static_cast<std::uint8_t>(t);
-      auto& mine = shard_touched_[t];
+      auto& mine = rows_of(t);
       std::uint64_t owned = 0;
+      const auto note = [&](NodeId to, std::uint32_t k) {
+        if (count[to] == 0) {
+          mine.push_back(to);
+          tflag[to] = 1;
+        }
+        count[to] += k;
+        owned += k;
+      };
       for (NodeId from : merge_senders_) {
         const Outbox& box = outbox_[from];
         for (const OutMsg& sm : box.singles) {
-          if (node_shard_[sm.to] != sh) continue;
-          if (count[sm.to] == 0) {
-            mine.push_back(sm.to);
-            tflag[sm.to] = 1;
-          }
-          ++count[sm.to];
-          ++owned;
+          if (owns(t, sm.to)) note(sm.to, 1);
         }
-        if (!box.bcasts.empty()) {
-          const auto k = static_cast<std::uint32_t>(box.bcasts.size());
-          const auto row = csr_->neighbors(from);
-          const std::size_t* off =
-              bucket_off_.data() + static_cast<std::size_t>(from) * (S + 1);
-          for (std::size_t i = off[t]; i < off[t + 1]; ++i) {
-            const NodeId to = row[bucket_slot_[i]].to;
-            if (count[to] == 0) {
-              mine.push_back(to);
-              tflag[to] = 1;
-            }
-            count[to] += k;
-          }
-          owned += (off[t + 1] - off[t]) * std::uint64_t{k};
-        }
+        if (box.bcasts.empty()) continue;
+        const auto row = csr_->neighbors(from);
+        const auto k = static_cast<std::uint32_t>(box.bcasts.size());
+        for_owned_slots(from, t, [&](std::uint32_t s) { note(row[s].to, k); });
       }
       merge_chunks_[t].total = owned;
-    } else {
-      const std::size_t c = t - S;
-      std::uint64_t bits_sum = 0;
-      TraceEntry* tr =
-          config_.hooks.record_trace
-              ? trace_.data() + trace_base + sender_prefix_[sender_bounds_[c]]
-              : nullptr;
-      for (std::size_t i = sender_bounds_[c]; i < sender_bounds_[c + 1]; ++i) {
-        const NodeId from = merge_senders_[i];
-        const Outbox& box = outbox_[from];
-        auto si = box.singles.begin();
-        auto bi = box.bcasts.begin();
-        const auto row = csr_->neighbors(from);
-        while (si != box.singles.end() || bi != box.bcasts.end()) {
-          if (bi == box.bcasts.end() ||
-              (si != box.singles.end() && si->seq < bi->seq)) {
-            const std::uint32_t bits = si->msg.bit_size();
-            bits_sum += bits;
-            if (tr) *tr++ = TraceEntry{round_, from, si->to, bits};
-            ++si;
-          } else {
-            const std::uint32_t bits = bi->msg.bit_size();
-            bits_sum += std::uint64_t{bits} * row.size();
-            if (tr) {
-              for (const HalfEdge& he : row) {
-                *tr++ = TraceEntry{round_, from, he.to, bits};
-              }
-            }
-            ++bi;
-          }
-        }
-      }
-      merge_chunks_[t].bits = bits_sum;
+      return;
     }
+    const std::size_t c = t - S;
+    std::uint64_t bits = 0;
+    TraceEntry* tr =
+        record ? trace_.data() + trace_base + sender_prefix_[sender_bounds_[c]]
+               : nullptr;
+    for (std::size_t i = sender_bounds_[c]; i < sender_bounds_[c + 1]; ++i) {
+      const NodeId from = merge_senders_[i];
+      const auto row = csr_->neighbors(from);
+      replay(
+          std::as_const(outbox_[from]),
+          [&](const OutMsg& sm) {
+            bits += sm.msg.bit_size();
+            if (tr) *tr++ = TraceEntry{round_, from, sm.to, sm.msg.bit_size()};
+          },
+          [&](const OutBcast& bc) {
+            bits += std::uint64_t{bc.msg.bit_size()} * row.size();
+            if (!tr) return;
+            for (const HalfEdge& he : row) {
+              *tr++ = TraceEntry{round_, from, he.to, bc.msg.bit_size()};
+            }
+          });
+    }
+    merge_chunks_[t].bits = bits;
   });
 
   // Serial reduce, deterministic order: ledger bits chunk by chunk,
   // shard totals into contiguous arena region bases.
   for (std::size_t c = 0; c < C; ++c) stats_.bits += merge_chunks_[S + c].bits;
+  shard_base_.resize(S);
   std::size_t off = 0;
   for (std::size_t sh = 0; sh < S; ++sh) {
     shard_base_[sh] = off;
     off += static_cast<std::size_t>(merge_chunks_[sh].total);
   }
-  shard_base_[S] = off;
-  QC_CHECK(off == total, "sharded merge lost deliveries");
+  QC_CHECK(off == total, "mailbox merge lost deliveries");
 
-  // Pass 2 (parallel, one task per shard): place the shard's rows in
-  // its arena region, then scatter by replaying every sender's seq
-  // order and keeping only owned deliveries. Singles are moved (their
-  // one consumer is this shard); broadcast payloads are copied (other
-  // shards are reading them concurrently).
-  Incoming* a = arena.data();
-  const std::size_t watermark = arena.constructed();
-  runtime::parallel_for(pool, S, [&](std::size_t t) {
-    const auto sh = static_cast<std::uint8_t>(t);
-    place_rows(shard_touched_[t], dst, shard_base_[t]);
+  // Pass 2 (one task per shard): place the shard's rows in its arena
+  // region, then scatter by replaying every sender's seq order and
+  // keeping only owned deliveries. Singles are moved (their one
+  // consumer is this shard).
+  const Scatter put{arena.data(), arena.constructed(), fill_.data()};
+  fan(S, [&](std::size_t t) {
+    place_rows(rows_of(t), dst, shard_base_[t]);
     std::uint32_t max_bits = 0;
-    const auto reset_edge = [&](std::size_t e) {
-      if (edge_bits_[e] != 0) {
-        max_bits = std::max(max_bits, edge_bits_[e]);
-        edge_bits_[e] = 0;
-      }
-    };
-    const auto put_move = [&](NodeId to, NodeId from, Message&& m) {
-      const std::size_t idx = fill_[to]++;
-      if (idx < watermark) {
-        a[idx].from = from;
-        a[idx].msg = std::move(m);
-      } else {
-        ::new (a + idx) Incoming{from, std::move(m)};
-      }
-    };
-    const auto put_copy = [&](NodeId to, NodeId from, const Message& m) {
-      const std::size_t idx = fill_[to]++;
-      if (idx < watermark) {
-        a[idx].from = from;
-        a[idx].msg = m;
-      } else {
-        ::new (a + idx) Incoming{from, m};
-      }
-    };
     for (NodeId from : merge_senders_) {
-      Outbox& box = outbox_[from];
-      auto si = box.singles.begin();
-      auto bi = box.bcasts.begin();
       const auto row = csr_->neighbors(from);
-      const std::size_t base = row.empty() ? 0 : slots_->edge_index(from, 0);
-      const std::size_t* boff =
-          bucket_off_.data() + static_cast<std::size_t>(from) * (S + 1);
-      while (si != box.singles.end() || bi != box.bcasts.end()) {
-        if (bi == box.bcasts.end() ||
-            (si != box.singles.end() && si->seq < bi->seq)) {
-          if (node_shard_[si->to] == sh) {
-            reset_edge(slots_->edge_index(from, si->slot));
-            put_move(si->to, from, std::move(si->msg));
-          }
-          ++si;
-        } else {
-          for (std::size_t i = boff[t]; i < boff[t + 1]; ++i) {
-            const std::uint32_t s = bucket_slot_[i];
-            reset_edge(base + s);
-            put_copy(row[s].to, from, bi->msg);
-          }
-          ++bi;
-        }
-      }
+      const std::size_t base = slots_->edge_index(from, 0);
+      replay(
+          outbox_[from],
+          [&](OutMsg& sm) {
+            if (!owns(t, sm.to)) return;
+            drain_edge(edge_bits_[base + sm.slot], max_bits);
+            put(sm.to, from, std::move(sm.msg));
+          },
+          [&](const OutBcast& bc) {
+            for_owned_slots(from, t, [&](std::uint32_t s) {
+              drain_edge(edge_bits_[base + s], max_bits);
+              put(row[s].to, from, bc.msg);
+            });
+          });
     }
     merge_chunks_[t].max_edge_bits = max_bits;
   });
@@ -615,22 +478,23 @@ void Simulator::merge_outboxes_sharded(int dst, runtime::ThreadPool& pool) {
         std::max(round_max_edge_bits_, merge_chunks_[sh].max_edge_bits);
   }
   arena.note_filled(total);
-  for (const auto& mine : shard_touched_) {
-    touched.insert(touched.end(), mine.begin(), mine.end());
+  if (S > 1) {
+    for (const auto& mine : shard_touched_) {
+      touched.insert(touched.end(), mine.begin(), mine.end());
+    }
   }
   for (NodeId from : merge_senders_) outbox_[from].clear();
-  queued_count_ = total;
 }
 
-// Fault-path merge: same serial (sender id, program order) replay as
-// merge_outboxes, but every send is resolved through the FaultEngine
-// before it reaches a mailbox. The ledger and trace account every
-// *attempted* send — the bandwidth was spent whether or not delivery
-// succeeds — so an all-drop plan still shows the full message bill.
-// Faults are keyed by delivery round (delivery_round_, set by run()
-// before each merge), which is unique per merge even though the start
-// merge and round 0's merge both run with round_ == 0.
-void Simulator::merge_outboxes_faulted(int dst) {
+// Fault-path merge: the same (sender id, program order) replay as the
+// fault-free merge, but serial, and every send is resolved through the
+// FaultEngine before it reaches a mailbox. The ledger and trace account
+// every *attempted* send — the bandwidth was spent whether or not
+// delivery succeeds — so an all-drop plan still shows the full message
+// bill. Faults are keyed by delivery round (delivery_round_, set by
+// run() before each merge), which is unique per merge even though the
+// start merge and round 0's merge both run with round_ == 0.
+void Simulator::merge_faulted(int dst) {
   auto& arena = arena_[dst];
   auto& count = inbox_count_[dst];
   auto& touched = touched_[dst];
@@ -641,7 +505,7 @@ void Simulator::merge_outboxes_faulted(int dst) {
 
   // Pass 1a: delayed messages whose adjusted round has come, in the
   // order their delays were decided (deterministic — decisions happen
-  // in the serial merge). Only the receiver-crash check is re-run at
+  // in this serial merge). Only the receiver-crash check is re-run at
   // arrival; the fault decision itself was consumed at the original
   // delivery round.
   if (!delayed_.empty()) {
@@ -678,12 +542,7 @@ void Simulator::merge_outboxes_faulted(int dst) {
     if (config_.hooks.record_trace) {
       trace_.push_back(TraceEntry{round_, from, to, bits});
     }
-    // First visit reads the edge's final bandwidth total (the
-    // utilization sample) and zeroes the slot — as in the fast merge.
-    if (edge_bits_[e] != 0) {
-      round_max_edge_bits_ = std::max(round_max_edge_bits_, edge_bits_[e]);
-      edge_bits_[e] = 0;
-    }
+    drain_edge(edge_bits_[e], round_max_edge_bits_);
     const std::uint32_t ordinal = edge_ordinal_[e]++;
     if (ordinal == 0) touched_edge_scratch_.push_back(e);
     if (faults_->link_down(delivery_round_, from, to)) {
@@ -717,35 +576,26 @@ void Simulator::merge_outboxes_faulted(int dst) {
     resolved_.push_back(Delivery{to, from, std::move(m)});
   };
 
-  for (NodeId from : actives_) {
-    Outbox& box = outbox_[from];
-    if (box.empty()) continue;
-    auto si = box.singles.begin();
-    auto bi = box.bcasts.begin();
+  collect_senders();
+  for (NodeId from : merge_senders_) {
     const auto row = csr_->neighbors(from);
-    const std::size_t base = row.empty() ? 0 : slots_->edge_index(from, 0);
-    while (si != box.singles.end() || bi != box.bcasts.end()) {
-      if (bi == box.bcasts.end() ||
-          (si != box.singles.end() && si->seq < bi->seq)) {
-        resolve(from, si->to, slots_->edge_index(from, si->slot),
-                std::move(si->msg));
-        ++si;
-      } else {
-        for (std::size_t s = 0; s + 1 < row.size(); ++s) {
-          Message copy = bi->msg;
-          resolve(from, row[s].to, base + s, std::move(copy));
-        }
-        const std::size_t last = row.size() - 1;
-        resolve(from, row[last].to, base + last, std::move(bi->msg));
-        ++bi;
-      }
-    }
-    box.clear();
+    const std::size_t base = slots_->edge_index(from, 0);
+    replay(
+        outbox_[from],
+        [&](OutMsg& sm) {
+          resolve(from, sm.to, base + sm.slot, std::move(sm.msg));
+        },
+        [&](const OutBcast& bc) {
+          for (std::uint32_t s = 0; s < row.size(); ++s) {
+            resolve(from, row[s].to, base + s, Message(bc.msg));
+          }
+        });
+    outbox_[from].clear();
   }
   for (const std::size_t e : touched_edge_scratch_) edge_ordinal_[e] = 0;
 
-  // Pass 2 + 3: lay out and scatter the surviving deliveries, exactly
-  // as the fast merge does from its outbox replay.
+  // Pass 2: lay out and scatter the surviving deliveries in resolution
+  // order.
   const std::size_t total = resolved_.size();
   for (const Delivery& d : resolved_) {
     if (count[d.to]++ == 0) {
@@ -755,17 +605,8 @@ void Simulator::merge_outboxes_faulted(int dst) {
   }
   arena.ensure_capacity(total);
   place_rows(touched, dst, 0);
-  Incoming* a = arena.data();
-  const std::size_t watermark = arena.constructed();
-  for (Delivery& d : resolved_) {
-    const std::size_t idx = fill_[d.to]++;
-    if (idx < watermark) {
-      a[idx].from = d.from;
-      a[idx].msg = std::move(d.msg);
-    } else {
-      ::new (a + idx) Incoming{d.from, std::move(d.msg)};
-    }
-  }
+  const Scatter put{arena.data(), arena.constructed(), fill_.data()};
+  for (Delivery& d : resolved_) put(d.to, d.from, std::move(d.msg));
   arena.note_filled(total);
   // Delayed messages are still in flight: they must keep the run alive
   // until they arrive, so they count as queued work.
@@ -854,21 +695,19 @@ void Simulator::run_actives(
   // measured in deliveries, not degree mass: an active node with an
   // empty inbox usually no-ops regardless of its degree. Serial and
   // pooled program phases are byte-identical by construction, so this
-  // is a wall-clock decision only (mirrors
-  // sharded_merge_min_messages; 0 disables the fallback).
-  if (config_.execution.pooled_round_min_work != 0) {
-    std::size_t work = actives_.size();
-    for (NodeId v : actives_) work += count[v];
-    if (work < config_.execution.pooled_round_min_work) {
-      for (NodeId v : actives_) run_one(v);
-      return;
-    }
+  // is a wall-clock decision only (the merge applies the same
+  // threshold to its deliveries; 0 always pools).
+  std::size_t work = actives_.size();
+  for (NodeId v : actives_) work += count[v];
+  if (work < config_.execution.pooled_round_min_work) {
+    for (NodeId v : actives_) run_one(v);
+    return;
   }
   // Everything a worker touches here is owned by the node it runs:
   // programs[v], contexts[v], node_rngs_[v], outbox_[v], node_done_[v],
   // and the sender's disjoint stripe of edge_bits_. Shared engine state
-  // (ledger, trace, mailboxes) is only touched in the merge, whose
-  // parallel form partitions it by receiver shard.
+  // (ledger, trace, mailboxes) is only touched in the merge, which
+  // partitions it by receiver shard.
   //
   // Chunks are cut by estimated per-node work — 1 + inbox size +
   // degree — not by node count: a hub node's on_round reads and sends
@@ -917,31 +756,14 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     std::fill(edge_ordinal_.begin(), edge_ordinal_.end(), 0u);
   }
 
-  // No pool configured → the serial engine accounts at queue time and
-  // the merge skips its counting pass (same order, same bytes). With a
-  // fault plan, accounting always defers to the (serial) faulted merge:
-  // queue-time accounting counts receiver mailboxes at admission, before
-  // the engine has decided whether the message survives.
+  // The faulted merge stays serial: fault resolution order is part of
+  // its determinism contract.
   runtime::ThreadPool* pool = round_pool();
-  queue_accounting_ = pool == nullptr && faults_ == nullptr;
-
-  // Pooled fault-free runs merge through the receiver-sharded parallel
-  // path once a phase is big enough (byte-identical either way — the
-  // sharded merge falls back below its threshold). The faulted merge
-  // stays serial: fault resolution order is part of its determinism
-  // contract.
-  if (pool != nullptr && faults_ == nullptr) {
-    ensure_shard_plan(pool->worker_count());
-  }
-  const bool sharded =
-      pool != nullptr && faults_ == nullptr && shard_bounds_.size() > 2;
   const auto do_merge = [&](int dst) {
     if (faults_) {
-      merge_outboxes_faulted(dst);
-    } else if (sharded) {
-      merge_outboxes_sharded(dst, *pool);
+      merge_faulted(dst);
     } else {
-      merge_outboxes(dst);
+      merge(dst, pool);
     }
   };
 
@@ -953,9 +775,6 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
   // round 0 inboxes and in the round 0 metrics report).
   ++epoch_;
   std::fill(last_active_epoch_.begin(), last_active_epoch_.end(), epoch_);
-  pending_count_ = inbox_count_[0].data();
-  pending_touched_ = &touched_[0];
-  pending_flag_ = touched_flag_[0].data();
   for (NodeId v = 0; v < n; ++v) {
     programs[v]->on_start(contexts[v]);
   }
@@ -982,9 +801,6 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     if (faults_) apply_crashes();
     build_actives();
     clear_mailbox(1 - cur_);  // two-rounds-ago mail, no longer referenced
-    pending_count_ = inbox_count_[1 - cur_].data();
-    pending_touched_ = &touched_[1 - cur_];
-    pending_flag_ = touched_flag_[1 - cur_].data();
 
     ++epoch_;
     for (NodeId v : actives_) last_active_epoch_[v] = epoch_;

@@ -18,15 +18,17 @@
 // `EdgeSlotIndex`; mailbox rows live in a double-buffered arena that
 // allocates nothing in steady state; each round touches only the active
 // node set (not-done nodes plus message receivers); and with
-// `Config::workers > 1` the independent per-node `on_round` calls fan
-// out over a work-stealing pool. The ledger, traces, per-round metrics,
-// and all program outputs are byte-identical at any worker count — the
-// merge of queued messages always *replays* (sender id, program order):
-// serially on the reference path, or — for pooled runs past
-// `Config::Execution::sharded_merge_min_messages` — sharded by receiver
-// over contiguous degree-balanced node ranges, every shard replaying
-// the same order into its own arena region (docs/perf.md, "Sharded
-// mailbox delivery").
+// `Config::Execution::workers > 1` the independent per-node `on_round`
+// calls fan out over a work-stealing pool. The ledger, traces,
+// per-round metrics, and all program outputs are byte-identical at any
+// worker count, because there is one mailbox merge and it always
+// *replays* (sender id, program order). It is sharded by receiver over
+// contiguous degree-balanced node ranges, every shard replaying that
+// order into its own arena region; a serial engine, or a pooled phase
+// below `Config::Execution::pooled_round_min_work`, runs it as one
+// shard on the calling thread (docs/perf.md, "Sharded mailbox
+// delivery"). Under a fault plan the merge resolves every send through
+// the fault engine serially instead, in the same replay order.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +51,8 @@ class ThreadPool;  // runtime/thread_pool.h
 
 namespace qc::congest {
 
-/// Per-round observability snapshot handed to Config::on_round_metrics
-/// after each executed round.
+/// Per-round observability snapshot handed to
+/// Config::Hooks::on_round_metrics after each executed round.
 struct RoundMetrics {
   std::uint64_t round = 0;     ///< the round that just executed
   std::uint64_t messages = 0;  ///< messages queued during that round
@@ -63,15 +65,9 @@ struct RoundMetrics {
   friend bool operator==(const RoundMetrics&, const RoundMetrics&) = default;
 };
 
-/// Engine configuration.
-///
-/// Fields are grouped into sub-structs — `Execution` (how the run is
-/// driven), `Hooks` (observability), `Faults` (the fault plan, see
-/// congest/faults.h) — while flat reference aliases keep pre-grouping
-/// call sites (`cfg.workers = 4`) compiling unchanged. The aliases are
-/// real references into this object's own sub-structs, so either
-/// spelling reads and writes the same storage; docs/api.md describes
-/// the migration path.
+/// Engine configuration: a plain aggregate. Fields are grouped into
+/// sub-structs — `Execution` (how the run is driven), `Hooks`
+/// (observability), `Faults` (the fault plan, see congest/faults.h).
 struct Config {
   /// Execution mechanics: the round budget and the parallelism knobs.
   struct Execution {
@@ -89,25 +85,17 @@ struct Config {
     /// Optional borrowed pool for the round loop; overrides `workers`.
     /// The pool must not be one the caller is currently blocking on.
     runtime::ThreadPool* pool = nullptr;
-    /// Pooled runs only: a merge phase that queued at least this many
-    /// deliveries uses the shard-parallel mailbox merge; below it the
-    /// serial merge wins on fork/join overhead. 0 = always shard (the
-    /// determinism tests force this). Serial and sharded merges are
-    /// byte-identical by construction, so the knob trades wall-clock
-    /// only, never results.
-    std::size_t sharded_merge_min_messages = 4096;
-    /// Pooled runs only: a round whose estimated program-phase work —
-    /// active node count plus deliveries queued for this round — falls
-    /// below this threshold runs its `on_round` loop serially instead
-    /// of fanning out over the pool. Low-traffic workloads (Algorithm
-    /// 1's hop-limited SSSP averages ~112 deliveries per round at
-    /// n=2048) otherwise pay fork/join overhead every round for chunks
-    /// that finish in microseconds, which is how pooled runs ended up
-    /// *slower* than serial on those workloads (docs/perf.md). 0 =
-    /// always pool when a pool is present (the determinism tests force
-    /// both settings). Like the merge knob, serial and pooled program
-    /// phases are byte-identical by construction, so this trades
-    /// wall-clock only, never results.
+    /// Pooled runs only: a phase of a round whose estimated work falls
+    /// below this runs on the calling thread instead of fanning out
+    /// over the pool. The program phase counts active nodes plus the
+    /// deliveries they read; the mailbox merge counts the deliveries
+    /// it writes. Low-traffic workloads (Algorithm 1's hop-limited SSSP
+    /// averages ~112 deliveries per round at n=2048) otherwise pay
+    /// fork/join overhead every round for chunks that finish in
+    /// microseconds (docs/perf.md). 0 = always pool when a pool is
+    /// present (the determinism tests force this). Both phases are
+    /// byte-identical either way, so this trades wall-clock only,
+    /// never results.
     std::size_t pooled_round_min_work = 4096;
   };
 
@@ -139,52 +127,6 @@ struct Config {
   Execution execution;
   Hooks hooks;
   Faults faults;
-
-  // Flat aliases for the grouped fields: source compatibility with
-  // pre-grouping call sites. These are references into this object's
-  // own sub-structs; the user-defined copy/move members below keep
-  // them bound here (implicitly generated ones would be deleted or
-  // would rebind per-member).
-  std::uint64_t& max_rounds = execution.max_rounds;
-  unsigned& workers = execution.workers;
-  runtime::ThreadPool*& pool = execution.pool;
-  bool& record_trace = hooks.record_trace;
-  std::function<void(const RoundMetrics&)>& on_round_metrics =
-      hooks.on_round_metrics;
-
-  Config() = default;
-  Config(const Config& o)
-      : bandwidth_bits(o.bandwidth_bits),
-        seed(o.seed),
-        execution(o.execution),
-        hooks(o.hooks),
-        faults(o.faults) {}
-  Config(Config&& o) noexcept
-      : bandwidth_bits(o.bandwidth_bits),
-        seed(o.seed),
-        execution(std::move(o.execution)),
-        hooks(std::move(o.hooks)),
-        faults(std::move(o.faults)) {}
-  Config& operator=(const Config& o) {
-    if (this != &o) {
-      bandwidth_bits = o.bandwidth_bits;
-      seed = o.seed;
-      execution = o.execution;
-      hooks = o.hooks;
-      faults = o.faults;
-    }
-    return *this;
-  }
-  Config& operator=(Config&& o) noexcept {
-    if (this != &o) {
-      bandwidth_bits = o.bandwidth_bits;
-      seed = o.seed;
-      execution = std::move(o.execution);
-      hooks = std::move(o.hooks);
-      faults = std::move(o.faults);
-    }
-    return *this;
-  }
 };
 
 /// One recorded message (sent during `round`, delivered in round+1).
@@ -315,7 +257,7 @@ class Simulator {
   friend class NodeContext;
 
   /// One queued point-to-point message, parked in its sender's outbox
-  /// until the serial merge scatters it into the receiver-side arena.
+  /// until the merge scatters it into the receiver-side arena.
   struct OutMsg {
     NodeId to;
     std::uint32_t slot;  ///< slot of `to` in the sender's adjacency row
@@ -378,10 +320,9 @@ class Simulator {
   void queue_to_slot(NodeId from, std::uint32_t slot, Message m);
   void queue_broadcast(NodeId from, const Message& m);
   void admit(NodeId from, NodeId to, std::uint32_t slot, Message&& m);
-  void account(NodeId from, NodeId to, std::uint32_t bits);
-  void merge_outboxes(int dst);
-  void merge_outboxes_sharded(int dst, runtime::ThreadPool& pool);
-  void merge_outboxes_faulted(int dst);
+  std::size_t collect_senders();
+  void merge(int dst, runtime::ThreadPool* pool);
+  void merge_faulted(int dst);
   void ensure_shard_plan(unsigned workers);
   std::size_t place_rows(std::span<const NodeId> rows, int dst,
                          std::size_t off);
@@ -411,16 +352,6 @@ class Simulator {
   std::vector<NodeId> live_;     ///< sorted ids of not-done nodes
   std::vector<NodeId> actives_;  ///< scratch: nodes running this round
 
-  // Serial engine (no pool configured): ledger/trace/receiver counts are
-  // accounted at queue time — admission order is already (sender id,
-  // program order) — and the merge skips its counting pass. Parallel
-  // engine: accounting is deferred to the serial merge, which replays
-  // the same order. Both produce byte-identical results.
-  bool queue_accounting_ = false;
-  std::uint32_t* pending_count_ = nullptr;     ///< counts of filling mailbox
-  std::vector<NodeId>* pending_touched_ = nullptr;
-  char* pending_flag_ = nullptr;               ///< touched flags, same buffer
-
   // Per-sender outboxes (worker-private during a parallel round) and the
   // flat per-directed-edge bandwidth ledger, reset via the queued
   // messages themselves (touched slots only, never an O(2m) refill).
@@ -442,7 +373,7 @@ class Simulator {
 
   std::unique_ptr<runtime::ThreadPool> own_pool_;
 
-  // Shard plan for the parallel merge (built once per worker count by
+  // Shard plan for a pooled merge (built once per worker count by
   // ensure_shard_plan; topology-only, so it survives across runs).
   // Receivers are owned by contiguous degree-balanced node ranges —
   // shard sh owns [shard_bounds_[sh], shard_bounds_[sh+1]) — so every
@@ -458,13 +389,11 @@ class Simulator {
   std::vector<std::uint8_t> node_shard_;   ///< owner shard, per node
   std::vector<std::size_t> bucket_off_;    ///< n x (S+1), row-major
   std::vector<std::uint32_t> bucket_slot_; ///< 2m local slots, bucketed
-  std::vector<std::size_t> bucket_cursor_; ///< build scratch, size S
 
-  // Per-merge scratch for the sharded merge (reused, steady-state
-  // allocation-free). merge_chunks_ entries are cache-line-sized so the
-  // parallel passes never false-share their tallies: entry t < S is
-  // shard t (receiver side), entry S + c is accounting chunk c (sender
-  // side).
+  // Per-merge scratch (reused, steady-state allocation-free).
+  // merge_chunks_ entries are cache-line-sized so the parallel passes
+  // never false-share their tallies: entry t < S is shard t (receiver
+  // side), entry S + c is accounting chunk c (sender side).
   struct alignas(64) MergeChunk {
     std::uint64_t bits = 0;           ///< sender chunk: ledger bits
     std::uint64_t total = 0;          ///< shard: deliveries owned
@@ -474,16 +403,16 @@ class Simulator {
   std::vector<std::uint64_t> sender_prefix_; ///< delivery-count prefix
   std::vector<std::size_t> sender_bounds_;   ///< accounting chunk cuts
   std::vector<MergeChunk> merge_chunks_;
-  std::vector<std::vector<NodeId>> shard_touched_;
+  std::vector<std::vector<NodeId>> shard_touched_;  ///< pooled merges only
   std::vector<std::size_t> shard_base_;      ///< arena region starts
   std::vector<std::uint64_t> actives_prefix_; ///< run_actives weights
   std::vector<std::size_t> actives_bounds_;
 
   // Fault path (null/empty unless Config::faults is non-empty — the
   // fast path above is untouched by an empty plan). The faulted merge
-  // resolves every send through the engine, so fault outcomes — like
-  // the ledger — are decided serially in (sender id, program order)
-  // and are identical at any worker count.
+  // resolves every send through the engine serially, in the same
+  // (sender id, program order) replay as the fault-free merge, so fault
+  // outcomes — like the ledger — are identical at any worker count.
   std::unique_ptr<FaultEngine> faults_;
   FaultCounters fault_counters_;
   /// One message after fault resolution, waiting to be scattered.

@@ -149,7 +149,7 @@ ServerSimulationReport run_and_meter_bfs(const Gadget& gadget,
   if (root == kAnyRoot) root = gadget.root();
   QC_REQUIRE(root < g.node_count(), "root out of range");
   congest::Config cfg;
-  cfg.record_trace = true;
+  cfg.hooks.record_trace = true;
   const std::uint32_t depth_bits = bits_for(g.node_count());
 
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;

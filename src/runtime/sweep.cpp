@@ -246,7 +246,7 @@ void attach_simulator_metrics(congest::Config& config,
   Histogram* h_util = &registry.histogram(
       prefix + "round_max_edge_utilization",
       {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-  config.on_round_metrics = [=](const congest::RoundMetrics& rm) {
+  config.hooks.on_round_metrics = [=](const congest::RoundMetrics& rm) {
     rounds->add(1);
     messages->add(rm.messages);
     bits->add(rm.bits);

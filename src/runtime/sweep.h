@@ -117,7 +117,7 @@ std::string to_json(const SweepResult& result, bool include_timing = false);
 /// failure.
 void write_file(const std::string& path, const std::string& content);
 
-/// Wires a Simulator's opt-in per-round hook (Config::on_round_metrics)
+/// Wires a Simulator's opt-in per-round hook (Config::Hooks::on_round_metrics)
 /// into a registry: counters `<prefix>rounds/messages/bits`, histograms
 /// `<prefix>round_messages/round_bits/round_active_nodes` of per-round
 /// traffic, and `<prefix>round_max_edge_utilization` — the per-round max

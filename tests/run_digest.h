@@ -1,0 +1,44 @@
+// FNV-1a digests of a simulator run's trace and per-round metrics, so a
+// golden test can pin a whole run with one literal per log.
+#pragma once
+
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
+#include <vector>
+
+#include "congest/simulator.h"
+
+namespace qc::congest {
+
+inline std::uint64_t fnv1a(std::initializer_list<std::uint64_t> words,
+                           std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const std::uint64_t w : words) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+inline std::uint64_t trace_digest(const std::vector<TraceEntry>& trace) {
+  std::uint64_t h = fnv1a({});
+  for (const TraceEntry& t : trace) {
+    h = fnv1a({t.round, t.from, t.to, t.bits}, h);
+  }
+  return h;
+}
+
+/// The utilization double enters by its bit pattern.
+inline std::uint64_t metrics_digest(const std::vector<RoundMetrics>& metrics) {
+  std::uint64_t h = fnv1a({});
+  for (const RoundMetrics& m : metrics) {
+    h = fnv1a({m.round, m.messages, m.bits, m.active_nodes,
+               std::bit_cast<std::uint64_t>(m.max_edge_utilization)},
+              h);
+  }
+  return h;
+}
+
+}  // namespace qc::congest

@@ -167,8 +167,11 @@ INSTANTIATE_TEST_SUITE_P(Cases, MultiBfsTest, ::testing::Range(0, 6));
 // 3/2-approximation
 // ---------------------------------------------------------------------
 
+// Both fields are 64-bit so the struct has no padding: gtest prints an
+// unprintable parameter byte by byte into the test name, and padding
+// bytes would make that name change from run to run.
 struct ThreeHalvesCase {
-  int topology;
+  std::uint64_t topology;
   std::uint64_t seed;
 };
 

@@ -12,6 +12,7 @@
 #include "congest/simulator.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "run_digest.h"
 #include "util/rng.h"
 
 namespace qc::congest {
@@ -140,7 +141,7 @@ class NeverDoneProgram final : public NodeProgram {
 TEST(Simulator, MaxRoundsGuardsNonTermination) {
   const auto g = gen::path(3);
   Config cfg;
-  cfg.max_rounds = 50;
+  cfg.execution.max_rounds = 50;
   EXPECT_THROW((run_on_all<NeverDoneProgram>(
                    g, [&](NodeId) { return std::make_unique<NeverDoneProgram>(); },
                    cfg)),
@@ -189,7 +190,7 @@ TEST(Simulator, NodeRngIsDeterministicAcrossRuns) {
 TEST(Simulator, TraceRecordsEveryMessage) {
   const auto g = gen::path(4);
   Config cfg;
-  cfg.record_trace = true;
+  cfg.hooks.record_trace = true;
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId v = 0; v < 4; ++v) {
     programs.push_back(std::make_unique<SpamProgram>(0, 1, 4, 1, 3));
@@ -235,7 +236,7 @@ class BroadcastOnceProgram final : public NodeProgram {
 TEST(Simulator, TraceMatchesLedgerOnBroadcast) {
   const auto g = gen::grid(3, 4);
   Config cfg;
-  cfg.record_trace = true;
+  cfg.hooks.record_trace = true;
   std::vector<std::unique_ptr<NodeProgram>> programs;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     programs.push_back(std::make_unique<BroadcastOnceProgram>());
@@ -605,7 +606,7 @@ TEST(Simulator, ReportsMaxEdgeUtilization) {
   Config cfg;
   cfg.bandwidth_bits = 16;
   std::vector<RoundMetrics> metrics;
-  cfg.on_round_metrics = [&](const RoundMetrics& rm) {
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
     metrics.push_back(rm);
   };
   run_on_all<OneShot>(g, [&](NodeId) { return std::make_unique<OneShot>(); },
@@ -660,14 +661,14 @@ struct RunCapture {
 };
 
 RunCapture run_min_flood(const WeightedGraph& g, unsigned workers,
-                         std::size_t sharded_min = Config::Execution{}
-                                                       .sharded_merge_min_messages) {
+                         std::size_t min_work = Config::Execution{}
+                                                    .pooled_round_min_work) {
   Config cfg;
-  cfg.record_trace = true;
-  cfg.workers = workers;
-  cfg.execution.sharded_merge_min_messages = sharded_min;
+  cfg.hooks.record_trace = true;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = min_work;
   std::vector<RoundMetrics> metrics;
-  cfg.on_round_metrics = [&](const RoundMetrics& rm) {
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
     metrics.push_back(rm);
   };
   std::vector<std::unique_ptr<NodeProgram>> programs;
@@ -688,8 +689,8 @@ RunCapture run_min_flood(const WeightedGraph& g, unsigned workers,
 
 // The tentpole determinism contract: ledger, trace, per-round metrics,
 // and program outputs are byte-identical at any worker count. The
-// default sharded_merge_min_messages keeps these small phases on the
-// serial merge, so this pins the pooled-rounds + serial-merge path.
+// default pooled_round_min_work keeps these small phases on the calling
+// thread, so this pins the pooled engine's one-shard path.
 TEST(Simulator, SerialAndPooledRunsAreByteIdentical) {
   Rng rng(42);
   const auto g = gen::erdos_renyi_connected(96, 0.08, rng);
@@ -705,7 +706,7 @@ TEST(Simulator, SerialAndPooledRunsAreByteIdentical) {
 }
 
 // Same contract through the shard-parallel merge (threshold 0 forces
-// it for every phase), at worker counts that do not divide n — 97 is
+// the pool for every phase), at worker counts that do not divide n — 97 is
 // prime, so every shard cut is ragged and a modular-arithmetic bug in
 // the shard boundaries or bucket offsets would surface here.
 TEST(Simulator, ShardedMergeByteIdenticalAtAwkwardWorkerCounts) {
@@ -714,7 +715,7 @@ TEST(Simulator, ShardedMergeByteIdenticalAtAwkwardWorkerCounts) {
   const RunCapture golden = run_min_flood(g, 1);
   EXPECT_FALSE(golden.trace.empty());
   for (const unsigned workers : {3u, 5u, 8u}) {
-    const RunCapture got = run_min_flood(g, workers, /*sharded_min=*/0);
+    const RunCapture got = run_min_flood(g, workers, /*min_work=*/0);
     EXPECT_EQ(got, golden) << "workers=" << workers;
   }
 }
@@ -729,11 +730,11 @@ TEST(Simulator, PooledRoundMinWorkIsWallClockOnly) {
   const auto g = gen::erdos_renyi_connected(96, 0.08, rng);
   const auto capture = [&](unsigned workers, std::size_t min_work) {
     Config cfg;
-    cfg.record_trace = true;
-    cfg.workers = workers;
+    cfg.hooks.record_trace = true;
+    cfg.execution.workers = workers;
     cfg.execution.pooled_round_min_work = min_work;
     std::vector<RoundMetrics> metrics;
-    cfg.on_round_metrics = [&](const RoundMetrics& rm) {
+    cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
       metrics.push_back(rm);
     };
     std::vector<std::unique_ptr<NodeProgram>> programs;
@@ -765,11 +766,11 @@ TEST(Simulator, PooledRoundMinWorkIsWallClockOnly) {
 // payloads don't fit a 3-node B, so this uses the 6-bit wave.)
 TEST(Simulator, ShardedMergeClampsWhenWorkersExceedNodes) {
   const auto g = gen::path(3);
-  const auto capture = [&](unsigned workers, std::size_t sharded_min) {
+  const auto capture = [&](unsigned workers, std::size_t min_work) {
     Config cfg;
-    cfg.record_trace = true;
-    cfg.workers = workers;
-    cfg.execution.sharded_merge_min_messages = sharded_min;
+    cfg.hooks.record_trace = true;
+    cfg.execution.workers = workers;
+    cfg.execution.pooled_round_min_work = min_work;
     std::vector<std::unique_ptr<NodeProgram>> programs;
     for (NodeId v = 0; v < g.node_count(); ++v) {
       programs.push_back(std::make_unique<BroadcastOnceProgram>());
@@ -778,15 +779,14 @@ TEST(Simulator, ShardedMergeClampsWhenWorkersExceedNodes) {
     const RunStats stats = sim.run(programs);
     return std::pair{stats, sim.trace()};
   };
-  const auto golden =
-      capture(1, Config::Execution{}.sharded_merge_min_messages);
+  const auto golden = capture(1, Config::Execution{}.pooled_round_min_work);
   EXPECT_EQ(golden.first.messages, 2 * g.edge_count());
-  EXPECT_EQ(capture(8, /*sharded_min=*/0), golden);
+  EXPECT_EQ(capture(8, /*min_work=*/0), golden);
 }
 
 // Sends singles and broadcasts interleaved (single, broadcast, single
-// in one activation) and records every receiver's inbox verbatim: the
-// sharded merge must reproduce the serial merge's per-receiver
+// in one activation) and records every receiver's inbox verbatim: a
+// many-shard merge must reproduce the one-shard merge's per-receiver
 // (sender id, program order) interleave exactly, including where the
 // broadcast lands between the two singles.
 class InterleaveProgram final : public NodeProgram {
@@ -821,10 +821,10 @@ TEST(Simulator, ShardedMergePreservesSingleBroadcastInterleave) {
   const auto g = gen::star(8);  // hub 0, leaves 1..7: one shard per node
   Config cfg;
   cfg.bandwidth_bits = 64;
-  const auto capture = [&](unsigned workers, std::size_t sharded_min) {
+  const auto capture = [&](unsigned workers, std::size_t min_work) {
     Config c = cfg;
-    c.workers = workers;
-    c.execution.sharded_merge_min_messages = sharded_min;
+    c.execution.workers = workers;
+    c.execution.pooled_round_min_work = min_work;
     auto run = run_on_all<InterleaveProgram>(
         g, [&](NodeId) { return std::make_unique<InterleaveProgram>(); }, c);
     std::vector<std::vector<std::array<NodeId, 3>>> logs;
@@ -833,7 +833,7 @@ TEST(Simulator, ShardedMergePreservesSingleBroadcastInterleave) {
     }
     return logs;
   };
-  const auto golden = capture(1, Config::Execution{}.sharded_merge_min_messages);
+  const auto golden = capture(1, Config::Execution{}.pooled_round_min_work);
   // Each leaf's three sends all target the hub; the hub's inbox is the
   // senders in ascending order, each contributing marks 0, 1, 2.
   std::vector<std::array<NodeId, 3>> hub_expected;
@@ -844,8 +844,55 @@ TEST(Simulator, ShardedMergePreservesSingleBroadcastInterleave) {
   }
   EXPECT_EQ(golden[0], hub_expected);
   for (const unsigned workers : {3u, 8u}) {
-    EXPECT_EQ(capture(workers, /*sharded_min=*/0), golden)
+    EXPECT_EQ(capture(workers, /*min_work=*/0), golden)
         << "workers=" << workers;
+  }
+}
+
+// Literal goldens captured from the engine that kept separate serial,
+// sharded and faulted merges. The identity tests above compare runs of
+// one build with each other; these compare against numbers recorded
+// before the merges were unified, so a change that moved every worker
+// count the same way would still fail here.
+TEST(SimulatorGolden, MinFloodRunIsPinned) {
+  Rng rng(42);
+  const auto g = gen::erdos_renyi_connected(96, 0.08, rng);
+  for (const unsigned workers : {1u, 8u}) {
+    const RunCapture got = run_min_flood(g, workers);
+    EXPECT_EQ(got.stats, (RunStats{5, 2688, 86016})) << "workers=" << workers;
+    EXPECT_EQ(got.trace.size(), 2688u) << "workers=" << workers;
+    EXPECT_EQ(trace_digest(got.trace), 12635111665715171145ull)
+        << "workers=" << workers;
+    EXPECT_EQ(got.metrics.size(), 5u) << "workers=" << workers;
+    EXPECT_EQ(metrics_digest(got.metrics), 4524880049476468350ull)
+        << "workers=" << workers;
+    EXPECT_EQ(got.outputs, std::vector<NodeId>(96, 0)) << "workers=" << workers;
+  }
+}
+
+TEST(SimulatorGolden, InterleaveInboxLogsArePinned) {
+  const auto g = gen::star(8);
+  for (const unsigned workers : {1u, 8u}) {
+    Config cfg;
+    cfg.bandwidth_bits = 64;
+    cfg.execution.workers = workers;
+    auto run = run_on_all<InterleaveProgram>(
+        g, [&](NodeId) { return std::make_unique<InterleaveProgram>(); }, cfg);
+    using Log = std::vector<std::array<NodeId, 3>>;
+    const Log hub = {{1, 1, 0}, {1, 1, 1}, {1, 1, 2}, {2, 2, 0}, {2, 2, 1},
+                     {2, 2, 2}, {3, 3, 0}, {3, 3, 1}, {3, 3, 2}, {4, 4, 0},
+                     {4, 4, 1}, {4, 4, 2}, {5, 5, 0}, {5, 5, 1}, {5, 5, 2},
+                     {6, 6, 0}, {6, 6, 1}, {6, 6, 2}, {7, 7, 0}, {7, 7, 1},
+                     {7, 7, 2}};
+    EXPECT_EQ(run.at(0).log, hub) << "workers=" << workers;
+    // The hub's first single goes to leaf 1 and its last to leaf 7; the
+    // broadcast between them reaches every leaf.
+    EXPECT_EQ(run.at(1).log, (Log{{0, 0, 0}, {0, 0, 1}}))
+        << "workers=" << workers;
+    EXPECT_EQ(run.at(4).log, (Log{{0, 0, 1}})) << "workers=" << workers;
+    EXPECT_EQ(run.at(7).log, (Log{{0, 0, 1}, {0, 0, 2}}))
+        << "workers=" << workers;
+    EXPECT_EQ(run.stats, (RunStats{1, 30, 540})) << "workers=" << workers;
   }
 }
 

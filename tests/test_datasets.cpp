@@ -787,10 +787,10 @@ TEST_F(LargeN, ShardedMergeSimulatorByteIdenticalAtWorkerCounts) {
 
   const auto run = [&](unsigned workers) {
     Config cfg;
-    cfg.workers = workers;
-    cfg.execution.sharded_merge_min_messages = 0;  // force sharded path
+    cfg.execution.workers = workers;
+    cfg.execution.pooled_round_min_work = 0;  // force sharded path
     FloodCapture cap;
-    cfg.on_round_metrics = [&](const RoundMetrics& rm) {
+    cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
       cap.metrics.push_back(rm);
     };
     std::vector<std::unique_ptr<NodeProgram>> programs;

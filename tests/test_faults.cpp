@@ -8,7 +8,7 @@
 //     link-down intervals, crash-stop failures;
 //   * robustness counterparts: acked flooding converging under 10%
 //     drop, BFS liveness + diagnosable RunOutcome under crash-stop;
-//   * Config sub-struct aliases and paths::RunRequest equivalence;
+//   * paths::RunRequest equivalence;
 //   * quantum link faults and the runtime metrics bridge.
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "graph/generators.h"
 #include "paths/distributed.h"
 #include "quantum/qnetwork.h"
+#include "run_digest.h"
 #include "runtime/metrics.h"
 #include "runtime/sweep.h"
 #include "util/rng.h"
@@ -166,15 +167,15 @@ struct RunCapture {
 
 RunCapture run_min_flood(const WeightedGraph& g, unsigned workers,
                          FaultPlan plan = {},
-                         std::size_t sharded_min = Config::Execution{}
-                                                       .sharded_merge_min_messages) {
+                         std::size_t min_work = Config::Execution{}
+                                                    .pooled_round_min_work) {
   Config cfg;
-  cfg.record_trace = true;
-  cfg.workers = workers;
-  cfg.execution.sharded_merge_min_messages = sharded_min;
+  cfg.hooks.record_trace = true;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = min_work;
   cfg.faults = std::move(plan);
   std::vector<RoundMetrics> metrics;
-  cfg.on_round_metrics = [&](const RoundMetrics& rm) {
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
     metrics.push_back(rm);
   };
   std::vector<std::unique_ptr<NodeProgram>> programs;
@@ -238,8 +239,8 @@ TEST(EmptyPlan, MatchesAnalyticGoldensAtAnyWorkerCount) {
   const auto g = gen::path(6);
   for (const unsigned workers : {1u, 2u, 8u}) {
     Config cfg;
-    cfg.workers = workers;
-    cfg.record_trace = true;
+    cfg.execution.workers = workers;
+    cfg.hooks.record_trace = true;
     cfg.faults = FaultPlan{};  // explicitly installed, still empty
     std::vector<std::unique_ptr<NodeProgram>> programs;
     for (NodeId v = 0; v < 6; ++v) {
@@ -303,11 +304,42 @@ TEST(FaultDeterminism, SameSeedSameFaultsAtAnyWorkerCount) {
   }
 }
 
+// The same seeded plan against literals captured from the engine that
+// kept separate serial, sharded and faulted merges: the test above
+// compares worker counts of one build, this one pins the numbers
+// themselves — every fault counter, the ledger, both logs and the
+// program outputs.
+TEST(FaultDeterminism, SeededPlanMatchesPinnedGolden) {
+  Rng rng(7);
+  const auto g = gen::erdos_renyi_connected(48, 0.12, rng);
+  FaultPlan plan;
+  plan.seed = 0xfeedface;
+  plan.probabilities.drop = 0.10;
+  plan.probabilities.duplicate = 0.05;
+  plan.probabilities.delay = 0.05;
+  plan.probabilities.delay_rounds = 2;
+  plan.probabilities.corrupt = 0.05;
+  for (const unsigned workers : {1u, 8u}) {
+    const RunCapture got = run_min_flood(g, workers, plan);
+    EXPECT_EQ(got.stats, (RunStats{7, 877, 28064})) << "workers=" << workers;
+    // dropped, duplicated, delayed, corrupted; no link or crash faults.
+    EXPECT_EQ(got.outcome.faults, (FaultCounters{100, 32, 32, 36, 0, 0, 0}))
+        << "workers=" << workers;
+    EXPECT_EQ(got.trace.size(), 877u) << "workers=" << workers;
+    EXPECT_EQ(trace_digest(got.trace), 17230120686097204748ull)
+        << "workers=" << workers;
+    EXPECT_EQ(got.metrics.size(), 7u) << "workers=" << workers;
+    EXPECT_EQ(metrics_digest(got.metrics), 9608064748847836317ull)
+        << "workers=" << workers;
+    EXPECT_EQ(got.outputs, std::vector<NodeId>(48, 0)) << "workers=" << workers;
+  }
+}
+
 // The faulted merge stays serial — fault resolution order is part of
-// its determinism contract — but it now shares the sharded merge's
-// placement pass. Forcing the sharding knob on (threshold 0) in a
-// faulted pooled run must change nothing: the knob only reroutes
-// fault-free merges.
+// its determinism contract — but it shares the fault-free merge's
+// replay, placement and scatter helpers. Forcing the pool on (threshold
+// 0) in a faulted pooled run must change nothing: the knob only
+// reroutes program phases and fault-free merges.
 TEST(FaultDeterminism, ShardingKnobDoesNotPerturbFaultedRuns) {
   Rng rng(9);
   const auto g = gen::erdos_renyi_connected(48, 0.12, rng);
@@ -318,13 +350,13 @@ TEST(FaultDeterminism, ShardingKnobDoesNotPerturbFaultedRuns) {
   const RunCapture golden = run_min_flood(g, 1, plan);
   EXPECT_GT(golden.outcome.faults.total(), 0u);
   for (const unsigned workers : {1u, 8u}) {
-    EXPECT_EQ(run_min_flood(g, workers, plan, /*sharded_min=*/0), golden)
+    EXPECT_EQ(run_min_flood(g, workers, plan, /*min_work=*/0), golden)
         << "workers=" << workers;
   }
   // And the same graph + knob without a plan routes through the sharded
   // merge: fault-free results must still match their own serial golden.
   const RunCapture free_golden = run_min_flood(g, 1);
-  EXPECT_EQ(run_min_flood(g, 8, FaultPlan{}, /*sharded_min=*/0), free_golden);
+  EXPECT_EQ(run_min_flood(g, 8, FaultPlan{}, /*min_work=*/0), free_golden);
 }
 
 TEST(FaultDeterminism, DifferentSeedsDifferentSchedules) {
@@ -472,7 +504,7 @@ TEST(CrashStop, MidBfsSurfacesDiagnosableOutcome) {
     EXPECT_EQ(res.nodes[v].depth, static_cast<Dist>(v));
   }
   // Liveness: the unreached side gave up at the internal horizon instead
-  // of spinning to Config::max_rounds.
+  // of spinning to Config::Execution::max_rounds.
   EXPECT_LE(res.stats.rounds, 2 * g.node_count() + 3);
 }
 
@@ -543,7 +575,7 @@ TEST(ReliableFlood, DropScheduleIsDeterministicAcrossWorkers) {
   initial[9].push_back(make_item(2, 101));
   const auto run = [&](unsigned workers) {
     Config cfg;
-    cfg.workers = workers;
+    cfg.execution.workers = workers;
     cfg.faults.seed = 4242;
     cfg.faults.probabilities.drop = 0.10;
     cfg.faults.probabilities.delay = 0.05;
@@ -564,42 +596,6 @@ TEST(ReliableFlood, RejectsDuplicatePayloads) {
   initial[1].push_back(make_item(1, 100));
   initial[13].push_back(make_item(1, 100));
   EXPECT_THROW(flood_items_reliable(g, initial), AlgorithmFailure);
-}
-
-// ---------------------------------------------------------------------
-// Config sub-structs and aliases
-// ---------------------------------------------------------------------
-
-TEST(ConfigApi, AliasesShareStorageWithSubStructs) {
-  Config cfg;
-  cfg.workers = 4;  // legacy flat spelling
-  EXPECT_EQ(cfg.execution.workers, 4u);
-  cfg.execution.max_rounds = 123;  // grouped spelling
-  EXPECT_EQ(cfg.max_rounds, 123u);
-  cfg.record_trace = true;
-  EXPECT_TRUE(cfg.hooks.record_trace);
-  bool fired = false;
-  cfg.on_round_metrics = [&](const RoundMetrics&) { fired = true; };
-  ASSERT_TRUE(static_cast<bool>(cfg.hooks.on_round_metrics));
-  cfg.hooks.on_round_metrics(RoundMetrics{});
-  EXPECT_TRUE(fired);
-}
-
-TEST(ConfigApi, CopiesRebindAliasesToTheirOwnStorage) {
-  Config a;
-  a.workers = 3;
-  a.max_rounds = 99;
-  Config b = a;  // must not alias a's storage
-  b.workers = 7;
-  EXPECT_EQ(a.workers, 3u);
-  EXPECT_EQ(a.execution.workers, 3u);
-  EXPECT_EQ(b.execution.workers, 7u);
-  EXPECT_EQ(b.max_rounds, 99u);
-  Config c;
-  c = b;  // copy-assignment too
-  c.execution.workers = 9;
-  EXPECT_EQ(b.workers, 7u);
-  EXPECT_EQ(c.workers, 9u);
 }
 
 // ---------------------------------------------------------------------

@@ -551,7 +551,7 @@ TEST(SimulatorMetrics, RoundsAreSequential) {
   const auto g = gen::path(6);
   congest::Config cfg;
   std::vector<std::uint64_t> rounds;
-  cfg.on_round_metrics = [&](const congest::RoundMetrics& rm) {
+  cfg.hooks.on_round_metrics = [&](const congest::RoundMetrics& rm) {
     rounds.push_back(rm.round);
   };
   congest::build_bfs_tree(g, 0, cfg);

@@ -29,15 +29,20 @@
 // `serve` keeps a resident service::QueryEngine answering line-delimited
 // JSON requests from stdin against warm graph artifacts; `query` is its
 // one-shot twin (docs/service.md documents both and the wire format).
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "congest/primitives.h"
 #include "core/approx.h"
@@ -60,13 +65,34 @@ namespace {
 
 using namespace qc;
 
+// Parses `tok`, the value of --`flag`, as a whole unsigned decimal
+// number that fits T. Anything else — a sign, trailing junk, an empty
+// token, an overflow — is an error that names the flag and the value.
+template <typename T>
+T parse_unsigned(const std::string& flag, const std::string& tok) {
+  T value = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw ArgumentError("--" + flag + ": " + tok + " is out of range (max " +
+                        std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  if (tok.empty() || ec != std::errc{} || ptr != end) {
+    throw ArgumentError("--" + flag +
+                        ": expected an unsigned decimal integer, got '" + tok +
+                        "'");
+  }
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> kv;
   std::map<std::string, bool> flags;
 
-  std::uint64_t num(const std::string& key, std::uint64_t def) const {
+  template <typename T = std::uint64_t>
+  T num(const std::string& key, std::type_identity_t<T> def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : std::stoull(it->second);
+    return it == kv.end() ? def : parse_unsigned<T>(key, it->second);
   }
   std::string str(const std::string& key, const std::string& def) const {
     const auto it = kv.find(key);
@@ -98,7 +124,7 @@ WeightedGraph make_graph(const Args& a) {
   if (a.kv.count("graph")) {
     return load_graph(a.str("graph", ""));
   }
-  const auto n = static_cast<NodeId>(a.num("n", 64));
+  const auto n = a.num<NodeId>("n", 64);
   Rng rng(a.num("seed", 1));
   return gen::from_family(a.str("family", "ER"), n, a.num("maxw", 10), rng);
 }
@@ -108,7 +134,7 @@ int cmd_diameter(const Args& a) {
   const bool radius = a.flag("radius");
   core::Theorem11Options opt;
   opt.seed = a.num("seed", 1);
-  opt.eps_inv = static_cast<std::uint32_t>(a.num("eps-inv", 0));
+  opt.eps_inv = a.num<std::uint32_t>("eps-inv", 0);
   opt.census = true;
   const auto res = radius ? core::quantum_weighted_radius(g, opt)
                           : core::quantum_weighted_diameter(g, opt);
@@ -129,7 +155,7 @@ int cmd_diameter(const Args& a) {
 }
 
 int cmd_gadget(const Args& a) {
-  const auto h = static_cast<std::uint32_t>(a.num("h", 4));
+  const auto h = a.num<std::uint32_t>("h", 4);
   const bool radius = a.flag("radius");
   const bool full = a.flag("full");
   const auto params = qc::lb::GadgetParams::paper(h);
@@ -183,7 +209,7 @@ int cmd_baseline(const Args& a) {
 }
 
 int cmd_params(const Args& a) {
-  const auto n = static_cast<std::uint32_t>(a.num("n", 1024));
+  const auto n = a.num<std::uint32_t>("n", 1024);
   const auto d = a.num("d", 16);
   const auto p = qc::paths::Params::make(n, d);
   std::printf("Eq. (1) at n=%u, D=%llu:\n", n, (unsigned long long)d);
@@ -211,10 +237,11 @@ std::vector<std::string> split_commas(const std::string& s) {
 }
 
 template <typename T>
-std::vector<T> parse_num_list(const std::string& s) {
+std::vector<T> parse_num_list(const Args& a, const std::string& key,
+                              const std::string& def) {
   std::vector<T> out;
-  for (const auto& tok : split_commas(s)) {
-    out.push_back(static_cast<T>(std::stoull(tok)));
+  for (const auto& tok : split_commas(a.str(key, def))) {
+    out.push_back(parse_unsigned<T>(key, tok));
   }
   return out;
 }
@@ -275,11 +302,11 @@ runtime::SweepFn make_sweep_fn(const std::string& algo,
 
 int cmd_sweep(const Args& a) {
   runtime::SweepSpec spec;
-  spec.ns = parse_num_list<NodeId>(a.str("n", "64"));
+  spec.ns = parse_num_list<NodeId>(a, "n", "64");
   spec.families = split_commas(a.str("family", "ER"));
-  spec.seeds = static_cast<std::uint32_t>(a.num("seeds", 4));
-  spec.eps_invs = parse_num_list<std::uint32_t>(a.str("eps-inv", "0"));
-  spec.bandwidth_bits = static_cast<std::uint32_t>(a.num("bandwidth", 0));
+  spec.seeds = a.num<std::uint32_t>("seeds", 4);
+  spec.eps_invs = parse_num_list<std::uint32_t>(a, "eps-inv", "0");
+  spec.bandwidth_bits = a.num<std::uint32_t>("bandwidth", 0);
   spec.max_weight = a.num("maxw", 10);
   spec.base_seed = a.num("seed", 1);
   const std::string algo = a.str("algo", "baseline");
@@ -288,7 +315,7 @@ int cmd_sweep(const Args& a) {
 
   runtime::MetricsRegistry registry;
   const auto fn = make_sweep_fn(algo, round_metrics ? &registry : nullptr);
-  runtime::ThreadPool pool(static_cast<unsigned>(a.num("workers", 0)));
+  runtime::ThreadPool pool(a.num<unsigned>("workers", 0));
   const auto result = runtime::run_sweep(spec, fn, pool);
 
   std::string json = runtime::to_json(result, /*include_timing=*/true);
@@ -319,7 +346,7 @@ int cmd_sweep(const Args& a) {
 service::QueryEngine make_engine(const Args& a, bool auto_dispatch,
                                  runtime::MetricsRegistry* registry) {
   service::EngineOptions opt;
-  opt.workers = static_cast<unsigned>(a.num("workers", 0));
+  opt.workers = a.num<unsigned>("workers", 0);
   opt.max_in_flight = a.num("queue", 1024);
   opt.max_batch = a.num("batch", 64);
   opt.auto_dispatch = auto_dispatch;
@@ -391,7 +418,7 @@ int cmd_serve(const Args& a) {
     }
   } else {
     const auto count = a.num("count", 1);
-    const auto n = static_cast<NodeId>(a.num("n", 64));
+    const auto n = a.num<NodeId>("n", 64);
     const std::string family = a.str("family", "ER");
     const auto maxw = a.num("maxw", 10);
     const auto seed = a.num("seed", 1);
@@ -528,16 +555,18 @@ int cmd_dataset(const std::string& verb, const Args& a) {
     const auto seed = a.num("seed", 1);
     BGraphInfo info;
     if (family == "rmat") {
-      const auto scale = static_cast<std::uint32_t>(a.num("scale", 20));
-      const auto m = a.num("m", std::uint64_t{10} << scale);
+      const auto scale = a.num<std::uint32_t>("scale", 20);
+      // rmat_bgraph rejects scale > 31; the clamp only keeps this
+      // default's shift defined until it does.
+      const auto m = a.num("m", std::uint64_t{10} << std::min(scale, 31u));
       info = gen::rmat_bgraph(out, scale, m, maxw, seed);
     } else if (family == "chunglu") {
-      const auto n = static_cast<NodeId>(a.num("n", 1u << 20));
+      const auto n = a.num<NodeId>("n", 1u << 20);
       const auto m = a.num("m", std::uint64_t{10} * n);
       const double exponent = std::stod(a.str("exponent", "2.5"));
       info = gen::chung_lu_bgraph(out, n, m, exponent, maxw, seed);
     } else if (family == "er") {
-      const auto n = static_cast<NodeId>(a.num("n", 1u << 20));
+      const auto n = a.num<NodeId>("n", 1u << 20);
       // Default p keeps the expected degree at ~--avg-deg (10).
       const double avg = double(a.num("avg-deg", 10));
       const double p = a.kv.count("p") ? std::stod(a.str("p", "0"))
@@ -548,8 +577,8 @@ int cmd_dataset(const std::string& verb, const Args& a) {
       // are not given explicitly.
       const auto n = a.num("n", 1u << 20);
       const auto side = static_cast<NodeId>(std::sqrt(double(n)));
-      const auto rows = static_cast<NodeId>(a.num("rows", side));
-      const auto cols = static_cast<NodeId>(a.num("cols", side));
+      const auto rows = a.num<NodeId>("rows", side);
+      const auto cols = a.num<NodeId>("cols", side);
       const double diag = std::stod(a.str("diag", "0.05"));
       info = gen::grid_bgraph(out, rows, cols, diag, maxw, seed);
     } else {
@@ -615,7 +644,7 @@ int cmd_dataset(const std::string& verb, const Args& a) {
   }
   if (verb == "pack-csr") {
     QC_REQUIRE(!in.empty() && !out.empty(), "dataset pack-csr needs --in/--out");
-    runtime::ThreadPool pool(static_cast<unsigned>(a.num("workers", 0)));
+    runtime::ThreadPool pool(a.num<unsigned>("workers", 0));
     const auto g = csr_from_bgraph(in, &pool);
     const double t1 = now_seconds();
     write_csr(g, out);
@@ -644,8 +673,8 @@ int cmd_query(const Args& a) {
   service::Query q;
   q.id = a.num("id", 0);
   q.type = a.str("type", "diameter");
-  q.node = static_cast<NodeId>(a.num("node", 0));
-  q.target = static_cast<NodeId>(a.num("target", 0));
+  q.node = a.num<NodeId>("node", 0);
+  q.target = a.num<NodeId>("target", 0);
   q.seed = a.num("query-seed", 1);
   q.op = a.str("op", "");
   q.weight = a.num("weight", 1);
