@@ -1,17 +1,17 @@
 // Regenerates the headline result (Theorem 1.1): measured round
 // complexity of the quantum weighted diameter/radius algorithm versus
 // n and D, against the paper's Õ(min{n^{9/10} D^{3/10}, n}) bound and
-// the classical Θ̃(n) baseline — plus the oracle fast-path comparison
-// (docs/perf.md): eager-serial vs lazy-serial vs lazy-pooled drivers on
-// one large instance, asserting all modes and worker counts return a
+// the classical Θ̃(n) baseline — plus the oracle worker scaling
+// (docs/perf.md): the driver on one oracle-bound instance at
+// oracle_workers 1/2/8, asserting every worker count returns a
 // semantically identical `Theorem11Result`, and writing the measured
-// wall times, speedups, and skeletons-built counts to a JSON report.
+// wall times to a JSON report in the bench-gate schema
+// (tools/check_bench_regression.py).
 //
 // Series reported:
-//  * oracle mode comparison at one n (default 2048): end-to-end seconds,
-//    speedup over the historical eager-serial driver, full skeletons
-//    built (lazy modes: 1, the measured set; eager: one per non-empty
-//    sampled set), worker-count invariance for the pooled modes;
+//  * oracle worker scaling at one n (default 2048): end-to-end seconds,
+//    speedup over oracle_workers = 1, set evaluations and f(i) reads,
+//    and identity with the one-worker run;
 //  * low-D family (connected ER, D ≈ log n): the advantage regime
 //    D = o(n^{1/3});
 //  * high-D family (path of cliques, D ≈ n/c): the regime where the
@@ -27,6 +27,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/baselines.h"
@@ -43,17 +44,16 @@ namespace {
 using namespace qc;
 
 // ---------------------------------------------------------------------
-// Oracle mode comparison
+// Oracle worker scaling
 // ---------------------------------------------------------------------
 
-struct ModeRow {
-  std::string name;
+struct WorkerRow {
+  unsigned workers = 1;
   double seconds = 0;
-  double speedup = 1.0;  ///< eager-serial seconds / this mode's seconds
-  std::uint64_t skeletons_built = 0;
+  double speedup = 1.0;  ///< oracle_workers = 1 seconds / this row's
   std::uint64_t value_evaluations = 0;
   std::uint64_t memo_hits = 0;
-  bool equal = true;  ///< semantically_equal to the eager-serial run
+  bool identical = true;  ///< semantically_equal to the one-worker run
 };
 
 core::Theorem11Result timed_run(const WeightedGraph& g,
@@ -67,139 +67,90 @@ core::Theorem11Result timed_run(const WeightedGraph& g,
   return res;
 }
 
-std::string modes_json(NodeId n, std::size_t m,
-                       const std::vector<ModeRow>& rows,
-                       bool worker_invariant, std::uint64_t sets_nonempty) {
-  bool all_equal = true;
-  double lazy_pooled_speedup = 0;
-  std::uint64_t lazy_skeletons = 0;
-  for (const ModeRow& r : rows) {
-    all_equal &= r.equal;
-    if (r.name == "lazy-pooled") {
-      lazy_pooled_speedup = r.speedup;
-      lazy_skeletons = r.skeletons_built;
-    }
-  }
+std::string workers_json(bool smoke, NodeId n, std::size_t m,
+                         const std::vector<WorkerRow>& rows) {
+  bool all_identical = true;
+  for (const WorkerRow& r : rows) all_identical &= r.identical;
   std::ostringstream os;
-  os << "{\n  \"spec\": {\"n\": " << n << ", \"m\": " << m
-     << ", \"sets_nonempty\": " << sets_nonempty << "},\n"
-     << "  \"modes\": [\n";
+  os << "{\n  \"spec\": {\"smoke\": " << (smoke ? "true" : "false")
+     << ", \"hardware_workers\": " << std::thread::hardware_concurrency()
+     << ", \"benched_workers\": [1, 2, 8], \"n\": " << n
+     << ", \"m\": " << m << "},\n"
+     << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ModeRow& r = rows[i];
-    os << "    {\"mode\": \"" << r.name
-       << "\", \"seconds\": " << runtime::json_number(r.seconds)
-       << ", \"speedup_vs_eager_serial\": " << runtime::json_number(r.speedup)
-       << ", \"skeletons_built\": " << r.skeletons_built
+    const WorkerRow& r = rows[i];
+    os << "    {\"workload\": \"t11_oracle\", \"variant\": \"diameter\", "
+       << "\"n\": " << n << ", \"workers\": " << r.workers
+       << ", \"seconds\": " << runtime::json_number(r.seconds)
+       << ", \"speedup_vs_baseline\": " << runtime::json_number(r.speedup)
        << ", \"value_evaluations\": " << r.value_evaluations
        << ", \"memo_hits\": " << r.memo_hits
-       << ", \"semantically_equal\": " << (r.equal ? "true" : "false")
-       << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
+       << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"acceptance\": {\"all_modes_equal\": "
-     << (all_equal ? "true" : "false")
-     << ", \"worker_invariant_1_2_8\": "
-     << (worker_invariant ? "true" : "false")
-     << ", \"lazy_skeletons_built\": " << lazy_skeletons
-     << ", \"lazy_builds_o_n_skeletons\": "
-     << (lazy_skeletons * 8 < sets_nonempty ? "true" : "false")
-     << ", \"lazy_pooled_speedup\": "
-     << runtime::json_number(lazy_pooled_speedup)
-     << ", \"speedup_at_least_3x\": "
-     << (lazy_pooled_speedup >= 3.0 ? "true" : "false") << "}\n}\n";
+  os << "  ],\n  \"acceptance\": {\"byte_identical_at_all_worker_counts\": "
+     << (all_identical ? "true" : "false") << "}\n}\n";
   return os.str();
 }
 
-/// Runs all four oracle modes on one instance, checks invariance, and
-/// writes the JSON report. Returns false if any equivalence check
-/// failed (timing never fails the run; the numbers are in the JSON).
-bool run_mode_comparison(NodeId n, const std::string& out_path) {
+/// Runs the driver at oracle_workers 1/2/8 on one instance, checks
+/// every result against the one-worker run, and writes the JSON report.
+/// Returns false if any worker count diverged (timing never fails the
+/// run; the numbers are in the JSON).
+bool run_worker_scaling(bool smoke, NodeId n, const std::string& out_path) {
   Rng rng(n);
   // Sparse low-diameter ER with near-unit weights: the regime where the
-  // oracle dominates end-to-end time (representative of large n, where
-  // the O(n) skeleton builds swamp the O(D + r)-round measure phase).
-  // The simulator's measure phase is identical in every mode, so a
-  // denser/heavier instance would only dilute the oracle comparison.
+  // oracle pass is as large as the measure phase (the trend at large n,
+  // where the n set evaluations outgrow the O(D + r)-round measure
+  // phase).
   auto g = gen::erdos_renyi_connected(n, 1.2 * std::log2(double(n)) / n,
                                       rng);
   g = gen::randomize_weights(g, 2, rng);
-  std::printf("-- oracle fast path: %s --\n", g.summary().c_str());
+  std::printf("-- oracle worker scaling: %s --\n", g.summary().c_str());
 
   core::Theorem11Options opt;
   opt.seed = 41;
   // Timing isolates the driver itself: the optional distributed
-  // re-validation and the all-sets census re-run identical work in
-  // every mode and are exercised by the scaling sweeps below.
+  // re-validation and the all-sets census are serial and are exercised
+  // by the scaling sweeps below.
   opt.validate_distributed = false;
   opt.census = false;
   // ε⁻¹ = 1 keeps the per-scale caps short, and r = 64 (only where the
-  // instance is big enough) sizes the sampled sets so that one eager
-  // skeleton build costs Θ(|S|²·n) — the regime Eq. (1) reaches at much
-  // larger n than a single-machine simulator can hold. Both knobs apply
-  // identically to every mode.
+  // instance is big enough) makes the sampled sets large (|S| ≈ r) — the
+  // regime Eq. (1) reaches at much larger n than a single-machine
+  // simulator can hold.
   opt.eps_inv = 1;
   if (n >= 512) opt.r_override = 64;
 
-  const auto one = [&](core::OracleMode m, unsigned workers, double& secs) {
-    core::Theorem11Options o = opt;
-    o.oracle_mode = m;
-    o.oracle_workers = workers;
-    return timed_run(g, o, secs);
-  };
-
-  std::vector<ModeRow> rows;
-  double eager_secs = 0;
-  const auto eager = one(core::OracleMode::kEagerSerial, 0, eager_secs);
-  rows.push_back({"eager-serial", eager_secs, 1.0,
-                  eager.oracle.skeletons_built,
-                  eager.oracle.value_evaluations, eager.oracle.memo_hits,
-                  true});
-
-  const struct {
-    const char* name;
-    core::OracleMode mode;
-  } variants[] = {{"eager-pooled", core::OracleMode::kEagerPooled},
-                  {"lazy-serial", core::OracleMode::kLazySerial},
-                  {"lazy-pooled", core::OracleMode::kLazyPooled}};
-  for (const auto& v : variants) {
-    double secs = 0;
-    const auto res = one(v.mode, 0, secs);
-    rows.push_back({v.name, secs, secs > 0 ? eager_secs / secs : 0.0,
-                    res.oracle.skeletons_built,
-                    res.oracle.value_evaluations, res.oracle.memo_hits,
-                    core::semantically_equal(eager, res)});
-  }
-
-  // Worker-count invariance of the lazy-pooled driver (eager-pooled's
-  // equality is covered by the variants run above; re-running it per
-  // worker count would double the bench's wall time for a check the
-  // unit tests already make at small n).
-  bool worker_invariant = true;
+  std::vector<WorkerRow> rows;
+  core::Theorem11Result one;
   for (const unsigned w : {1u, 2u, 8u}) {
-    double secs = 0;
-    worker_invariant &= core::semantically_equal(
-        eager, one(core::OracleMode::kLazyPooled, w, secs));
+    opt.oracle_workers = w;
+    WorkerRow row;
+    row.workers = w;
+    const auto res = timed_run(g, opt, row.seconds);
+    if (w == 1) one = res;
+    const double base = rows.empty() ? row.seconds : rows.front().seconds;
+    row.speedup = row.seconds > 0 ? base / row.seconds : 0.0;
+    row.value_evaluations = res.oracle.value_evaluations;
+    row.memo_hits = res.oracle.memo_hits;
+    row.identical = core::semantically_equal(one, res);
+    rows.push_back(row);
   }
 
-  TextTable t({"mode", "wall s", "speedup", "skeletons built",
-               "value evals", "memo hits", "equal"});
-  for (const ModeRow& r : rows) {
-    t.add(r.name, r.seconds, r.speedup, r.skeletons_built,
-          r.value_evaluations, r.memo_hits, r.equal);
+  TextTable t({"workers", "wall s", "speedup", "value evals", "f(i) reads",
+               "identical"});
+  for (const WorkerRow& r : rows) {
+    t.add(r.workers, r.seconds, r.speedup, r.value_evaluations, r.memo_hits,
+          r.identical);
   }
-  std::printf("%s", t.render().c_str());
-  std::printf("  non-empty sampled sets: %llu; lazy modes materialize one "
-              "skeleton (the measured set); worker counts 1/2/8 "
-              "invariant: %s\n\n",
-              (unsigned long long)eager.oracle.sets_nonempty,
-              worker_invariant ? "yes" : "NO");
+  std::printf("%s\n", t.render().c_str());
 
-  runtime::write_file(out_path,
-                      modes_json(n, g.edge_count(), rows, worker_invariant,
-                                 eager.oracle.sets_nonempty));
+  runtime::write_file(out_path, workers_json(smoke, n, g.edge_count(), rows));
   std::printf("wrote %s\n\n", out_path.c_str());
 
-  bool ok = worker_invariant;
-  for (const ModeRow& r : rows) ok &= r.equal;
+  bool ok = true;
+  for (const WorkerRow& r : rows) ok &= r.identical;
   return ok;
 }
 
@@ -281,16 +232,16 @@ void run_family(const char* name,
 int main(int argc, char** argv) {
   bool large = false;
   bool smoke = false;
-  NodeId mode_n = 2048;
+  NodeId oracle_n = 2048;
   std::string out_path = "BENCH_theorem11.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--large") == 0) {
       large = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-      mode_n = 64;
+      oracle_n = 64;
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      mode_n = static_cast<NodeId>(std::atoi(argv[++i]));
+      oracle_n = static_cast<NodeId>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     }
@@ -299,15 +250,12 @@ int main(int argc, char** argv) {
   std::printf("Theorem 1.1 scaling — measured CONGEST rounds of the quantum "
               "weighted diameter\n\n");
 
-  const bool modes_ok = run_mode_comparison(mode_n, out_path);
-  if (smoke) {
-    if (!modes_ok) {
-      std::fprintf(stderr, "FAIL: oracle modes or worker counts gave "
-                           "different results\n");
-      return 1;
-    }
-    return 0;
+  const bool workers_ok = run_worker_scaling(smoke, oracle_n, out_path);
+  if (!workers_ok) {
+    std::fprintf(stderr, "FAIL: oracle worker counts gave different "
+                         "results\n");
   }
+  if (smoke) return workers_ok ? 0 : 1;
 
   std::vector<WeightedGraph> low_d;
   for (NodeId n : std::vector<NodeId>{32, 48, 64, 96, 128}) {
@@ -346,5 +294,5 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", x.render().c_str());
-  return modes_ok ? 0 : 1;
+  return workers_ok ? 0 : 1;
 }

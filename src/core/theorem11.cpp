@@ -12,7 +12,6 @@
 #include "paths/reference.h"
 #include "quantum/framework.h"
 #include "quantum/search.h"
-#include "runtime/metrics.h"
 #include "runtime/thread_pool.h"
 
 namespace qc::core {
@@ -95,12 +94,6 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   Rng rng(opt.seed);
   Theorem11Result out;
   out.radius = radius;
-  const bool lazy = opt.oracle_mode == OracleMode::kLazySerial ||
-                    opt.oracle_mode == OracleMode::kLazyPooled;
-  const bool pooled = opt.oracle_mode == OracleMode::kEagerPooled ||
-                      opt.oracle_mode == OracleMode::kLazyPooled;
-  out.oracle.lazy = lazy;
-  out.oracle.pooled = pooled;
 
   // ---- Preamble: the leader estimates the unweighted diameter D by a
   // BFS + depth convergecast (ecc(leader) <= D <= 2·ecc(leader)).
@@ -120,8 +113,8 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   // distribution identical to n independent Bernoulli(p) coins, but the
   // stream consumes one uniform per *member* plus one per set, so the
   // sampled sets for a given seed differ from the historical per-node
-  // coin loop. Every oracle mode consumes the stream identically, so
-  // results stay mode- and worker-count-invariant for a fixed seed.
+  // coin loop. The oracle pass draws nothing from the stream, so
+  // results stay worker-count-invariant for a fixed seed.
   const double p = static_cast<double>(out.params.r) / n;
   std::vector<std::vector<NodeId>> sets(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -133,9 +126,10 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   std::vector<std::uint64_t> total_scales(n, 0);
   std::uint64_t max_scale = 1;
   std::vector<NodeId> member_union;
+  std::vector<std::size_t> nonempty;
   for (std::size_t i = 0; i < n; ++i) {
     if (sets[i].empty()) continue;
-    ++out.oracle.sets_nonempty;
+    nonempty.push_back(i);
     total_scales[i] = out.params.total_scale(sets[i].size());
     max_scale = std::max(max_scale, total_scales[i]);
     member_union.insert(member_union.end(), sets[i].begin(), sets[i].end());
@@ -165,10 +159,13 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   };
   out.phase_seconds.sample = seconds_since(t_run);
 
-  // ---- Bookkeeping backend: f(i) through the oracle-mode strategy.
-  // A resident cache (Theorem11Options::toolkit) replaces the per-run
-  // construction when its identity matches; its already-published rows
-  // carry over to this run and rows built here persist for the next.
+  // ---- Bookkeeping backend: f(i) for every set. The search's
+  // amplitude bookkeeping reads every index, so each non-empty set gets
+  // exactly one trimmed evaluation, up front, into an index-ordered
+  // value vector (empty sets hold the worst value). A resident cache
+  // (Theorem11Options::toolkit) replaces the per-run construction when
+  // its identity matches; its already-published rows carry over to
+  // this run and rows built here persist for the next.
   const auto t_oracle = Clock::now();
   std::optional<paths::ToolkitCache> owned_cache;
   if (opt.toolkit != nullptr) {
@@ -182,89 +179,41 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   }
   paths::ToolkitCache& cache = opt.toolkit ? *opt.toolkit : *owned_cache;
   std::optional<runtime::ThreadPool> pool;
-  if (pooled) pool.emplace(opt.oracle_workers);
+  if (opt.oracle_workers != 1) pool.emplace(opt.oracle_workers);
 
-  // Batched prefetch: every evaluation reads only first-level rows of
-  // its members, and the amplitude-exact search touches every set, so
-  // fill the union's rows once — chunked across the pool when present.
+  // Every evaluation reads only first-level rows of its members, so
+  // fill the union's rows once before fanning the evaluations out.
   cache.ensure_rows(member_union, pool ? &*pool : nullptr);
 
-  std::vector<paths::Skeleton> skeletons;  // eager modes only
-  std::vector<std::int64_t> prefill(n, 0);
-  std::vector<char> prefilled(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sets[i].empty()) {
-      prefill[i] = radius ? kPlusInf : kMinusInf;
-      prefilled[i] = 1;
+  quantum::OptimizationProblem outer;
+  outer.values.assign(n, radius ? kPlusInf : kMinusInf);
+  // One workspace per chunk; each chunk writes only its own indices.
+  const std::size_t chunk_count =
+      pool ? std::min<std::size_t>(
+                 nonempty.size(),
+                 static_cast<std::size_t>(pool->worker_count()) * 4)
+           : 1;
+  const auto eval_chunk = [&](std::size_t c) {
+    paths::SetEvalWorkspace ws;
+    const std::size_t lo = nonempty.size() * c / chunk_count;
+    const std::size_t hi = nonempty.size() * (c + 1) / chunk_count;
+    for (std::size_t w = lo; w < hi; ++w) {
+      const std::size_t i = nonempty[w];
+      const auto ev = cache.evaluate_set(sets[i], ws);
+      outer.values[i] = renorm(set_value_from_eccs(ev.member_ecc, radius),
+                               ev.total_scale);
     }
+  };
+  if (pool) {
+    runtime::parallel_for(*pool, chunk_count, eval_chunk);
+  } else {
+    eval_chunk(0);
   }
-
-  std::uint64_t batched_evals = 0;
-  if (!lazy) {
-    // Eager: build every skeleton and read f(i) off it (the historical
-    // behaviour; kept as the bench baseline and as the equivalence
-    // anchor for the lazy modes).
-    skeletons.resize(n);
-    const auto eval_eager = [&](std::size_t i) {
-      if (sets[i].empty()) return;
-      skeletons[i] = cache.skeleton(sets[i]);
-      prefill[i] = renorm(set_value_from_eccs(skeleton_eccs(skeletons[i]),
-                                              radius),
-                          skeletons[i].total_scale());
-      prefilled[i] = 1;
-    };
-    if (pooled) {
-      runtime::parallel_for(*pool, n, eval_eager);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) eval_eager(i);
-    }
-    out.oracle.skeletons_built += out.oracle.sets_nonempty;
-  } else if (opt.oracle_mode == OracleMode::kLazyPooled) {
-    // Batched pooled value pass: the search's amplitude bookkeeping
-    // reads every index anyway, so evaluate all sets up front in
-    // index-ordered slots (one trimmed-evaluation workspace per chunk)
-    // and hand the memoized oracle a full cache. No skeleton is built.
-    std::vector<std::size_t> work;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!sets[i].empty()) work.push_back(i);
-    }
-    if (!work.empty()) {
-      const std::size_t chunk_count = std::min<std::size_t>(
-          work.size(), static_cast<std::size_t>(pool->worker_count()) * 4);
-      runtime::parallel_for(*pool, chunk_count, [&](std::size_t c) {
-        paths::SetEvalWorkspace ws;
-        const std::size_t lo = work.size() * c / chunk_count;
-        const std::size_t hi = work.size() * (c + 1) / chunk_count;
-        for (std::size_t w = lo; w < hi; ++w) {
-          const std::size_t i = work[w];
-          const auto ev = cache.evaluate_set(sets[i], ws);
-          prefill[i] = renorm(set_value_from_eccs(ev.member_ecc, radius),
-                              ev.total_scale);
-          prefilled[i] = 1;
-        }
-      });
-    }
-    batched_evals = work.size();
-  }
-  // kLazySerial: nothing up front — the oracle callback below evaluates
-  // on demand with a single reused workspace.
-
-  paths::SetEvalWorkspace serial_ws;
-  quantum::LazyOracle oracle(n, [&](std::size_t i) -> std::int64_t {
-    if (sets[i].empty()) return radius ? kPlusInf : kMinusInf;
-    const auto ev = cache.evaluate_set(sets[i], serial_ws);
-    return renorm(set_value_from_eccs(ev.member_ecc, radius),
-                  ev.total_scale);
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    if (prefilled[i]) oracle.prefill(i, prefill[i]);
-  }
+  out.oracle.value_evaluations = nonempty.size();
   out.phase_seconds.oracle = seconds_since(t_oracle);
 
   // ---- Outer quantum search over i ∈ [1, n].
   const auto t_search = Clock::now();
-  quantum::LazyOptimizationProblem outer;
-  outer.oracle = &oracle;
   outer.weights.assign(n, 1.0);
   outer.rho = static_cast<double>(std::max<std::uint64_t>(1, out.params.r)) /
               static_cast<double>(n);
@@ -278,39 +227,30 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   out.chosen_set = outer_res.index;
   out.estimate_scaled = static_cast<Dist>(outer_res.value);
   out.outer_calls = outer_res.oracle_calls;
+  out.oracle.memo_hits = outer_res.value_reads;
 
   // The measured set must be non-empty to cost the inner procedures; if
   // the search landed on an empty set (pathological tiny-n case), fall
-  // back to the best non-empty one.
+  // back to the first non-empty one.
   if (sets[out.chosen_set].empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!sets[i].empty()) {
-        out.chosen_set = i;
-        out.estimate_scaled = static_cast<Dist>(oracle.value(i));
-        break;
-      }
-    }
-    QC_CHECK(!sets[out.chosen_set].empty(),
+    QC_CHECK(!nonempty.empty(),
              "all sampled sets were empty — n too small for Eq. (1)");
+    out.chosen_set = nonempty.front();
+    out.estimate_scaled = static_cast<Dist>(outer.values[out.chosen_set]);
   }
   const auto& chosen = sets[out.chosen_set];
   out.chosen_set_size = chosen.size();
   out.phase_seconds.search = seconds_since(t_search);
 
-  // ---- Materialize the chosen set's skeleton (the only one the lazy
-  // modes ever build) and cross-check it against the oracle's value.
+  // ---- Materialize the chosen set's skeleton (the only one built) and
+  // cross-check it against the trimmed evaluation.
   const auto t_measure = Clock::now();
-  paths::Skeleton lazy_sk;
-  if (lazy) {
-    lazy_sk = cache.skeleton(chosen);
-    out.oracle.skeletons_built += 1;
-  }
-  const paths::Skeleton& sk = lazy ? lazy_sk : skeletons[out.chosen_set];
+  const paths::Skeleton sk = cache.skeleton(chosen);
   QC_CHECK(sk.total_scale() == total_scales[out.chosen_set],
            "scale-only pass disagrees with the built skeleton");
   const std::vector<Dist> chosen_eccs = skeleton_eccs(sk);
   QC_CHECK(renorm(set_value_from_eccs(chosen_eccs, radius),
-                  sk.total_scale()) == oracle.value(out.chosen_set),
+                  sk.total_scale()) == outer.values[out.chosen_set],
            "trimmed oracle evaluation disagrees with the built skeleton");
 
   // ---- Measure the Lemma 3.5 procedures on the chosen set, genuinely
@@ -415,8 +355,7 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
     const auto t_census = Clock::now();
     out.exact = radius ? weighted_radius(g) : weighted_diameter(g);
     const auto target = static_cast<std::int64_t>(out.exact * max_scale);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t fi = oracle.value(i);
+    for (const std::int64_t fi : outer.values) {
       if (fi == kMinusInf || fi == kPlusInf) continue;
       if ((radius && fi <= target) || (!radius && fi >= target)) {
         ++out.good_sets;
@@ -429,27 +368,8 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
     out.phase_seconds.census = seconds_since(t_census);
   }
 
-  out.oracle.value_evaluations = oracle.evaluations() + batched_evals;
-  out.oracle.memo_hits = oracle.hits();
   out.phase_seconds.total = seconds_since(t_run);
 
-  if (opt.metrics != nullptr) {
-    auto& m = *opt.metrics;
-    m.counter("theorem11.runs").add();
-    m.counter("theorem11.skeletons_built").add(out.oracle.skeletons_built);
-    m.counter("theorem11.value_evaluations")
-        .add(out.oracle.value_evaluations);
-    m.counter("theorem11.memo_hits").add(out.oracle.memo_hits);
-    m.counter("theorem11.sets_nonempty").add(out.oracle.sets_nonempty);
-    m.counter("theorem11.outer_calls").add(out.outer_calls);
-    m.gauge("theorem11.phase.sample_seconds").set(out.phase_seconds.sample);
-    m.gauge("theorem11.phase.oracle_seconds").set(out.phase_seconds.oracle);
-    m.gauge("theorem11.phase.search_seconds").set(out.phase_seconds.search);
-    m.gauge("theorem11.phase.measure_seconds")
-        .set(out.phase_seconds.measure);
-    m.gauge("theorem11.phase.census_seconds").set(out.phase_seconds.census);
-    m.gauge("theorem11.phase.total_seconds").set(out.phase_seconds.total);
-  }
   return out;
 }
 

@@ -19,15 +19,17 @@
 // executions for the set the search measures. Charged rounds follow
 // Lemma 3.1 exactly.
 //
-// Oracle evaluation strategy (docs/perf.md, "Theorem 1.1 driver fast
-// path"): f(i) can be served eagerly (all n skeletons built up front,
-// the historical behaviour) or lazily (a memoized value callback backed
-// by the trimmed `ToolkitCache::evaluate_set`, with only the measured
-// set ever materialized as a full `Skeleton`), serially or batched onto
-// the qc_pool work-stealing pool. All four modes produce a semantically
-// identical `Theorem11Result` for the same options (asserted by
-// tests/test_theorem11.cpp) — only the run-report diagnostics in
-// `Theorem11Result::oracle` and `Theorem11Result::phase_seconds` differ.
+// Oracle evaluation (docs/perf.md, "Theorem 1.1 driver fast path"):
+// the outer search's amplitude-exact bookkeeping reads f(i) for every
+// index on every Grover step, so the driver evaluates each non-empty
+// set exactly once, up front, with the trimmed
+// `ToolkitCache::evaluate_set`, and searches the resulting value
+// vector. Only the measured set is materialized as a full `Skeleton`.
+// The evaluation runs on the calling thread at `oracle_workers == 1`
+// and on the qc_pool work-stealing pool otherwise; the
+// `Theorem11Result` is identical at any worker count (asserted by
+// tests/test_theorem11.cpp) except for the wall-clock
+// `Theorem11Result::phase_seconds`.
 #pragma once
 
 #include <cstdint>
@@ -37,30 +39,11 @@
 #include "paths/params.h"
 #include "util/rng.h"
 
-namespace qc::runtime {
-class MetricsRegistry;  // runtime/metrics.h
-}
-
 namespace qc::paths {
 class ToolkitCache;  // paths/reference.h
 }
 
 namespace qc::core {
-
-/// How the outer search obtains f(i) (see the file comment). The
-/// numeric result is identical in every mode; they differ only in what
-/// gets built and where the work runs.
-enum class OracleMode : std::uint8_t {
-  kEagerSerial,  ///< all n skeletons, one thread (historical behaviour)
-  /// All n skeletons, built on the pool. Diagnostic-only: it exists so
-  /// the mode ablation (bench_theorem11_ablation) can separate what
-  /// laziness buys from what the pool buys. It still materializes
-  /// Θ(n) skeletons — Θ(n·|S|·b) memory that kLazyPooled never
-  /// allocates — so real runs should never select it.
-  kEagerPooled,
-  kLazySerial,   ///< memoized on-demand evaluation, one thread
-  kLazyPooled,   ///< batched pooled value pass + memoized oracle (default)
-};
 
 struct Theorem11Options {
   std::uint64_t seed = 1;
@@ -77,19 +60,15 @@ struct Theorem11Options {
   /// choice balances Initialization (∝ n/r per Algorithm 1's ℓ) against
   /// the searches (outer √(n/r), inner √r).
   std::uint64_t r_override = 0;
-  /// Oracle evaluation strategy; never changes the answer.
-  OracleMode oracle_mode = OracleMode::kLazyPooled;
-  /// Worker count for the pooled modes (0 = hardware concurrency).
-  /// Results are byte-identical at any worker count.
+  /// Workers for the oracle's row fill and set evaluations: 1 runs
+  /// them on the calling thread, anything else on a pool of that many
+  /// workers (0 = hardware concurrency). Never changes the answer.
   unsigned oracle_workers = 0;
   /// Run the all-sets ground-truth census: the exact oracle answer, the
   /// approximation ratio / sandwich check, and the Lemma 3.4 good-set
   /// count. Off by default — the default run pays only for the search
   /// itself; see Theorem11Result for which fields the census populates.
   bool census = false;
-  /// Optional run-report sink (borrowed). When set, the driver records
-  /// "theorem11.*" counters and per-phase timings into it.
-  runtime::MetricsRegistry* metrics = nullptr;
   /// Optional resident toolkit cache (borrowed; must outlive the call).
   /// When set, the driver reads/extends its shared first-level rows
   /// instead of constructing a cache per run, so repeated runs on the
@@ -110,29 +89,22 @@ struct MeasuredSetCosts {
 };
 
 /// Run-report diagnostics of the oracle backend. Excluded from
-/// `semantically_equal` — these describe *how* the run executed, and
-/// legitimately differ across oracle modes.
+/// `semantically_equal` — these describe *how* the run executed.
 struct OracleStats {
-  bool lazy = false;    ///< an on-demand memoized oracle served the search
-  bool pooled = false;  ///< batch work ran on the qc_pool pool
-  /// Full `paths::Skeleton` constructions (lazy modes build exactly one:
-  /// the measured set; eager modes build one per non-empty sampled set).
-  std::uint64_t skeletons_built = 0;
-  /// Value-callback invocations (lazy modes; cache misses).
+  /// `ToolkitCache::evaluate_set` calls: one per non-empty sampled set.
   std::uint64_t value_evaluations = 0;
-  /// Memoized oracle queries served without re-evaluation. The exact
-  /// amplitude simulation touches every index at least once per Grover
-  /// step, so laziness pays through memoization and the trimmed
-  /// per-evaluation cost — not through untouched indices.
+  /// f(i) reads by the outer search, each served from the value
+  /// vector. The exact amplitude simulation touches every index at
+  /// least once per Grover step, so this is far above
+  /// `value_evaluations`.
   std::uint64_t memo_hits = 0;
-  std::uint64_t sets_nonempty = 0;
 };
 
 /// Wall-clock seconds per driver phase (reporting only; excluded from
 /// `semantically_equal`).
 struct PhaseSeconds {
   double sample = 0;   ///< preamble + set sampling + scale-only pass
-  double oracle = 0;   ///< skeleton builds / batched value passes
+  double oracle = 0;   ///< row fill + one value pass over the sets
   double search = 0;   ///< outer quantum search
   double measure = 0;  ///< distributed Lemma 3.5 measurement
   double census = 0;   ///< exact oracle + good-set census (if enabled)
@@ -179,8 +151,8 @@ struct Theorem11Result {
 /// True when two results agree on every semantically meaningful field —
 /// everything except the run-report diagnostics (`oracle`,
 /// `phase_seconds`), which describe execution rather than the answer.
-/// This is the equality the oracle-mode / worker-count invariance tests
-/// and benches assert.
+/// This is the equality the worker-count invariance tests and benches
+/// assert.
 bool semantically_equal(const Theorem11Result& a, const Theorem11Result& b);
 
 /// The unweighted-diameter estimate d̂ the driver's preamble derives — the

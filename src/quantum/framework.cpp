@@ -1,97 +1,39 @@
 #include "quantum/framework.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "util/error.h"
 
 namespace qc::quantum {
 
-LazyOracle::LazyOracle(std::size_t size,
-                       std::function<std::int64_t(std::size_t)> fn)
-    : fn_(std::move(fn)), memo_(size, 0), known_(size, 0) {
-  QC_REQUIRE(size > 0, "empty search domain");
-  QC_REQUIRE(fn_ != nullptr, "LazyOracle needs a value callback");
-}
-
-std::int64_t LazyOracle::value(std::size_t x) {
-  QC_REQUIRE(x < memo_.size(), "oracle index out of range");
-  if (known_[x]) {
-    ++hits_;
-    return memo_[x];
-  }
-  memo_[x] = fn_(x);
-  known_[x] = 1;
-  ++evaluations_;
-  return memo_[x];
-}
-
-void LazyOracle::prefill(std::size_t x, std::int64_t v) {
-  QC_REQUIRE(x < memo_.size(), "oracle index out of range");
-  if (known_[x]) {
-    QC_CHECK(memo_[x] == v, "prefill disagrees with cached value");
-    return;
-  }
-  memo_[x] = v;
-  known_[x] = 1;
-}
-
-bool LazyOracle::known(std::size_t x) const {
-  QC_REQUIRE(x < memo_.size(), "oracle index out of range");
-  return known_[x] != 0;
-}
-
 namespace {
 
-/// Shared Lemma 3.1 body: both the eager and the lazy fronts funnel
-/// into the same callback-driven Dürr–Høyer run, so they share one RNG
-/// trajectory. Negation happens at the accessor (and is undone on the
-/// returned value), never in stored data.
-OptimizationResult run(std::size_t domain_size,
-                       const std::function<std::int64_t(std::size_t)>& raw,
-                       const std::vector<double>& weights, bool negate,
-                       std::uint64_t t0_rounds, std::uint64_t t_setup_rounds,
-                       std::uint64_t t_eval_rounds, double rho, double delta,
+/// Shared Lemma 3.1 body. Negation happens at the accessor (and is
+/// undone on the returned value), never in stored data.
+OptimizationResult run(const OptimizationProblem& problem, bool negate,
                        Rng& rng) {
-  QC_REQUIRE(domain_size == weights.size(), "values/weights size mismatch");
+  const std::size_t domain_size = problem.values.size();
+  QC_REQUIRE(domain_size == problem.weights.size(),
+             "values/weights size mismatch");
   QC_REQUIRE(domain_size > 0, "empty search domain");
 
+  OptimizationResult out;
   const auto value_of = [&](std::size_t x) {
-    const std::int64_t v = raw(x);
+    ++out.value_reads;
+    const std::int64_t v = problem.values[x];
     return negate ? -v : v;
   };
 
-  const std::uint64_t budget = lemma31_budget(rho, delta);
-  const MaxFindResult found =
-      quantum_max_find(domain_size, value_of, weights, budget, rng);
+  const std::uint64_t budget = lemma31_budget(problem.rho, problem.delta);
+  const MaxFindResult found = quantum_max_find(domain_size, value_of,
+                                               problem.weights, budget, rng);
 
-  OptimizationResult out;
   out.index = found.index;
   out.value = negate ? -found.value : found.value;
   out.oracle_calls = found.oracle_calls;
   out.budget_calls = budget;
-  out.rounds = t0_rounds + found.oracle_calls * (t_setup_rounds +
-                                                 t_eval_rounds);
+  out.rounds = problem.t0_rounds +
+               found.oracle_calls *
+                   (problem.t_setup_rounds + problem.t_eval_rounds);
   return out;
-}
-
-OptimizationResult run(const OptimizationProblem& problem, bool negate,
-                       Rng& rng) {
-  return run(
-      problem.values.size(),
-      [&](std::size_t x) { return problem.values[x]; }, problem.weights,
-      negate, problem.t0_rounds, problem.t_setup_rounds,
-      problem.t_eval_rounds, problem.rho, problem.delta, rng);
-}
-
-OptimizationResult run(const LazyOptimizationProblem& problem, bool negate,
-                       Rng& rng) {
-  QC_REQUIRE(problem.oracle != nullptr, "lazy problem needs an oracle");
-  return run(
-      problem.oracle->size(),
-      [&](std::size_t x) { return problem.oracle->value(x); },
-      problem.weights, negate, problem.t0_rounds, problem.t_setup_rounds,
-      problem.t_eval_rounds, problem.rho, problem.delta, rng);
 }
 
 }  // namespace
@@ -102,16 +44,6 @@ OptimizationResult framework_maximize(const OptimizationProblem& problem,
 }
 
 OptimizationResult framework_minimize(const OptimizationProblem& problem,
-                                      Rng& rng) {
-  return run(problem, true, rng);
-}
-
-OptimizationResult framework_maximize(const LazyOptimizationProblem& problem,
-                                      Rng& rng) {
-  return run(problem, false, rng);
-}
-
-OptimizationResult framework_minimize(const LazyOptimizationProblem& problem,
                                       Rng& rng) {
   return run(problem, true, rng);
 }

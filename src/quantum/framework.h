@@ -46,6 +46,9 @@ struct OptimizationResult {
   std::uint64_t oracle_calls = 0;
   std::uint64_t budget_calls = 0;  ///< Lemma 3.1 budget that was allowed
   std::uint64_t rounds = 0;    ///< T₀ + oracle_calls · (T_setup + T_eval)
+  /// Reads of `values` by the amplitude-exact search (every index, every
+  /// Grover step) — the classical bookkeeping cost, not a round count.
+  std::uint64_t value_reads = 0;
 };
 
 /// Runs the framework to find x with high f(x) (Lemma 3.1 guarantees
@@ -55,62 +58,6 @@ OptimizationResult framework_maximize(const OptimizationProblem& problem,
 
 /// Same machinery searching for a *low* value (used for the radius).
 OptimizationResult framework_minimize(const OptimizationProblem& problem,
-                                      Rng& rng);
-
-/// On-demand memoized value oracle for the lazy framework variant: f(x)
-/// is produced by a callback on first query and cached, so repeated
-/// Grover queries of the same x are free and indices the search never
-/// touches with an *expensive* evaluation can be satisfied by a cheap
-/// one. `prefill` lets a driver install values it computed out-of-band
-/// (e.g. a pooled batch) without them counting as callback evaluations.
-///
-/// The memo stores raw f; the maximize/minimize drivers negate at the
-/// accessor, so one oracle serves both directions.
-class LazyOracle {
- public:
-  LazyOracle(std::size_t size, std::function<std::int64_t(std::size_t)> fn);
-
-  std::size_t size() const { return memo_.size(); }
-
-  /// f(x), evaluating and caching on first query.
-  std::int64_t value(std::size_t x);
-
-  /// Installs f(x) = v without invoking the callback (idempotent; a
-  /// second install for the same x must agree with the first).
-  void prefill(std::size_t x, std::int64_t v);
-
-  bool known(std::size_t x) const;
-
-  /// Number of callback invocations (cache misses).
-  std::uint64_t evaluations() const { return evaluations_; }
-  /// Number of memoized queries (cache hits).
-  std::uint64_t hits() const { return hits_; }
-
- private:
-  std::function<std::int64_t(std::size_t)> fn_;
-  std::vector<std::int64_t> memo_;
-  std::vector<char> known_;
-  std::uint64_t evaluations_ = 0;
-  std::uint64_t hits_ = 0;
-};
-
-/// Lazy variant of OptimizationProblem: identical Lemma 3.1 semantics,
-/// but f is pulled through a LazyOracle instead of a precomputed
-/// vector. Running it on an oracle whose callback matches `values`
-/// yields a bit-identical OptimizationResult (same RNG trajectory).
-struct LazyOptimizationProblem {
-  LazyOracle* oracle = nullptr;      ///< non-owning; must outlive the run
-  std::vector<double> weights;       ///< |α_x|², need not be normalized
-  std::uint64_t t0_rounds = 0;       ///< Initialization cost (measured)
-  std::uint64_t t_setup_rounds = 0;  ///< per-invocation Setup cost
-  std::uint64_t t_eval_rounds = 0;   ///< per-invocation Evaluation cost
-  double rho = 1.0;                  ///< promised mass of good elements
-  double delta = 0.01;               ///< failure probability target
-};
-
-OptimizationResult framework_maximize(const LazyOptimizationProblem& problem,
-                                      Rng& rng);
-OptimizationResult framework_minimize(const LazyOptimizationProblem& problem,
                                       Rng& rng);
 
 }  // namespace qc::quantum

@@ -60,12 +60,11 @@ MaxFindResult quantum_max_find(const std::vector<std::int64_t>& values,
 /// Callback form of quantum_max_find: f is pulled through `value_of`
 /// instead of a precomputed vector. The RNG trajectory — and therefore
 /// every field of the result — is identical to the vector overload on
-/// the same f, so a lazy caller can be validated against an eager one
-/// bit-for-bit. Note the simulation is amplitude-exact: each Grover
+/// the same f. Note the simulation is amplitude-exact: each Grover
 /// step's good mass is a sum over the whole domain, so `value_of` is
-/// still invoked for every index (the win is per-index memoization and
-/// how cheap one evaluation is, not fewer indices touched — see
-/// quantum::LazyOracle).
+/// invoked for every index on every step — which is why the Lemma 3.1
+/// framework (quantum/framework.h) takes f as a precomputed vector and
+/// uses this form only to count the reads.
 MaxFindResult quantum_max_find(
     std::size_t domain_size,
     const std::function<std::int64_t(std::size_t)>& value_of,

@@ -176,10 +176,10 @@ class UnweightedEccentricityHandler final : public QueryHandler {
 
 /// Full Theorem 1.1 runs against the resident toolkit. Queries execute
 /// serially in batch order (each run is internally deterministic given
-/// its seed; kLazySerial keeps the run off the pool so concurrent
-/// groups don't contend for it). The resident cache never changes the
-/// answer — rows are a pure function of (graph, params) — it only
-/// makes the second run on a graph cheap.
+/// its seed; oracle_workers = 1 evaluates the sets on the calling
+/// thread, so concurrent groups don't contend for a pool). The resident
+/// cache never changes the answer — rows are a pure function of
+/// (graph, params) — it only makes the second run on a graph cheap.
 class Theorem11Handler final : public QueryHandler {
  public:
   explicit Theorem11Handler(bool radius) : radius_(radius) {}
@@ -202,7 +202,7 @@ class Theorem11Handler final : public QueryHandler {
       // the driver to accept a borrowed cache.
       opt.eps_inv = ctx.graph.toolkit_eps_inv();
       opt.r_override = ctx.graph.toolkit_r_override();
-      opt.oracle_mode = core::OracleMode::kLazySerial;
+      opt.oracle_workers = 1;
       opt.toolkit = &ctx.graph.toolkit();
       const core::Theorem11Result out =
           radius_ ? core::quantum_weighted_radius(wg, opt)

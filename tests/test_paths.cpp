@@ -183,6 +183,39 @@ TEST_P(Alg3Test, MatchesReferenceForAllSources) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Alg3Test,
                          ::testing::Range<std::uint64_t>(1, 6));
 
+// Algorithm 3 fails when some node has more announcements due in one
+// delay window than the window has slots (⌈log n⌉). On a star every
+// leaf source's wave passes through the hub, so a few colliding delays
+// overflow a window. These seeds draw one (star 4) or two (star 8)
+// colliding delay vectors before a clean one: each failure is charged
+// its full scheduled duration, the retry redraws the delays, and the
+// final rows are exact.
+TEST(Alg3Retry, FailedAttemptsRetryWithFreshDelaysAndAreCharged) {
+  const struct {
+    NodeId leaves;
+    std::uint64_t seed;
+    std::uint32_t attempts;
+    std::uint64_t rounds;
+  } cases[] = {{3, 29, 2, 74}, {7, 78, 3, 303}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "star(" << c.leaves + 1 << ")");
+    const auto g = gen::star(c.leaves + 1);
+    std::vector<NodeId> sources;
+    for (NodeId v = 1; v <= c.leaves; ++v) sources.push_back(v);
+    const HopScale hs{1, 1, g.max_weight()};
+    Rng rng(c.seed);
+    const auto res = distributed_multi_source_bhs(
+        g, RunRequest{}.with_sources(sources).with_scale(hs).with_rng(rng));
+    EXPECT_EQ(res.attempts, c.attempts);
+    EXPECT_EQ(res.stats.rounds, c.rounds);
+    ASSERT_EQ(res.approx.size(), sources.size());
+    for (std::size_t a = 0; a < sources.size(); ++a) {
+      EXPECT_EQ(res.approx[a], approx_bounded_hop_from(g, sources[a], hs))
+          << "source index " << a;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Algorithms 4+5 vs the reference skeleton (bit exact)
 // ---------------------------------------------------------------------

@@ -390,7 +390,7 @@ TEST(QueryEngine, Theorem11HandlerMatchesDirectRunAndSharesCache) {
 
   core::Theorem11Options opt;
   opt.seed = 5;
-  opt.oracle_mode = core::OracleMode::kLazySerial;
+  opt.oracle_workers = 1;
   const auto direct = core::quantum_weighted_diameter(g, opt);
   EXPECT_EQ(first.value, direct.estimate_scaled);
   EXPECT_EQ(first.scale, direct.total_scale);

@@ -1,11 +1,12 @@
 // Tests for the Theorem 1.1 driver's oracle fast path (docs/perf.md):
-// oracle-mode and worker-count invariance of the result, the census
-// flag, the lazy memoized oracle, the trimmed set evaluation, and the
-// first-index tie-breaking convention of the witness.
+// pinned results and worker-count invariance, the census flag, the
+// trimmed set evaluation, and the first-index tie-breaking convention
+// of the witness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/theorem11.h"
@@ -13,7 +14,6 @@
 #include "graph/generators.h"
 #include "paths/params.h"
 #include "paths/reference.h"
-#include "quantum/framework.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -28,77 +28,90 @@ WeightedGraph weighted_test_graph(std::uint64_t seed, NodeId n,
 }
 
 // ---------------------------------------------------------------------
-// Oracle-mode invariance
+// Pinned results and worker-count invariance
 // ---------------------------------------------------------------------
 
+/// One pinned run: census on, `opt.seed = seed + 17`, on
+/// weighted_test_graph(seed, n, 7). The suite and test names date from
+/// when the driver had four oracle modes; the literals below are what
+/// the eager-serial mode returned, and all four modes agreed on them.
 struct ModeCase {
   std::uint64_t seed;
   NodeId n;
-  bool radius;
+  std::uint32_t radius;  // 0 = diameter; 32 bits so no padding bytes
+                         // leak into the printed test name
+};
+
+struct Golden {
+  ModeCase run;
+  Dist estimate_scaled;
+  std::uint64_t total_scale;
+  std::uint64_t rounds;
+  std::uint64_t outer_calls;
+  std::size_t chosen_set;
+  std::size_t chosen_set_size;
+  NodeId witness;
+  Dist exact;
+  std::uint64_t good_sets;
+};
+
+constexpr Golden kGoldens[] = {
+    {{1, 26, 0}, 702720, 31200, 40399049, 49, 11, 4, 13, 22, 13},
+    {{2, 32, 0}, 672000, 32000, 49120622, 51, 21, 5, 12, 21, 11},
+    {{3, 26, 1}, 479360, 36400, 23761715, 47, 15, 3, 22, 13, 0},
+    {{4, 32, 1}, 460800, 38400, 84408553, 54, 9, 6, 13, 12, 1},
 };
 
 class OracleModeTest : public ::testing::TestWithParam<ModeCase> {};
 
 TEST_P(OracleModeTest, AllModesAgreeWithEagerSerial) {
-  const auto c = GetParam();
+  const ModeCase c = GetParam();
+  const auto* want =
+      std::find_if(std::begin(kGoldens), std::end(kGoldens),
+                   [&](const Golden& gd) { return gd.run.seed == c.seed; });
+  ASSERT_NE(want, std::end(kGoldens));
   const auto g = weighted_test_graph(c.seed, c.n, 7);
-  Theorem11Options opt;
-  opt.seed = c.seed + 17;
-  opt.census = true;  // include the census fields in the comparison
-
-  const auto run = [&](OracleMode m) {
-    Theorem11Options o = opt;
-    o.oracle_mode = m;
-    return c.radius ? quantum_weighted_radius(g, o)
-                    : quantum_weighted_diameter(g, o);
-  };
-
-  const auto eager = run(OracleMode::kEagerSerial);
-  EXPECT_FALSE(eager.oracle.lazy);
-  EXPECT_EQ(eager.oracle.skeletons_built, eager.oracle.sets_nonempty);
-
-  for (const OracleMode m : {OracleMode::kEagerPooled,
-                             OracleMode::kLazySerial,
-                             OracleMode::kLazyPooled}) {
-    const auto res = run(m);
-    EXPECT_TRUE(semantically_equal(eager, res))
-        << "mode " << static_cast<int>(m) << " diverged";
-    if (m == OracleMode::kLazySerial || m == OracleMode::kLazyPooled) {
-      // Lazy modes materialize exactly one full skeleton: the set the
-      // driver measures.
-      EXPECT_TRUE(res.oracle.lazy);
-      EXPECT_EQ(res.oracle.skeletons_built, 1u);
-      EXPECT_GT(res.oracle.value_evaluations, 0u);
-    }
-    EXPECT_EQ(res.oracle.sets_nonempty, eager.oracle.sets_nonempty);
+  for (const unsigned w : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers " << w);
+    Theorem11Options opt;
+    opt.seed = c.seed + 17;
+    opt.census = true;
+    opt.oracle_workers = w;
+    const auto res = c.radius ? quantum_weighted_radius(g, opt)
+                              : quantum_weighted_diameter(g, opt);
+    EXPECT_EQ(res.estimate_scaled, want->estimate_scaled);
+    EXPECT_EQ(res.total_scale, want->total_scale);
+    EXPECT_EQ(res.rounds, want->rounds);
+    EXPECT_EQ(res.outer_calls, want->outer_calls);
+    EXPECT_EQ(res.chosen_set, want->chosen_set);
+    EXPECT_EQ(res.chosen_set_size, want->chosen_set_size);
+    EXPECT_EQ(res.witness, want->witness);
+    EXPECT_EQ(res.exact, want->exact);
+    EXPECT_EQ(res.good_sets, want->good_sets);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, OracleModeTest,
-                         ::testing::Values(ModeCase{1, 26, false},
-                                           ModeCase{2, 32, false},
-                                           ModeCase{3, 26, true},
-                                           ModeCase{4, 32, true}));
+                         ::testing::Values(kGoldens[0].run, kGoldens[1].run,
+                                           kGoldens[2].run, kGoldens[3].run));
 
-TEST(OracleMode, WorkerCountNeverChangesTheResult) {
+TEST(Theorem11Oracle, WorkerCountNeverChangesTheResult) {
   const auto g = weighted_test_graph(11, 30, 6);
   for (const bool radius : {false, true}) {
-    for (const OracleMode m :
-         {OracleMode::kEagerPooled, OracleMode::kLazyPooled}) {
-      Theorem11Options opt;
-      opt.seed = 23;
-      opt.census = true;
-      opt.oracle_mode = m;
-      opt.oracle_workers = 1;
-      const auto one = radius ? quantum_weighted_radius(g, opt)
-                              : quantum_weighted_diameter(g, opt);
-      for (const unsigned w : {2u, 8u}) {
-        opt.oracle_workers = w;
-        const auto many = radius ? quantum_weighted_radius(g, opt)
-                                 : quantum_weighted_diameter(g, opt);
-        EXPECT_TRUE(semantically_equal(one, many))
-            << "workers " << w << (radius ? " (radius)" : " (diameter)");
-      }
+    Theorem11Options opt;
+    opt.seed = 23;
+    opt.census = true;
+    opt.oracle_workers = 1;
+    const auto one = radius ? quantum_weighted_radius(g, opt)
+                            : quantum_weighted_diameter(g, opt);
+    for (const unsigned w : {2u, 8u}) {
+      opt.oracle_workers = w;
+      const auto many = radius ? quantum_weighted_radius(g, opt)
+                               : quantum_weighted_diameter(g, opt);
+      EXPECT_TRUE(semantically_equal(one, many))
+          << "workers " << w << (radius ? " (radius)" : " (diameter)");
+      EXPECT_EQ(many.oracle.value_evaluations, one.oracle.value_evaluations);
+      EXPECT_EQ(many.oracle.memo_hits, one.oracle.memo_hits);
     }
   }
 }
@@ -211,43 +224,6 @@ TEST(EvaluateSet, MatchesBuildSkeletonExactly) {
 }
 
 // ---------------------------------------------------------------------
-// LazyOracle
-// ---------------------------------------------------------------------
-
-TEST(LazyOracle, MemoizesAndCountsEvaluations) {
-  std::uint64_t calls = 0;
-  quantum::LazyOracle o(5, [&](std::size_t x) {
-    ++calls;
-    return static_cast<std::int64_t>(10 * x);
-  });
-  EXPECT_EQ(o.size(), 5u);
-  EXPECT_FALSE(o.known(3));
-  EXPECT_EQ(o.value(3), 30);
-  EXPECT_TRUE(o.known(3));
-  EXPECT_EQ(o.value(3), 30);  // served from the memo
-  EXPECT_EQ(o.value(0), 0);
-  EXPECT_EQ(calls, 2u);
-  EXPECT_EQ(o.evaluations(), 2u);
-  EXPECT_EQ(o.hits(), 1u);
-}
-
-TEST(LazyOracle, PrefillSkipsTheCallbackAndMustAgree) {
-  std::uint64_t calls = 0;
-  quantum::LazyOracle o(3, [&](std::size_t x) {
-    ++calls;
-    return static_cast<std::int64_t>(x) + 100;
-  });
-  o.prefill(1, 101);
-  EXPECT_TRUE(o.known(1));
-  EXPECT_EQ(o.value(1), 101);
-  EXPECT_EQ(calls, 0u);           // never invoked
-  EXPECT_EQ(o.evaluations(), 0u); // prefill does not count
-  o.prefill(1, 101);              // idempotent re-install is fine
-  EXPECT_THROW(o.prefill(1, 999), InvariantError);
-  EXPECT_THROW(o.value(3), ArgumentError);  // out of range
-}
-
-// ---------------------------------------------------------------------
 // Geometric skip sampling (Rng::sample_indices)
 // ---------------------------------------------------------------------
 
@@ -259,7 +235,7 @@ TEST(ResidentToolkit, MatchesPerRunCacheAndIsReused) {
   const auto g = weighted_test_graph(21, 26, 9);
   Theorem11Options opt;
   opt.seed = 4;
-  opt.oracle_mode = OracleMode::kLazySerial;
+  opt.oracle_workers = 1;
   const auto baseline = quantum_weighted_diameter(g, opt);
 
   // derive_params must be exactly what the run derived.
@@ -293,7 +269,7 @@ TEST(ResidentToolkit, MatchesPerRunCacheAndIsReused) {
 TEST(ResidentToolkit, RejectsMismatchedCache) {
   const auto g = weighted_test_graph(22, 24, 7);
   Theorem11Options opt;
-  opt.oracle_mode = OracleMode::kLazySerial;
+  opt.oracle_workers = 1;
 
   // Same data, different graph object: identity is the contract (the
   // cache holds a pointer into the graph it was built on).

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Gate a fresh bench JSON against its committed baseline.
 
-Used by `tools/run_tier1.sh --bench-gate` for both BENCH_congest_sim.json
-and BENCH_datasets.json (pass --baseline to pick the file): the bench
-binary re-runs the suite into a scratch file, and this script diffs it
-against the baseline committed at the repo root. It fails (exit 1)
-when:
+Used by `tools/run_tier1.sh --bench-gate` for BENCH_congest_sim.json,
+BENCH_datasets.json, BENCH_dynamic.json and BENCH_theorem11.json (pass
+--baseline to pick the file): the bench binary re-runs the suite into a
+scratch file, and this script diffs it against the baseline committed
+at the repo root. It fails (exit 1) when:
 
   * any fresh row reports `identical: false` — the engines or worker
     counts disagreed on the ledger/trace/outputs, which is a correctness

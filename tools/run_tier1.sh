@@ -15,12 +15,14 @@
 #                                      # that covers the shard-parallel
 #                                      # mailbox merge
 #   tools/run_tier1.sh --bench-gate    # re-run bench_congest_sim (plus
-#                                      # the bench_datasets and
-#                                      # bench_dynamic smoke tiers) and
-#                                      # diff against the committed
-#                                      # BENCH_congest_sim.json /
-#                                      # BENCH_datasets.json /
-#                                      # BENCH_dynamic.json via
+#                                      # the bench_datasets,
+#                                      # bench_dynamic and
+#                                      # bench_theorem11_scaling smoke
+#                                      # tiers) and diff against the
+#                                      # committed BENCH_congest_sim.json
+#                                      # / BENCH_datasets.json /
+#                                      # BENCH_dynamic.json /
+#                                      # BENCH_theorem11.json via
 #                                      # tools/check_bench_regression.py
 #   QC_SANITIZE=thread tools/run_tier1.sh   # sanitized build (own tree):
 #                                           # address | undefined | thread
@@ -67,10 +69,11 @@ if [ "$BENCH_GATE" -eq 1 ]; then
   # otherwise sail through the diff (no rows to compare) and only bite
   # when the next full regeneration overwrote it.
   python3 tools/check_bench_regression.py --require-acceptance \
-    BENCH_congest_sim.json BENCH_datasets.json BENCH_dynamic.json
+    BENCH_congest_sim.json BENCH_datasets.json BENCH_dynamic.json \
+    BENCH_theorem11.json
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j --target \
-    bench_congest_sim bench_datasets bench_dynamic
+    bench_congest_sim bench_datasets bench_dynamic bench_theorem11_scaling
   "$BUILD_DIR/bench/bench_congest_sim" --out "$BUILD_DIR/BENCH_fresh.json"
   python3 tools/check_bench_regression.py \
     --baseline BENCH_congest_sim.json --fresh "$BUILD_DIR/BENCH_fresh.json"
@@ -91,6 +94,15 @@ if [ "$BENCH_GATE" -eq 1 ]; then
   python3 tools/check_bench_regression.py \
     --baseline BENCH_dynamic.json \
     --fresh "$BUILD_DIR/BENCH_dynamic_fresh.json"
+  # Theorem 1.1 oracle gate: the smoke tier runs the driver at
+  # oracle_workers 1/2/8 (identity flags + the worker-count acceptance
+  # key); the committed n=2048 rows are skipped-not-failed because their
+  # n is absent from a smoke run.
+  "$BUILD_DIR/bench/bench_theorem11_scaling" --smoke \
+    --out "$BUILD_DIR/BENCH_theorem11_fresh.json"
+  python3 tools/check_bench_regression.py \
+    --baseline BENCH_theorem11.json \
+    --fresh "$BUILD_DIR/BENCH_theorem11_fresh.json"
   exit 0
 fi
 
