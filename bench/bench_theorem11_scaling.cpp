@@ -12,6 +12,11 @@
 //  * oracle worker scaling at one n (default 2048): end-to-end seconds,
 //    speedup over oracle_workers = 1, set evaluations and f(i) reads,
 //    and identity with the one-worker run;
+//  * end to end (`t11_e2e`): `qcongest_cli diameter --family ER --maxw
+//    10 --seed 3` at n = 256 and 512 (64 under --smoke), one oracle
+//    worker — wall seconds, the run's measure-phase seconds, and the
+//    charged rounds, which must equal literals recorded before the
+//    simulator skipped idle rounds;
 //  * low-D family (connected ER, D ≈ log n): the advantage regime
 //    D = o(n^{1/3});
 //  * high-D family (path of cliques, D ≈ n/c): the regime where the
@@ -19,7 +24,7 @@
 //  * a log-log power-law fit of measured rounds vs n per family.
 //
 // Usage: bench_theorem11_scaling [--smoke] [--large] [--n N] [--out FILE]
-//   --smoke   tiny instance for ctest (correctness + JSON, no timing
+//   --smoke   tiny instances for ctest (correctness + JSON, no timing
 //             claims); skips the scaling sweeps
 #include <chrono>
 #include <cmath>
@@ -67,8 +72,17 @@ core::Theorem11Result timed_run(const WeightedGraph& g,
   return res;
 }
 
-std::string workers_json(bool smoke, NodeId n, std::size_t m,
-                         const std::vector<WorkerRow>& rows) {
+struct E2eRow {
+  NodeId n = 0;
+  double seconds = 0;
+  double measure_seconds = 0;  ///< PhaseSeconds::measure
+  std::uint64_t charged_rounds = 0;
+  bool identical = true;  ///< charged_rounds equals the pinned literal
+};
+
+std::string report_json(bool smoke, NodeId n, std::size_t m,
+                        const std::vector<WorkerRow>& rows,
+                        const std::vector<E2eRow>& e2e) {
   bool all_identical = true;
   for (const WorkerRow& r : rows) all_identical &= r.identical;
   std::ostringstream os;
@@ -86,18 +100,29 @@ std::string workers_json(bool smoke, NodeId n, std::size_t m,
        << ", \"value_evaluations\": " << r.value_evaluations
        << ", \"memo_hits\": " << r.memo_hits
        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
+       << (i + 1 < rows.size() || !e2e.empty() ? "," : "") << "\n";
+  }
+  for (std::size_t i = 0; i < e2e.size(); ++i) {
+    const E2eRow& r = e2e[i];
+    os << "    {\"workload\": \"t11_e2e\", \"variant\": \"diameter\", "
+       << "\"n\": " << r.n << ", \"workers\": 1"
+       << ", \"seconds\": " << runtime::json_number(r.seconds)
+       << ", \"measure_seconds\": " << runtime::json_number(r.measure_seconds)
+       << ", \"charged_rounds\": " << r.charged_rounds
+       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
+       << (i + 1 < e2e.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"acceptance\": {\"byte_identical_at_all_worker_counts\": "
      << (all_identical ? "true" : "false") << "}\n}\n";
   return os.str();
 }
 
-/// Runs the driver at oracle_workers 1/2/8 on one instance, checks
-/// every result against the one-worker run, and writes the JSON report.
-/// Returns false if any worker count diverged (timing never fails the
-/// run; the numbers are in the JSON).
-bool run_worker_scaling(bool smoke, NodeId n, const std::string& out_path) {
+/// Runs Theorem 1.1 at oracle_workers 1/2/8 on one instance and checks
+/// every result against the one-worker run. Returns false if any worker
+/// count diverged (timing never fails the run; the numbers are in the
+/// JSON).
+bool run_worker_scaling(NodeId n, std::size_t& m,
+                        std::vector<WorkerRow>& rows) {
   Rng rng(n);
   // Sparse low-diameter ER with near-unit weights: the regime where the
   // oracle pass is as large as the measure phase (the trend at large n,
@@ -106,6 +131,7 @@ bool run_worker_scaling(bool smoke, NodeId n, const std::string& out_path) {
   auto g = gen::erdos_renyi_connected(n, 1.2 * std::log2(double(n)) / n,
                                       rng);
   g = gen::randomize_weights(g, 2, rng);
+  m = g.edge_count();
   std::printf("-- oracle worker scaling: %s --\n", g.summary().c_str());
 
   core::Theorem11Options opt;
@@ -122,7 +148,6 @@ bool run_worker_scaling(bool smoke, NodeId n, const std::string& out_path) {
   opt.eps_inv = 1;
   if (n >= 512) opt.r_override = 64;
 
-  std::vector<WorkerRow> rows;
   core::Theorem11Result one;
   for (const unsigned w : {1u, 2u, 8u}) {
     opt.oracle_workers = w;
@@ -146,11 +171,52 @@ bool run_worker_scaling(bool smoke, NodeId n, const std::string& out_path) {
   }
   std::printf("%s\n", t.render().c_str());
 
-  runtime::write_file(out_path, workers_json(smoke, n, g.edge_count(), rows));
-  std::printf("wrote %s\n\n", out_path.c_str());
-
   bool ok = true;
   for (const WorkerRow& r : rows) ok &= r.identical;
+  return ok;
+}
+
+// ---------------------------------------------------------------------
+// End to end: the CLI's Theorem 1.1 diameter run
+// ---------------------------------------------------------------------
+
+/// Charged rounds of `qcongest_cli diameter --n N --family ER --maxw 10
+/// --seed 3`, recorded from the round-by-round simulator. How the
+/// engine schedules rounds must never move them.
+struct E2eCase {
+  NodeId n;
+  std::uint64_t charged_rounds;
+};
+constexpr E2eCase kE2eCases[] = {{256, 503415180}, {512, 1257516175}};
+constexpr E2eCase kE2eSmokeCase = {64, 126233515};
+
+/// Times each case at one oracle worker (the measure phase is serial at
+/// any count). Returns false if a case's charged rounds moved.
+bool run_e2e(bool smoke, std::vector<E2eRow>& rows) {
+  std::vector<E2eCase> cases(std::begin(kE2eCases), std::end(kE2eCases));
+  if (smoke) cases = {kE2eSmokeCase};
+  TextTable t({"n", "wall s", "measure s", "charged rounds", "identical"});
+  bool ok = true;
+  for (const E2eCase& c : cases) {
+    Rng rng(3);
+    const auto g = gen::from_family("ER", c.n, 10, rng);
+    core::Theorem11Options opt;
+    opt.seed = 3;
+    opt.census = true;  // as the CLI runs it
+    opt.oracle_workers = 1;
+    E2eRow row;
+    row.n = c.n;
+    const auto res = timed_run(g, opt, row.seconds);
+    row.measure_seconds = res.phase_seconds.measure;
+    row.charged_rounds = res.rounds;
+    row.identical = res.rounds == c.charged_rounds;
+    ok &= row.identical;
+    t.add(row.n, row.seconds, row.measure_seconds, row.charged_rounds,
+          row.identical);
+    rows.push_back(row);
+  }
+  std::printf("-- end to end: Theorem 1.1 diameter, ER W=10 seed 3 --\n%s\n",
+              t.render().c_str());
   return ok;
 }
 
@@ -250,12 +316,22 @@ int main(int argc, char** argv) {
   std::printf("Theorem 1.1 scaling — measured CONGEST rounds of the quantum "
               "weighted diameter\n\n");
 
-  const bool workers_ok = run_worker_scaling(smoke, oracle_n, out_path);
-  if (!workers_ok) {
+  std::size_t oracle_m = 0;
+  std::vector<WorkerRow> worker_rows;
+  bool ok = run_worker_scaling(oracle_n, oracle_m, worker_rows);
+  if (!ok) {
     std::fprintf(stderr, "FAIL: oracle worker counts gave different "
                          "results\n");
   }
-  if (smoke) return workers_ok ? 0 : 1;
+  std::vector<E2eRow> e2e_rows;
+  if (!run_e2e(smoke, e2e_rows)) {
+    std::fprintf(stderr, "FAIL: end-to-end charged rounds moved\n");
+    ok = false;
+  }
+  runtime::write_file(out_path, report_json(smoke, oracle_n, oracle_m,
+                                            worker_rows, e2e_rows));
+  std::printf("wrote %s\n\n", out_path.c_str());
+  if (smoke) return ok ? 0 : 1;
 
   std::vector<WeightedGraph> low_d;
   for (NodeId n : std::vector<NodeId>{32, 48, 64, 96, 128}) {
@@ -294,5 +370,5 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", x.render().c_str());
-  return workers_ok ? 0 : 1;
+  return ok ? 0 : 1;
 }

@@ -46,6 +46,10 @@ void NodeContext::broadcast(const Message& m) {
 
 Rng& NodeContext::rng() { return sim_->node_rngs_[id_]; }
 
+void NodeContext::sleep_until(std::uint64_t round) {
+  sim_->sleep_node(id_, round);
+}
+
 Simulator::Simulator(const WeightedGraph& graph, Config config)
     : graph_(&graph),
       csr_(&graph.csr()),
@@ -63,6 +67,7 @@ Simulator::Simulator(const WeightedGraph& graph, Config config)
   }
   last_active_epoch_.assign(n, 0);
   node_done_.assign(n, 0);
+  wake_.assign(n, 0);
   outbox_.resize(n);
   edge_bits_.assign(slots_->directed_edge_count(), 0);
   for (int b = 0; b < 2; ++b) {
@@ -97,6 +102,19 @@ void Simulator::MailArena::ensure_capacity(std::size_t need) {
   ::operator delete(data_, std::align_val_t{alignof(Incoming)});
   data_ = fresh;
   cap_ = new_cap;
+}
+
+void Simulator::sleep_node(NodeId v, std::uint64_t round) {
+  if (last_active_epoch_[v] != epoch_) {
+    throw ModelError("node " + std::to_string(v) +
+                     " called sleep_until outside its activation");
+  }
+  if (round < wake_floor_) {
+    throw ModelError("node " + std::to_string(v) +
+                     " asked to sleep until round " + std::to_string(round) +
+                     ", before the next round " + std::to_string(wake_floor_));
+  }
+  wake_[v] = round;
 }
 
 void Simulator::queue_message(NodeId from, NodeId to, Message m) {
@@ -634,13 +652,22 @@ void Simulator::apply_crashes() {
   live_.resize(keep);
 }
 
-// actives = live (not-done) ∪ touched (has mail) — exactly the nodes the
-// reference engine would run: done nodes with empty inboxes are silent.
-// live_ is always sorted; touched_ arrives in first-receipt order, so
-// dense rounds use one O(n) flag scan (node_done_ is maintained for
-// every node, and a node outside live_ is exactly a node with
-// node_done_ set) while sparse rounds sort the short touched list and
-// merge — the active-set design stays sub-O(n) when activity is sparse.
+// The round a jump lands on: the earliest wake round of any live node,
+// found by one scan of the live set (all ones when it is empty).
+std::uint64_t Simulator::earliest_wake() const {
+  std::uint64_t next = ~std::uint64_t{0};
+  for (const NodeId v : live_) next = std::min(next, wake_[v]);
+  return next;
+}
+
+// actives = due (live, wake round reached) ∪ touched (has mail) —
+// exactly the nodes that must run: done nodes with empty inboxes are
+// silent, and so are sleeping ones. live_ is always sorted; touched_
+// arrives in first-receipt order, so dense rounds use one O(n) flag scan
+// (node_done_ is maintained for every node, and a node outside live_ is
+// exactly a node with node_done_ set) while sparse rounds sort the short
+// touched list and merge — the active-set design stays sub-O(n) when
+// activity is sparse.
 void Simulator::build_actives() {
   actives_.clear();
   auto& touched = touched_[cur_];
@@ -648,13 +675,31 @@ void Simulator::build_actives() {
   if ((touched.size() + live_.size()) * 8 >= n) {
     const char* flag = touched_flag_[cur_].data();
     for (NodeId v = 0; v < n; ++v) {
-      if (node_done_[v] == 0 || flag[v] != 0) actives_.push_back(v);
+      const bool due = node_done_[v] == 0 && wake_[v] <= round_;
+      if (due || flag[v] != 0) actives_.push_back(v);
     }
   } else {
     std::sort(touched.begin(), touched.end());
-    std::set_union(live_.begin(), live_.end(), touched.begin(), touched.end(),
-                   std::back_inserter(actives_));
+    auto t = touched.begin();
+    for (const NodeId v : live_) {
+      while (t != touched.end() && *t < v) actives_.push_back(*t++);
+      const bool mail = t != touched.end() && *t == v;
+      if (mail) ++t;
+      if (mail || wake_[v] <= round_) actives_.push_back(v);
+    }
+    actives_.insert(actives_.end(), t, touched.end());
   }
+}
+
+// After a program phase: only active nodes can change doneness, and a
+// sleeping node stays live, so the new live set is the old one merged
+// with the round's actives, minus the nodes now done.
+void Simulator::refresh_live() {
+  live_next_.clear();
+  std::set_union(live_.begin(), live_.end(), actives_.begin(), actives_.end(),
+                 std::back_inserter(live_next_));
+  std::erase_if(live_next_, [&](NodeId v) { return node_done_[v] != 0; });
+  live_.swap(live_next_);
 }
 
 runtime::ThreadPool* Simulator::round_pool() {
@@ -678,6 +723,7 @@ void Simulator::run_actives(
         count[v] != 0
             ? std::span<const Incoming>(arena.data() + begin[v], count[v])
             : std::span<const Incoming>();
+    wake_[v] = wake_floor_;
     programs[v]->on_round(contexts[v], inbox);
     node_done_[v] = programs[v]->done() ? 1 : 0;
   };
@@ -705,9 +751,9 @@ void Simulator::run_actives(
   }
   // Everything a worker touches here is owned by the node it runs:
   // programs[v], contexts[v], node_rngs_[v], outbox_[v], node_done_[v],
-  // and the sender's disjoint stripe of edge_bits_. Shared engine state
-  // (ledger, trace, mailboxes) is only touched in the merge, which
-  // partitions it by receiver shard.
+  // wake_[v], and the sender's disjoint stripe of edge_bits_. Shared
+  // engine state (ledger, trace, mailboxes) is only touched in the merge,
+  // which partitions it by receiver shard.
   //
   // Chunks are cut by estimated per-node work — 1 + inbox size +
   // degree — not by node count: a hub node's on_round reads and sends
@@ -772,9 +818,12 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
   for (NodeId v = 0; v < n; ++v) contexts.push_back(NodeContext(*this, v));
 
   // Start hook (counts as pre-round-0 local computation; sends land in
-  // round 0 inboxes and in the round 0 metrics report).
+  // round 0 inboxes and in the round 0 metrics report). Every node is
+  // due in round 0 unless it sleeps.
   ++epoch_;
   std::fill(last_active_epoch_.begin(), last_active_epoch_.end(), epoch_);
+  wake_floor_ = 0;
+  std::fill(wake_.begin(), wake_.end(), 0);
   for (NodeId v = 0; v < n; ++v) {
     programs[v]->on_start(contexts[v]);
   }
@@ -798,20 +847,28 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     queued_count_ = 0;
     if (live_.empty() && !had_messages) break;
 
+    // Nothing in flight: jump over the rounds in which every live node
+    // sleeps. A fault plan steps (and reports) every round instead, so
+    // each crash and link check happens in the round a round-by-round
+    // run makes it; delayed messages count as in flight either way.
+    if (!had_messages && !faults_) {
+      const std::uint64_t next = earliest_wake();
+      if (next > config_.execution.max_rounds) {
+        throw ModelError("simulation exceeded max_rounds=" +
+                         std::to_string(config_.execution.max_rounds));
+      }
+      round_ = std::max(round_, next);
+    }
+
     if (faults_) apply_crashes();
     build_actives();
     clear_mailbox(1 - cur_);  // two-rounds-ago mail, no longer referenced
 
     ++epoch_;
     for (NodeId v : actives_) last_active_epoch_[v] = epoch_;
+    wake_floor_ = round_ + 1;
     run_actives(programs, contexts);
-
-    // Only active nodes can change doneness; inactive ones were done and
-    // stayed done, so the new live set filters straight out of actives_.
-    live_.clear();
-    for (NodeId v : actives_) {
-      if (node_done_[v] == 0) live_.push_back(v);
-    }
+    refresh_live();
 
     delivery_round_ = round_ + 1;
     do_merge(1 - cur_);

@@ -13,11 +13,20 @@
 // The engine also keeps a ledger (rounds, messages, bits) that the
 // benchmarks report; simulated rounds are the paper's complexity measure.
 //
+// Rounds are event-driven (docs/perf.md, "Event-driven rounds"): a
+// program may `sleep_until` its next scheduled event, and a round runs
+// only message receivers and live nodes whose wake round has come. When
+// no mail is in flight and the fault plan is empty, the engine jumps the
+// round counter straight to the earliest wake round; a program that
+// never sleeps runs every round, exactly as a round-by-round engine
+// would. Skipped rounds are silent, so the ledger, traces and program
+// outputs match an always-awake run of the same schedule.
+//
 // Fast path (see docs/perf.md, "Simulator fast path"): message routing
 // and bandwidth accounting are O(1) per send via a precomputed
 // `EdgeSlotIndex`; mailbox rows live in a double-buffered arena that
 // allocates nothing in steady state; each round touches only the active
-// node set (not-done nodes plus message receivers); and with
+// node set (due nodes plus message receivers); and with
 // `Config::Execution::workers > 1` the independent per-node `on_round`
 // calls fan out over a work-stealing pool. The ledger, traces,
 // per-round metrics, and all program outputs are byte-identical at any
@@ -52,7 +61,10 @@ class ThreadPool;  // runtime/thread_pool.h
 namespace qc::congest {
 
 /// Per-round observability snapshot handed to
-/// Config::Hooks::on_round_metrics after each executed round.
+/// Config::Hooks::on_round_metrics after each executed round. Rounds the
+/// engine jumps over (every live node asleep, no mail in flight) are not
+/// reported: they show as gaps in `round`. They carry no messages, bits
+/// or active nodes, so per-run sums and maxima are unaffected.
 struct RoundMetrics {
   std::uint64_t round = 0;     ///< the round that just executed
   std::uint64_t messages = 0;  ///< messages queued during that round
@@ -107,7 +119,8 @@ struct Config {
     bool record_trace = false;
     /// Opt-in per-round observability hook (e.g. feeding a
     /// runtime::MetricsRegistry via runtime::attach_simulator_metrics).
-    /// Called once after every executed round; empty = no overhead.
+    /// Called once after every executed round (never for a skipped
+    /// one, see RoundMetrics); empty = no overhead.
     std::function<void(const RoundMetrics&)> on_round_metrics;
   };
 
@@ -151,7 +164,8 @@ std::uint32_t default_bandwidth(NodeId n);
 
 /// Execution totals for one run.
 struct RunStats {
-  std::uint64_t rounds = 0;    ///< synchronous rounds elapsed
+  std::uint64_t rounds = 0;    ///< synchronous rounds elapsed, skipped
+                               ///< (all-asleep) rounds included
   std::uint64_t messages = 0;  ///< total point-to-point messages
   std::uint64_t bits = 0;      ///< total bits on all edges
 
@@ -203,6 +217,14 @@ class NodeContext {
   /// randomness in the CONGEST model).
   Rng& rng();
 
+  /// Do not run this node before `round` unless mail arrives (mail
+  /// always wakes a node). Callable only during the node's own
+  /// activation; every activation resets the wake round to the next
+  /// round (round 0 during on_start), and a `round` before that throws
+  /// ModelError. A live node's schedule must not depend on rounds it
+  /// sleeps through: done() cannot change while it sleeps.
+  void sleep_until(std::uint64_t round);
+
  private:
   friend class Simulator;
   NodeContext(Simulator& sim, NodeId id) : sim_(&sim), id_(id) {}
@@ -218,7 +240,10 @@ class NodeProgram {
   /// Called once before round 0; may send initial messages.
   virtual void on_start(NodeContext& ctx) { (void)ctx; }
 
-  /// Called every round with the messages delivered this round.
+  /// Called with the messages delivered this round, in every round in
+  /// which the node has mail or is live and due: a node that never
+  /// calls NodeContext::sleep_until is due every round. Programs read
+  /// the round number from ctx.round() rather than counting calls.
   virtual void on_round(NodeContext& ctx, std::span<const Incoming> inbox) = 0;
 
   /// The engine stops when every node is done and no messages are in
@@ -226,7 +251,8 @@ class NodeProgram {
   /// pure function of program state, and that state may change only
   /// inside on_start/on_round — the engine caches doneness between
   /// activations and re-queries it only after the program runs, so a
-  /// done node with an empty inbox is skipped entirely.
+  /// done node with an empty inbox is skipped entirely, and a sleeping
+  /// node stays live until it next runs.
   virtual bool done() const = 0;
 };
 
@@ -316,6 +342,7 @@ class Simulator {
     std::size_t constructed_ = 0;
   };
 
+  void sleep_node(NodeId v, std::uint64_t round);
   void queue_message(NodeId from, NodeId to, Message m);
   void queue_to_slot(NodeId from, std::uint32_t slot, Message m);
   void queue_broadcast(NodeId from, const Message& m);
@@ -328,9 +355,11 @@ class Simulator {
                          std::size_t off);
   void apply_crashes();
   void clear_mailbox(int b);
+  std::uint64_t earliest_wake() const;
   void build_actives();
   void run_actives(std::span<const std::unique_ptr<NodeProgram>> programs,
                    std::vector<NodeContext>& contexts);
+  void refresh_live();
   runtime::ThreadPool* round_pool();
 
   const WeightedGraph* graph_;
@@ -343,7 +372,7 @@ class Simulator {
   std::vector<Rng> node_rngs_;
   std::vector<TraceEntry> trace_;
 
-  // Activation bookkeeping: a node may send only during its own
+  // Activation bookkeeping: a node may send or sleep only during its own
   // activation (on_start, or on_round while active). Epochs advance once
   // per phase; last_active_epoch_[v] == epoch_ iff v runs this phase.
   std::uint64_t epoch_ = 0;
@@ -351,6 +380,12 @@ class Simulator {
   std::vector<char> node_done_;  ///< done() after the node's last run
   std::vector<NodeId> live_;     ///< sorted ids of not-done nodes
   std::vector<NodeId> actives_;  ///< scratch: nodes running this round
+  std::vector<NodeId> live_next_;  ///< refresh_live's merge target
+  // Wake schedule: a live node runs in round r iff it has mail or
+  // wake_[v] <= r. Each activation resets wake_[v] to wake_floor_ (the
+  // next round); sleep_until sets it to any round from there on.
+  std::vector<std::uint64_t> wake_;
+  std::uint64_t wake_floor_ = 0;
 
   // Per-sender outboxes (worker-private during a parallel round) and the
   // flat per-directed-edge bandwidth ledger, reset via the queued

@@ -39,10 +39,23 @@ std::uint64_t scaled_distance_bound(const WeightedGraph& g,
   return per_edge * n;
 }
 
+/// Algorithms 1–3 announce a distance d once, at offset d of a scale. At
+/// offset `next` the announcement is still pending if it was not made
+/// and d is within the cap and not yet past: arrivals only lower d, so
+/// one that falls behind (a delayed message under a fault plan) is never
+/// made. Returns the offset to wake at for it: d if pending, else
+/// `otherwise`.
+Dist next_wake_offset(bool announced, Dist d, Dist cap, Dist next,
+                      Dist otherwise) {
+  return !announced && d <= cap && d >= next ? d : otherwise;
+}
+
 // ---------------------------------------------------------------------
 // Algorithm 2: Bounded-Distance SSSP ("timed release": a node announces
 // its distance exactly in round d(s,v), so with positive integer
-// weights every announcement is final).
+// weights every announcement is final). A node sleeps until its
+// announcement round, else until round cap+1, where it finishes; mail
+// wakes it in between.
 // ---------------------------------------------------------------------
 class BoundedDistanceProgram final : public NodeProgram {
  public:
@@ -62,6 +75,7 @@ class BoundedDistanceProgram final : public NodeProgram {
       rounded_.push_back((*weight_of_)(h.weight));
     }
     if (ctx.id() == source_) best_ = 0;
+    ctx.sleep_until(next_wake_offset(announced_, best_, cap_, 0, cap_ + 1));
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
@@ -70,16 +84,22 @@ class BoundedDistanceProgram final : public NodeProgram {
           dist_add(in.msg.field(0), rounded_[ctx.neighbor_slot(in.from)]);
       best_ = std::min(best_, via);
     }
-    if (!announced_ && best_ == round_ && best_ <= cap_) {
+    const Dist round = ctx.round();
+    if (!announced_ && best_ == round && best_ <= cap_) {
       announced_ = true;
       Message m;
       m.push(best_, dist_bits_);
       ctx.broadcast(m);
     }
-    ++round_;
+    if (round >= cap_ + 1) {
+      finished_ = true;
+      return;
+    }
+    ctx.sleep_until(
+        next_wake_offset(announced_, best_, cap_, round + 1, cap_ + 1));
   }
 
-  bool done() const override { return round_ >= cap_ + 2; }
+  bool done() const override { return finished_; }
 
   Dist final_dist() const { return best_ <= cap_ ? best_ : kInfDist; }
 
@@ -90,13 +110,15 @@ class BoundedDistanceProgram final : public NodeProgram {
   std::uint32_t dist_bits_;
   std::vector<std::uint64_t> rounded_;  ///< by neighbour slot
   Dist best_ = kInfDist;
-  Dist round_ = 0;
   bool announced_ = false;
+  bool finished_ = false;
 };
 
 // ---------------------------------------------------------------------
 // Algorithm 1: Bounded-Hop SSSP — one Algorithm 2 pass per weight scale,
-// on a fixed synchronous schedule of (cap+2) rounds per scale.
+// on a fixed synchronous schedule of (cap+2) rounds per scale. A node
+// sleeps until its announcement round, else until the scale's last
+// round, where it finalizes the scale.
 // ---------------------------------------------------------------------
 class BoundedHopProgram final : public NodeProgram {
  public:
@@ -106,6 +128,7 @@ class BoundedHopProgram final : public NodeProgram {
         scale_(scale),
         scales_(scale.scale_count()),
         cap_(scale.rounded_cap()),
+        period_(cap_ + 2),
         dist_bits_(dist_bits) {}
 
   void on_start(NodeContext& ctx) override {
@@ -114,26 +137,36 @@ class BoundedHopProgram final : public NodeProgram {
       weights_.push_back(h.weight);
     }
     reset_scale(ctx.id());
+    sleep_to_next_event(ctx, 0, 0);
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    // Mail after the last scale (only a fault plan delays it that far)
+    // can no longer change the output.
+    if (done()) return;
+    const std::uint64_t round = ctx.round();
+    const auto j = static_cast<std::uint32_t>(round / period_);
+    const Dist offset = round % period_;
     for (const Incoming& in : inbox) {
-      const std::uint64_t w = scale_.rounded_weight(
-          weights_[ctx.neighbor_slot(in.from)], scale_index_);
+      const std::uint64_t w =
+          scale_.rounded_weight(weights_[ctx.neighbor_slot(in.from)], j);
       best_ = std::min(best_, dist_add(in.msg.field(0), w));
     }
-    if (!announced_ && best_ == offset_ && best_ <= cap_) {
+    if (!announced_ && best_ == offset && best_ <= cap_) {
       announced_ = true;
       Message m;
       m.push(best_, dist_bits_);
       ctx.broadcast(m);
     }
-    ++offset_;
-    if (offset_ == cap_ + 2) {
-      finalize_scale();
-      ++scale_index_;
-      if (scale_index_ < scales_) reset_scale(ctx.id());
+    if (offset == cap_ + 1) {
+      finalize_scale(j);
+      scale_index_ = j + 1;
+      if (done()) return;
+      reset_scale(ctx.id());
+      sleep_to_next_event(ctx, round + 1, 0);
+      return;
     }
+    sleep_to_next_event(ctx, round - offset, offset + 1);
   }
 
   bool done() const override { return scale_index_ >= scales_; }
@@ -143,27 +176,32 @@ class BoundedHopProgram final : public NodeProgram {
  private:
   void reset_scale(NodeId me) {
     best_ = (me == source_) ? 0 : kInfDist;
-    offset_ = 0;
     announced_ = false;
   }
-  void finalize_scale() {
+  void finalize_scale(std::uint32_t j) {
     if (best_ <= cap_) {
-      const Dist shifted = best_ << scale_index_;
-      QC_CHECK((shifted >> scale_index_) == best_ && shifted < kInfDist,
+      const Dist shifted = best_ << j;
+      QC_CHECK((shifted >> j) == best_ && shifted < kInfDist,
                "scaled distance overflow");
       dtilde_ = std::min(dtilde_, shifted);
     }
+  }
+  // As in Algorithm 2, offsets within the scale starting at `start`.
+  void sleep_to_next_event(NodeContext& ctx, std::uint64_t start,
+                           Dist next_offset) {
+    ctx.sleep_until(start + next_wake_offset(announced_, best_, cap_,
+                                             next_offset, cap_ + 1));
   }
 
   NodeId source_;
   HopScale scale_;
   std::uint32_t scales_;
   Dist cap_;
+  std::uint64_t period_;
   std::uint32_t dist_bits_;
   std::vector<Weight> weights_;  ///< by neighbour slot
-  std::uint32_t scale_index_ = 0;
+  std::uint32_t scale_index_ = 0;  ///< scales finalized so far
   Dist best_ = kInfDist;
-  Dist offset_ = 0;
   bool announced_ = false;
   Dist dtilde_ = kInfDist;
 };
@@ -176,6 +214,13 @@ class BoundedHopProgram final : public NodeProgram {
 // schedule (scales × (cap+2) windows). Announcements due in a window
 // are queued at its slot 0 and transmitted one per slot; more than
 // `slot_count` due messages is the algorithm's failure event.
+//
+// A node runs every round while its queue holds messages. Otherwise it
+// sleeps until the next slot-0 window in which some instance reaches a
+// scale boundary or has an announcement due, and failing both until the
+// schedule's last round, where it finishes. The O(b) instance scan runs
+// only in those slot-0 windows; an arrival in between lowers the next
+// due window in O(1).
 // ---------------------------------------------------------------------
 class MultiSourceProgram final : public NodeProgram {
  public:
@@ -194,7 +239,7 @@ class MultiSourceProgram final : public NodeProgram {
     t_logical_ = scales_ * period_;
     const std::uint64_t max_delay =
         *std::max_element(delays.begin(), delays.end());
-    total_windows_ = max_delay + t_logical_ + 1;
+    last_round_ = (max_delay + t_logical_ + 1) * slot_count_ - 1;
     const std::size_t b = sources.size();
     cur_.assign(b, kInfDist);
     announced_.assign(b, false);
@@ -209,10 +254,11 @@ class MultiSourceProgram final : public NodeProgram {
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
-    const std::uint64_t window = local_round_ / slot_count_;
-    const std::uint64_t slot = local_round_ % slot_count_;
+    const std::uint64_t round = ctx.round();
+    const std::uint64_t window = round / slot_count_;
+    const bool slot0 = round % slot_count_ == 0;
 
-    if (slot == 0) {
+    if (slot0) {
       // Per-instance schedule updates: finalize completed scales, reset
       // state at scale starts, enqueue due announcements.
       for (std::size_t a = 0; a < sources_->size(); ++a) {
@@ -247,12 +293,24 @@ class MultiSourceProgram final : public NodeProgram {
                        weights_[ctx.neighbor_slot(in.from)],
                        static_cast<std::uint32_t>(tau / period_)));
       cur_[a] = std::min(cur_[a], via);
+      // This window's slot 0 has passed (or is being served now), so
+      // only a later offset of the same scale can still announce; else
+      // the instance's next event is its scale boundary, which the last
+      // scan already counted.
+      const std::uint64_t offset = tau % period_;
+      const Dist due =
+          next_wake_offset(announced_[a], cur_[a], cap_, offset + 1, period_);
+      next_event_ = std::min(next_event_, window - offset + due);
     }
 
-    if (slot == 0) {
-      // Announcement checks for this window.
+    if (slot0) {
+      // Announcement checks for this window, and the next event window.
+      next_event_ = kNoEvent;
       for (std::size_t a = 0; a < sources_->size(); ++a) {
-        if (window < (*delays_)[a]) continue;
+        if (window < (*delays_)[a]) {
+          next_event_ = std::min(next_event_, (*delays_)[a]);
+          continue;
+        }
         const std::uint64_t tau = window - (*delays_)[a];
         if (tau >= t_logical_) continue;
         const std::uint64_t offset = tau % period_;
@@ -262,6 +320,11 @@ class MultiSourceProgram final : public NodeProgram {
           m.push(a, inst_bits_).push(cur_[a], dist_bits_);
           queue_.push_back(std::move(m));
         }
+        // The instance's next event: a pending announcement, else its
+        // scale boundary.
+        const Dist due =
+            next_wake_offset(announced_[a], cur_[a], cap_, offset + 1, period_);
+        next_event_ = std::min(next_event_, window - offset + due);
       }
       if (queue_.size() > slot_count_) {
         throw AlgorithmFailure(
@@ -275,16 +338,22 @@ class MultiSourceProgram final : public NodeProgram {
       ctx.broadcast(queue_.front());
       queue_.erase(queue_.begin());
     }
-    ++local_round_;
+    if (round >= last_round_) {
+      finished_ = true;
+      return;
+    }
+    if (!queue_.empty()) return;  // the next slot sends the next one
+    ctx.sleep_until(next_event_ == kNoEvent ? last_round_
+                                            : next_event_ * slot_count_);
   }
 
-  bool done() const override {
-    return local_round_ >= total_windows_ * slot_count_;
-  }
+  bool done() const override { return finished_; }
 
   Dist approx(std::size_t a) const { return dtilde_[a]; }
 
  private:
+  static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
+
   void finalize_scale(std::size_t a, std::uint32_t j) {
     if (cur_[a] <= cap_) {
       const Dist shifted = cur_[a] << j;
@@ -304,13 +373,16 @@ class MultiSourceProgram final : public NodeProgram {
   std::uint32_t inst_bits_;
   std::uint32_t dist_bits_;
   std::uint64_t t_logical_ = 0;
-  std::uint64_t total_windows_ = 0;
+  std::uint64_t last_round_ = 0;  ///< where every node finishes
   std::vector<Weight> weights_;  ///< by neighbour slot
   std::vector<Dist> cur_;
   std::vector<bool> announced_;
   std::vector<Dist> dtilde_;
   std::vector<Message> queue_;
-  std::uint64_t local_round_ = 0;
+  /// Earliest window after the last slot-0 scan with a scale boundary
+  /// or a due announcement (kNoEvent: none before last_round_).
+  std::uint64_t next_event_ = kNoEvent;
+  bool finished_ = false;
 };
 
 }  // namespace

@@ -30,6 +30,21 @@ inline std::uint64_t trace_digest(const std::vector<TraceEntry>& trace) {
   return h;
 }
 
+/// Digest of the rounds that carried messages: (round, messages, bits,
+/// utilization) each. Unlike metrics_digest it leaves out silent rounds
+/// and active_nodes, so it pins what a run sent and when without
+/// pinning how many nodes the engine ran to send it.
+inline std::uint64_t traffic_digest(const std::vector<RoundMetrics>& metrics) {
+  std::uint64_t h = fnv1a({});
+  for (const RoundMetrics& m : metrics) {
+    if (m.messages == 0) continue;
+    h = fnv1a({m.round, m.messages, m.bits,
+               std::bit_cast<std::uint64_t>(m.max_edge_utilization)},
+              h);
+  }
+  return h;
+}
+
 /// The utilization double enters by its bit pattern.
 inline std::uint64_t metrics_digest(const std::vector<RoundMetrics>& metrics) {
   std::uint64_t h = fnv1a({});

@@ -896,5 +896,292 @@ TEST(SimulatorGolden, InterleaveInboxLogsArePinned) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Event-driven rounds: NodeContext::sleep_until
+// ---------------------------------------------------------------------
+
+// Node v broadcasts its id in rounds 3, 1000 and 200000, each shifted by
+// v % 3, and is done after the last one. The sleeping variant sleeps
+// until its next send; the awake twin runs every round and sends in the
+// same rounds, so everything a run reports except the per-round hook
+// must agree.
+class TimerProgram final : public NodeProgram {
+ public:
+  static constexpr std::array<std::uint64_t, 3> kFires = {3, 1000, 200000};
+  using Receipt = std::pair<std::uint64_t, NodeId>;  ///< (round, sender)
+
+  explicit TimerProgram(bool sleeps) : sleeps_(sleeps) {}
+
+  void on_start(NodeContext& ctx) override {
+    shift_ = ctx.id() % 3;
+    maybe_sleep(ctx);
+  }
+  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    for (const Incoming& in : inbox) heard_.emplace_back(ctx.round(), in.from);
+    if (next_ < kFires.size() && ctx.round() == kFires[next_] + shift_) {
+      Message m;
+      m.push(ctx.id(), 8);
+      ctx.broadcast(m);
+      ++next_;
+    }
+    maybe_sleep(ctx);
+  }
+  bool done() const override { return next_ == kFires.size(); }
+  const std::vector<Receipt>& heard() const { return heard_; }
+
+ private:
+  void maybe_sleep(NodeContext& ctx) {
+    if (sleeps_ && next_ < kFires.size()) {
+      ctx.sleep_until(kFires[next_] + shift_);
+    }
+  }
+
+  bool sleeps_;
+  std::uint64_t shift_ = 0;
+  std::size_t next_ = 0;
+  std::vector<Receipt> heard_;
+};
+
+struct TimerCapture {
+  RunStats stats;
+  RunOutcome outcome;
+  std::vector<TraceEntry> trace;
+  std::vector<RoundMetrics> metrics;
+  std::vector<std::vector<TimerProgram::Receipt>> heard;
+};
+
+TimerCapture run_timer(const WeightedGraph& g, bool sleeps, unsigned workers,
+                       FaultPlan plan = {}) {
+  Config cfg;
+  cfg.hooks.record_trace = true;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = 0;
+  cfg.faults = std::move(plan);
+  TimerCapture cap;
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
+    cap.metrics.push_back(rm);
+  };
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    programs.push_back(std::make_unique<TimerProgram>(sleeps));
+  }
+  Simulator sim(g, cfg);
+  cap.stats = sim.run(programs);
+  cap.outcome = sim.outcome();
+  cap.trace = sim.trace();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    cap.heard.push_back(static_cast<const TimerProgram&>(*programs[v]).heard());
+  }
+  return cap;
+}
+
+WeightedGraph timer_graph() {
+  Rng rng(5);
+  return gen::erdos_renyi_connected(12, 0.3, rng);
+}
+
+TEST(SleepUntil, MatchesAlwaysAwakeTwin) {
+  const auto g = timer_graph();
+  const TimerCapture twin = run_timer(g, /*sleeps=*/false, 1);
+  // Last send in round 200002, heard in 200003.
+  EXPECT_EQ(twin.stats.rounds, 200004u);
+  EXPECT_EQ(twin.stats.messages, 3 * 2 * g.edge_count());
+  for (const unsigned workers : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    const TimerCapture got = run_timer(g, /*sleeps=*/true, workers);
+    EXPECT_EQ(got.stats, twin.stats);
+    EXPECT_EQ(got.trace, twin.trace);
+    EXPECT_EQ(got.heard, twin.heard);
+  }
+}
+
+// The hook fires once per executed round: the sleeping run reports only
+// its send and receive rounds (round 0 too is skipped — every node
+// sleeps from on_start), yet its sums and its peak utilization are the
+// ledger's and the twin's.
+TEST(SleepUntil, HookReportsOnlyExecutedRounds) {
+  const auto g = timer_graph();
+  const TimerCapture twin = run_timer(g, /*sleeps=*/false, 1);
+  const TimerCapture got = run_timer(g, /*sleeps=*/true, 1);
+  std::vector<std::uint64_t> expected;
+  for (const std::uint64_t f : TimerProgram::kFires) {
+    for (std::uint64_t r = f; r <= f + 3; ++r) expected.push_back(r);
+  }
+  std::vector<std::uint64_t> reported;
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+  double peak = 0.0;
+  for (const RoundMetrics& m : got.metrics) {
+    reported.push_back(m.round);
+    messages += m.messages;
+    bits += m.bits;
+    peak = std::max(peak, m.max_edge_utilization);
+    EXPECT_GT(m.active_nodes, 0u) << "round " << m.round;
+  }
+  EXPECT_EQ(reported, expected);
+  EXPECT_EQ(messages, got.stats.messages);
+  EXPECT_EQ(bits, got.stats.bits);
+  double twin_peak = 0.0;
+  for (const RoundMetrics& m : twin.metrics) {
+    twin_peak = std::max(twin_peak, m.max_edge_utilization);
+  }
+  EXPECT_EQ(twin.metrics.size(), twin.stats.rounds);
+  EXPECT_DOUBLE_EQ(peak, twin_peak);
+}
+
+// Node 0 sleeps "forever"; node 1 sleeps until round 5 and sends to it.
+// The mail wakes node 0 in round 6, and that activation resets its wake
+// round to the next one, so it runs again in round 7 and is done.
+TEST(SleepUntil, MailWakesASleepingNode) {
+  struct Probe final : NodeProgram {
+    std::vector<std::pair<std::uint64_t, std::size_t>> runs;
+    std::size_t want = 1;  // activations until done
+    void on_start(NodeContext& ctx) override {
+      want = ctx.id() == 0 ? 2 : 1;
+      ctx.sleep_until(ctx.id() == 0 ? 1'000'000 : 5);
+    }
+    void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+      runs.emplace_back(ctx.round(), inbox.size());
+      if (ctx.id() == 1) {
+        Message m;
+        m.push(1, 4);
+        ctx.send(0, m);
+      }
+    }
+    bool done() const override { return runs.size() == want; }
+  };
+  auto run = run_on_all<Probe>(gen::path(2),
+                               [](NodeId) { return std::make_unique<Probe>(); });
+  using Runs = std::vector<std::pair<std::uint64_t, std::size_t>>;
+  EXPECT_EQ(run.at(0).runs, (Runs{{6, 1}, {7, 0}}));
+  EXPECT_EQ(run.at(1).runs, (Runs{{5, 0}}));
+  EXPECT_EQ(run.stats, (RunStats{8, 1, 4}));
+}
+
+// A node that sleeps until `wake` and is done when it runs.
+class SleepOnceProgram final : public NodeProgram {
+ public:
+  explicit SleepOnceProgram(std::uint64_t wake) : wake_(wake) {}
+  void on_start(NodeContext& ctx) override { ctx.sleep_until(wake_); }
+  void on_round(NodeContext&, std::span<const Incoming>) override {
+    ran_ = true;
+  }
+  bool done() const override { return ran_; }
+
+ private:
+  std::uint64_t wake_;
+  bool ran_ = false;
+};
+
+// The jump honours the horizon exactly as a round-by-round run would:
+// waking in round max_rounds still executes it and then throws, waking
+// past it throws at once, and an earlier wake finishes normally.
+TEST(SleepUntil, WakePastMaxRoundsThrows) {
+  const auto g = gen::path(3);
+  Config cfg;
+  cfg.execution.max_rounds = 100;
+  const auto run_until = [&](std::uint64_t wake) {
+    return run_on_all<SleepOnceProgram>(
+        g, [&](NodeId) { return std::make_unique<SleepOnceProgram>(wake); },
+        cfg);
+  };
+  EXPECT_EQ(run_until(99).stats.rounds, 100u);
+  EXPECT_THROW(run_until(100), ModelError);
+  EXPECT_THROW(run_until(101), ModelError);
+  EXPECT_THROW(run_until(~std::uint64_t{0}), ModelError);
+}
+
+// sleep_until may not name the current round or an earlier one; the
+// next round (the default) and round 0 during on_start are fine.
+TEST(SleepUntil, PastRoundThrows) {
+  struct Sleeper final : NodeProgram {
+    std::uint64_t target_offset;  // wake = round + offset
+    explicit Sleeper(std::uint64_t off) : target_offset(off) {}
+    void on_start(NodeContext& ctx) override { ctx.sleep_until(0); }
+    void on_round(NodeContext& ctx, std::span<const Incoming>) override {
+      if (ctx.round() == 5) ctx.sleep_until(ctx.round() + target_offset);
+      ran_ = ctx.round() >= 6;
+    }
+    bool done() const override { return ran_; }
+    bool ran_ = false;
+  };
+  const auto g = gen::path(2);
+  const auto run_with = [&](std::uint64_t off) {
+    return run_on_all<Sleeper>(
+        g, [&](NodeId) { return std::make_unique<Sleeper>(off); });
+  };
+  EXPECT_EQ(run_with(1).stats.rounds, 7u);
+  EXPECT_EQ(run_with(3).stats.rounds, 9u);
+  EXPECT_THROW(run_with(0), ModelError);
+  try {
+    run_with(0);
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("before the next round 6"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A context used outside its node's activation is rejected: node 1
+// drives node 0's context while node 0 is done and idle.
+TEST(SleepUntil, OutsideOwnActivationThrows) {
+  struct Stasher final : NodeProgram {
+    NodeContext** zero;
+    NodeId id = 0;
+    bool ran = false;
+    explicit Stasher(NodeContext** z) : zero(z) {}
+    void on_start(NodeContext& ctx) override {
+      id = ctx.id();
+      if (id == 0) *zero = &ctx;
+    }
+    void on_round(NodeContext& ctx, std::span<const Incoming>) override {
+      if (id == 1) (*zero)->sleep_until(ctx.round() + 5);
+      ran = true;
+    }
+    bool done() const override { return id == 0 || ran; }
+  };
+  NodeContext* zero = nullptr;
+  EXPECT_THROW(run_on_all<Stasher>(gen::path(2),
+                                   [&](NodeId) {
+                                     return std::make_unique<Stasher>(&zero);
+                                   }),
+               ModelError);
+}
+
+// Under a fault plan the engine steps every round (the hook reports each
+// one), so a crash in a round where the node sleeps lands where the
+// twin's does, and a delayed or link-killed delivery reaches (or misses)
+// its sleeping receiver in the same round.
+TEST(SleepUntil, CrashLandsInTheTwinsRound) {
+  const auto g = timer_graph();
+  FaultPlan plan;
+  // Node 2 sleeps from round 5 to 1002; it crashes in between.
+  plan.crashes.push_back(CrashEvent{2, 500});
+  // Node 0's round-3 send to its first neighbour arrives two rounds late.
+  FaultEvent delay;
+  delay.round = 4;
+  delay.from = 0;
+  delay.to = g.csr().neighbors(0)[0].to;
+  delay.kind = FaultKind::kDelay;
+  delay.delay_rounds = 2;
+  plan.events.push_back(delay);
+  // Node 1's round-1001 broadcast loses its first edge.
+  plan.link_down.push_back(
+      LinkDownInterval{1, g.csr().neighbors(1)[0].to, 1002, 1002, false});
+  const TimerCapture twin = run_timer(g, /*sleeps=*/false, 1, plan);
+  EXPECT_EQ(twin.outcome.faults.crashed_nodes, 1u);
+  EXPECT_EQ(twin.outcome.faults.delayed, 1u);
+  EXPECT_EQ(twin.outcome.faults.link_down_drops, 1u);
+  for (const unsigned workers : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    const TimerCapture got = run_timer(g, /*sleeps=*/true, workers, plan);
+    EXPECT_EQ(got.metrics.size(), got.stats.rounds);
+    EXPECT_EQ(got.stats, twin.stats);
+    EXPECT_EQ(got.outcome, twin.outcome);
+    EXPECT_EQ(got.trace, twin.trace);
+    EXPECT_EQ(got.heard, twin.heard);
+  }
+}
+
 }  // namespace
 }  // namespace qc::congest

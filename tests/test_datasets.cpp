@@ -31,9 +31,34 @@ namespace {
 
 using namespace congest;  // NOLINT: Simulator, NodeProgram, Config, ...
 
-std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "qc_datasets_" + name;
+// ctest runs each discovered test as its own process, often several at
+// once, and tests reuse file names (every BGraph.Rejects* mutant is
+// "mutant.bg") — pid-suffix every path so concurrent processes never
+// clobber each other's files.
+std::string tmp_prefix() {
+  return "qc_datasets_" + std::to_string(::getpid()) + "_";
 }
+
+std::string tmp_path(const std::string& name) {
+  return ::testing::TempDir() + tmp_prefix() + name;
+}
+
+// Per-process names no longer overwrite the last run's files, so the
+// process deletes its own when it exits.
+class TmpCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(::testing::TempDir(), ec)) {
+      if (entry.path().filename().string().starts_with(tmp_prefix())) {
+        std::filesystem::remove(entry.path(), ec);
+      }
+    }
+  }
+};
+[[maybe_unused]] ::testing::Environment* const kTmpCleanup =
+    ::testing::AddGlobalTestEnvironment(new TmpCleanup);
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -660,11 +685,9 @@ TEST(StreamingGenerators, RejectsInfeasibleParameters) {
 class LargeN : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // ctest runs each discovered test as its own process, and every
-    // process regenerates this suite-shared dataset — pid-suffix the
-    // path so concurrent LargeN processes never clobber each other.
-    path_ = new std::string(tmp_path("large_n." +
-                                     std::to_string(::getpid()) + ".bg"));
+    // Every ctest process regenerates this suite-shared dataset under
+    // its own pid-suffixed tmp_path.
+    path_ = new std::string(tmp_path("large_n.bg"));
     info_ = new BGraphInfo(
         gen::rmat_bgraph(*path_, /*scale=*/17, /*target_edges=*/400000,
                          /*max_w=*/100, /*seed=*/20260808));

@@ -28,6 +28,7 @@
 #include "run_digest.h"
 #include "runtime/metrics.h"
 #include "runtime/sweep.h"
+#include "toolkit_pins.h"
 #include "util/rng.h"
 
 namespace qc::congest {
@@ -357,6 +358,41 @@ TEST(FaultDeterminism, ShardingKnobDoesNotPerturbFaultedRuns) {
   // merge: fault-free results must still match their own serial golden.
   const RunCapture free_golden = run_min_flood(g, 1);
   EXPECT_EQ(run_min_flood(g, 8, FaultPlan{}, /*min_work=*/0), free_golden);
+}
+
+// Algorithms 1-3 through their entry points under one seeded plan with
+// every fault that moves a delivery in time or kills it: delay-by-k,
+// drops, a link outage and a crash-stop node. The literals were
+// captured from the engine that ran every live node in every round,
+// before programs could sleep between their scheduled events; a
+// sleeping node must still see every delayed arrival in its round.
+TEST(FaultDeterminism, ToolkitRunsUnderSeededPlanArePinned) {
+  const auto g = paths::toolkit_graph();
+  FaultPlan plan;
+  plan.seed = 0x51ee9;
+  plan.probabilities.drop = 0.05;
+  plan.probabilities.delay = 0.05;
+  plan.probabilities.delay_rounds = 3;
+  plan.link_down.push_back(
+      LinkDownInterval{0, g.csr().neighbors(0)[0].to, 4, 30});
+  plan.crashes.push_back(CrashEvent{7, 12});
+  for (const unsigned workers : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    Config cfg;
+    cfg.execution.workers = workers;
+    cfg.execution.pooled_round_min_work = 0;
+    cfg.faults = plan;
+    const paths::ToolkitPins got = paths::pin_toolkit(g, cfg);
+    EXPECT_EQ(got.alg2,
+              (paths::ToolkitPin{{42, 68, 408}, 6596295711208691658ull,
+                                 12490671475351011572ull}));
+    EXPECT_EQ(got.alg1,
+              (paths::ToolkitPin{{440, 456, 2736}, 8026453942000641107ull,
+                                 5249882728107757904ull}));
+    EXPECT_EQ(got.alg3,
+              (paths::ToolkitPin{{1972, 2165, 19115}, 11487003139314754035ull,
+                                 8703979861573259196ull}));
+  }
 }
 
 TEST(FaultDeterminism, DifferentSeedsDifferentSchedules) {

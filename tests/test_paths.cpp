@@ -10,6 +10,7 @@
 #include "paths/distributed.h"
 #include "paths/params.h"
 #include "paths/reference.h"
+#include "toolkit_pins.h"
 #include "util/rng.h"
 
 namespace qc::paths {
@@ -213,6 +214,27 @@ TEST(Alg3Retry, FailedAttemptsRetryWithFreshDelaysAndAreCharged) {
       EXPECT_EQ(res.approx[a], approx_bounded_hop_from(g, sources[a], hs))
           << "source index " << a;
     }
+  }
+}
+
+// Algorithms 1-3 through their entry points, against literals captured
+// from the engine that ran every live node in every round, before
+// programs could sleep between their scheduled events. Serial and on a
+// forced pool (threshold 0), every pin must hold.
+TEST(ToolkitGolden, FaultFreeRunsArePinned) {
+  const auto g = toolkit_graph();
+  for (const unsigned workers : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    congest::Config cfg;
+    cfg.execution.workers = workers;
+    cfg.execution.pooled_round_min_work = 0;
+    const ToolkitPins got = pin_toolkit(g, cfg);
+    EXPECT_EQ(got.alg2, (ToolkitPin{{42, 74, 444}, 17984904032555710582ull,
+                                    17850365024652785240ull}));
+    EXPECT_EQ(got.alg1, (ToolkitPin{{440, 526, 3156}, 2729422593657406332ull,
+                                    66673693762680768ull}));
+    EXPECT_EQ(got.alg3, (ToolkitPin{{1969, 2760, 24470}, 1532937749662998471ull,
+                                    6564369829051063569ull}));
   }
 }
 

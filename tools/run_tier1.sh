@@ -25,7 +25,11 @@
 #                                      # BENCH_theorem11.json via
 #                                      # tools/check_bench_regression.py
 #   QC_SANITIZE=thread tools/run_tier1.sh   # sanitized build (own tree):
-#                                           # address | undefined | thread
+#                                           # address | undefined |
+#                                           # address,undefined | thread
+#   QC_SANITIZE=address,undefined tools/run_tier1.sh
+#                                      # ASan and UBSan in one build, full
+#                                      # ctest (tree: build-address-undefined)
 #
 # With a thread pool in src/runtime and pool-parallel graph kernels in
 # src/graph, the TSan configuration is the one that matters most;
@@ -146,13 +150,14 @@ BUILD_DIR=build
 CMAKE_EXTRA=""
 if [ -n "${QC_SANITIZE:-}" ]; then
   case "$QC_SANITIZE" in
-    address|undefined|thread) ;;
+    address|undefined|address,undefined|thread) ;;
     *)
-      echo "error: QC_SANITIZE must be address, undefined, or thread" >&2
+      echo "error: QC_SANITIZE must be address, undefined," \
+        "address,undefined, or thread" >&2
       exit 2
       ;;
   esac
-  BUILD_DIR="build-$QC_SANITIZE"
+  BUILD_DIR="build-$(printf '%s' "$QC_SANITIZE" | tr ',' '-')"
   CMAKE_EXTRA="-DQC_SANITIZE=$QC_SANITIZE"
 fi
 
