@@ -11,12 +11,17 @@
 // Storage is a small inline buffer, not heap vectors: every message in
 // the library carries at most 6 fields (Algorithm 4's overlay edges —
 // two ids plus a scaled distance — are the widest at 3), so the common
-// case fits entirely inside the object and copying a message into a
-// mailbox is a flat memcpy-sized move with zero allocations. Wider
-// messages spill transparently to a heap vector; nothing in the API
-// changes.
+// case fits entirely inside the object and queueing a message is a flat
+// memcpy-sized move with zero allocations. Wider messages spill
+// transparently to a heap vector; nothing in the API changes. The
+// simulator stores each sent message once, in its sender's outbox; a
+// delivered `Incoming` is a 16-byte (sender, reference) pair pointing at
+// that copy (a broadcast's receivers all share one), valid for the
+// receiver's activation only (NodeProgram::on_round).
 #pragma once
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -69,7 +74,25 @@ class Message {
   // so memberwise equality is exactly field-sequence equality.
   friend bool operator==(const Message&, const Message&) = default;
 
+  /// Orders messages by field values, lexicographically, a proper prefix
+  /// first (std::vector<std::uint64_t>'s order on the value tuples);
+  /// widths are not compared. Reads the fields in place.
+  friend std::strong_ordering compare_values(const Message& a,
+                                             const Message& b) {
+    const std::size_t common = std::min(a.count_, b.count_);
+    for (std::size_t i = 0; i < common; ++i) {
+      const std::uint64_t x = a.value_at(i);
+      const std::uint64_t y = b.value_at(i);
+      if (x != y) return x <=> y;
+    }
+    return a.count_ <=> b.count_;
+  }
+
  private:
+  std::uint64_t value_at(std::size_t i) const {
+    return i < kInlineFields ? values_[i] : spill_[i - kInlineFields].value;
+  }
+
   struct SpillField {
     std::uint64_t value;
     std::uint8_t width;
@@ -84,10 +107,13 @@ class Message {
   std::uint8_t widths_[kInlineFields] = {};
 };
 
-/// A received message together with its sender.
+/// A received message together with its sender. `msg` refers to the
+/// engine's one stored copy of the message, so an Incoming — and any
+/// copy of it — is valid only during the activation it was delivered
+/// to; a program that keeps a message past it must copy `msg`.
 struct Incoming {
-  NodeId from = 0;
-  Message msg;
+  NodeId from;
+  const Message& msg;
 };
 
 }  // namespace qc::congest

@@ -190,7 +190,8 @@ class AggregateProgram final : public NodeProgram {
 
 // Relays one unseen item per round to all neighbours. With k items total
 // this completes within O(D + k) rounds (Topkis-style pipelined
-// flooding). Items are relayed verbatim; dedup keys on field contents.
+// flooding). Items are relayed verbatim; dedup keys on field contents,
+// and results are sorted by them (compare_values).
 class FloodProgram final : public NodeProgram {
  public:
   explicit FloodProgram(std::vector<FloodItem> initial) {
@@ -199,38 +200,45 @@ class FloodProgram final : public NodeProgram {
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
     for (const Incoming& in : inbox) learn(in.msg);
-    if (!queue_.empty()) {
-      ctx.broadcast(queue_.front());
-      queue_.pop_front();
-    }
+    if (relayed_ < items_.size()) ctx.broadcast(items_[relayed_++]);
   }
 
-  bool done() const override { return queue_.empty(); }
+  bool done() const override { return relayed_ == items_.size(); }
 
   std::vector<FloodItem> known_sorted() const {
     std::vector<FloodItem> out;
-    out.reserve(known_.size());
-    for (const auto& [key, item] : known_) out.push_back(item);
+    out.reserve(sorted_.size());
+    for (const std::uint32_t i : sorted_) out.push_back(items_[i]);
     return out;
   }
 
  private:
   // Every delivered copy of every item lands here (Theta(m * items)
-  // calls per flood), so the duplicate check must not allocate: the
-  // key is built in a reused buffer and only genuinely new items pay
-  // for a map insertion.
+  // calls per flood), so the duplicate check allocates nothing: a
+  // binary search of the sorted index compares fields in place, and
+  // only a new item pays for a copy and an O(k) index insert (library
+  // floods carry at most b·k items).
   void learn(const FloodItem& item) {
-    key_.resize(item.field_count());
-    for (std::size_t i = 0; i < key_.size(); ++i) key_[i] = item.field(i);
-    if (known_.find(key_) == known_.end()) {
-      known_.emplace(key_, item);
-      queue_.push_back(item);
+    std::size_t lo = 0;
+    std::size_t hi = sorted_.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      const auto c = compare_values(items_[sorted_[mid]], item);
+      if (c == 0) return;  // a copy of a known item
+      if (c < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
+    sorted_.insert(sorted_.begin() + static_cast<std::ptrdiff_t>(lo),
+                   static_cast<std::uint32_t>(items_.size()));
+    items_.push_back(item);
   }
 
-  std::map<std::vector<std::uint64_t>, FloodItem> known_;
-  std::deque<FloodItem> queue_;
-  std::vector<std::uint64_t> key_;  // reused learn() scratch
+  std::vector<FloodItem> items_;      // learn order; [relayed_, end) queued
+  std::size_t relayed_ = 0;
+  std::vector<std::uint32_t> sorted_;  // positions in items_, by content
 };
 
 std::vector<std::uint64_t> flood_key(const Message& m) {

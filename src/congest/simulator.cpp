@@ -5,6 +5,7 @@
 #include <new>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "runtime/thread_pool.h"
@@ -68,7 +69,8 @@ Simulator::Simulator(const WeightedGraph& graph, Config config)
   last_active_epoch_.assign(n, 0);
   node_done_.assign(n, 0);
   wake_.assign(n, 0);
-  outbox_.resize(n);
+  outbox_[0].resize(n);
+  outbox_[1].resize(n);
   edge_bits_.assign(slots_->directed_edge_count(), 0);
   for (int b = 0; b < 2; ++b) {
     inbox_begin_[b].assign(n, 0);
@@ -87,20 +89,20 @@ Simulator::Simulator(const WeightedGraph& graph, Config config)
 
 Simulator::~Simulator() = default;
 
+static_assert(sizeof(Incoming) <= 16 &&
+                  std::is_trivially_destructible_v<Incoming>,
+              "a mailbox entry is a (sender, reference) pair");
+
 Simulator::MailArena::~MailArena() {
-  std::destroy_n(data_, constructed_);
-  ::operator delete(data_, std::align_val_t{alignof(Incoming)});
+  if (data_ != nullptr) std::allocator<Incoming>().deallocate(data_, cap_);
 }
 
 void Simulator::MailArena::ensure_capacity(std::size_t need) {
   if (need <= cap_) return;
   const std::size_t new_cap = std::max(need, cap_ * 2);
-  auto* fresh = static_cast<Incoming*>(::operator new(
-      new_cap * sizeof(Incoming), std::align_val_t{alignof(Incoming)}));
-  std::uninitialized_move_n(data_, constructed_, fresh);
-  std::destroy_n(data_, constructed_);
-  ::operator delete(data_, std::align_val_t{alignof(Incoming)});
-  data_ = fresh;
+  std::allocator<Incoming> alloc;
+  if (data_ != nullptr) alloc.deallocate(data_, cap_);
+  data_ = alloc.allocate(new_cap);
   cap_ = new_cap;
 }
 
@@ -158,7 +160,7 @@ void Simulator::queue_broadcast(NodeId from, const Message& m) {
     }
     edge_bits_[base + s] = used;
   }
-  auto& box = outbox_[from];
+  auto& box = outbox_[send_gen_][from];
   box.bcasts.emplace_back(box.next_seq++, m);
 }
 
@@ -179,16 +181,21 @@ void Simulator::admit(NodeId from, NodeId to, std::uint32_t slot, Message&& m) {
                      " in round " + std::to_string(round_));
   }
   edge_bits_[e] = used;
-  auto& box = outbox_[from];
+  auto& box = outbox_[send_gen_][from];
   box.singles.emplace_back(to, slot, box.next_seq++, std::move(m));
 }
 
-void Simulator::clear_mailbox(int b) {
+// Generation b's round is over: empty its mailbox rows, the outboxes
+// they referenced, and the messages the faulted merge made up for them.
+void Simulator::recycle(int b) {
   for (NodeId v : touched_[b]) {
     inbox_count_[b][v] = 0;
     touched_flag_[b][v] = 0;
   }
   touched_[b].clear();
+  for (NodeId v : senders_[b]) outbox_[b][v].clear();
+  senders_[b].clear();
+  fault_msgs_[b].clear();
 }
 
 // Shared placement pass: assigns contiguous arena rows (begin offsets +
@@ -272,23 +279,14 @@ void replay(Box& box, Single&& single, Bcast&& bcast) {
   }
 }
 
-// Writes deliveries into receiver rows at each row's fill cursor:
-// assignment below the arena's constructed watermark, placement-new past
-// it (the arena never default-constructs ahead of use).
+// Writes a delivery — a reference to the message's one stored copy —
+// into the receiver's row at its fill cursor.
 struct Scatter {
   Incoming* a;
-  std::size_t watermark;
   std::size_t* fill;
 
-  template <typename M>
-  void operator()(NodeId to, NodeId from, M&& m) const {
-    const std::size_t idx = fill[to]++;
-    if (idx < watermark) {
-      a[idx].from = from;
-      a[idx].msg = std::forward<M>(m);
-    } else {
-      ::new (a + idx) Incoming{from, std::forward<M>(m)};
-    }
+  void operator()(NodeId to, NodeId from, const Message& m) const {
+    ::new (a + fill[to]++) Incoming{from, m};
   }
 };
 
@@ -304,16 +302,18 @@ void drain_edge(std::uint32_t& edge_bits, std::uint32_t& max_bits) {
 
 }  // namespace
 
-// Lists the active senders that queued mail this phase, in ascending id
-// order, with a prefix sum of the deliveries each expands to (a
-// broadcast counts once per neighbour). Returns the phase's total.
-std::size_t Simulator::collect_senders() {
-  merge_senders_.clear();
+// Lists the active senders that queued mail into outbox generation
+// `gen` this phase, in ascending id order, with a prefix sum of the
+// deliveries each expands to (a broadcast counts once per neighbour).
+// Returns the phase's total.
+std::size_t Simulator::collect_senders(int gen) {
+  auto& senders = senders_[gen];
+  senders.clear();
   sender_prefix_.assign(1, 0);
   for (NodeId from : actives_) {
-    const Outbox& box = outbox_[from];
+    const Outbox& box = outbox_[gen][from];
     if (box.empty()) continue;
-    merge_senders_.push_back(from);
+    senders.push_back(from);
     sender_prefix_.push_back(sender_prefix_.back() + box.singles.size() +
                              box.bcasts.size() * csr_->degree(from));
   }
@@ -321,8 +321,10 @@ std::size_t Simulator::collect_senders() {
 }
 
 // The fault-free mailbox merge (docs/perf.md, "Sharded mailbox
-// delivery"): moves every delivery queued this phase into mailbox
-// buffer `dst` and accounts the ledger and the trace. Receivers are
+// delivery"): writes a reference to every delivery queued this phase
+// (in outbox generation `dst`) into mailbox buffer `dst` and accounts
+// the ledger and the trace. The messages stay where they were queued
+// (docs/perf.md, "Messages by reference"). Receivers are
 // owned by S contiguous degree-balanced shards; S = 1 — a serial
 // engine, or a phase below pooled_round_min_work — runs every task
 // below on the calling thread. Two passes around one serial reduce:
@@ -337,14 +339,15 @@ std::size_t Simulator::collect_senders() {
 //   pass 2 places rows and scatters, one task per shard, each shard
 //   replaying ALL senders in (sender id, program order) but emitting
 //   only deliveries it owns, so every receiver's row is in that order
-//   at any S. Broadcasts expand via the precomputed per-shard buckets
-//   and are copied (other shards read them concurrently); a directed
-//   edge's bandwidth slot is owned by its destination's shard, so the
-//   reset/utilization sample is race-free too.
+//   at any S. Broadcasts expand via the precomputed per-shard buckets,
+//   every shard writing references to the one stored copy (shards only
+//   read the outboxes); a directed edge's bandwidth slot is owned by its
+//   destination's shard, so the reset/utilization sample is race-free
+//   too.
 // Only unobservable things depend on S: touched_ order (build_actives
 // sorts or flag-scans) and arena row placement (programs see spans).
 void Simulator::merge(int dst, runtime::ThreadPool* pool) {
-  const std::size_t total = collect_senders();
+  const std::size_t total = collect_senders(dst);
   queued_count_ = total;
   if (total == 0) return;
   std::size_t S = 1;
@@ -375,6 +378,8 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
     for (std::size_t i = off[t]; i < off[t + 1]; ++i) fn(bucket_slot_[i]);
   };
 
+  const auto& outbox = outbox_[dst];
+  const auto& senders = senders_[dst];
   auto& arena = arena_[dst];
   auto& count = inbox_count_[dst];
   auto& touched = touched_[dst];
@@ -389,7 +394,7 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
   const std::size_t trace_base = trace_.size();
   if (record) trace_.resize(trace_base + total);
   if (S == 1) {
-    sender_bounds_.assign({0, merge_senders_.size()});
+    sender_bounds_.assign({0, senders.size()});
   } else {
     runtime::balanced_ranges(sender_prefix_, pool->worker_count() * 2,
                              sender_bounds_);
@@ -414,8 +419,8 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
         count[to] += k;
         owned += k;
       };
-      for (NodeId from : merge_senders_) {
-        const Outbox& box = outbox_[from];
+      for (NodeId from : senders) {
+        const Outbox& box = outbox[from];
         for (const OutMsg& sm : box.singles) {
           if (owns(t, sm.to)) note(sm.to, 1);
         }
@@ -433,10 +438,10 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
         record ? trace_.data() + trace_base + sender_prefix_[sender_bounds_[c]]
                : nullptr;
     for (std::size_t i = sender_bounds_[c]; i < sender_bounds_[c + 1]; ++i) {
-      const NodeId from = merge_senders_[i];
+      const NodeId from = senders[i];
       const auto row = csr_->neighbors(from);
       replay(
-          std::as_const(outbox_[from]),
+          outbox[from],
           [&](const OutMsg& sm) {
             bits += sm.msg.bit_size();
             if (tr) *tr++ = TraceEntry{round_, from, sm.to, sm.msg.bit_size()};
@@ -465,21 +470,20 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
 
   // Pass 2 (one task per shard): place the shard's rows in its arena
   // region, then scatter by replaying every sender's seq order and
-  // keeping only owned deliveries. Singles are moved (their one
-  // consumer is this shard).
-  const Scatter put{arena.data(), arena.constructed(), fill_.data()};
+  // keeping only owned deliveries.
+  const Scatter put{arena.data(), fill_.data()};
   fan(S, [&](std::size_t t) {
     place_rows(rows_of(t), dst, shard_base_[t]);
     std::uint32_t max_bits = 0;
-    for (NodeId from : merge_senders_) {
+    for (NodeId from : senders) {
       const auto row = csr_->neighbors(from);
       const std::size_t base = slots_->edge_index(from, 0);
       replay(
-          outbox_[from],
-          [&](OutMsg& sm) {
+          outbox[from],
+          [&](const OutMsg& sm) {
             if (!owns(t, sm.to)) return;
             drain_edge(edge_bits_[base + sm.slot], max_bits);
-            put(sm.to, from, std::move(sm.msg));
+            put(sm.to, from, sm.msg);
           },
           [&](const OutBcast& bc) {
             for_owned_slots(from, t, [&](std::uint32_t s) {
@@ -495,13 +499,11 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
     round_max_edge_bits_ =
         std::max(round_max_edge_bits_, merge_chunks_[sh].max_edge_bits);
   }
-  arena.note_filled(total);
   if (S > 1) {
     for (const auto& mine : shard_touched_) {
       touched.insert(touched.end(), mine.begin(), mine.end());
     }
   }
-  for (NodeId from : merge_senders_) outbox_[from].clear();
 }
 
 // Fault-path merge: the same (sender id, program order) replay as the
@@ -511,15 +513,24 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
 // delivery succeeds — so an all-drop plan still shows the full message
 // bill. Faults are keyed by delivery round (delivery_round_, set by
 // run() before each merge), which is unique per merge even though the
-// start merge and round 0's merge both run with round_ == 0.
+// start merge and round 0's merge both run with round_ == 0. A delivery
+// the plan leaves intact references its outbox copy, like the
+// fault-free merge's; corrupted copies and arrived delayed messages are
+// stored in fault_msgs_[dst], and a duplicate's two deliveries share
+// one message.
 void Simulator::merge_faulted(int dst) {
   auto& arena = arena_[dst];
   auto& count = inbox_count_[dst];
   auto& touched = touched_[dst];
   char* tflag = touched_flag_[dst].data();
+  auto& owned = fault_msgs_[dst];
   FaultCounters& fc = fault_counters_;
 
   resolved_.clear();
+  const auto own = [&](Message&& m) {
+    owned.push_back(std::move(m));
+    return static_cast<std::uint32_t>(owned.size() - 1);
+  };
 
   // Pass 1a: delayed messages whose adjusted round has come, in the
   // order their delays were decided (deterministic — decisions happen
@@ -538,7 +549,8 @@ void Simulator::merge_faulted(int dst) {
       if (faults_->crashed_by(d.to, delivery_round_)) {
         ++fc.crash_drops;
       } else {
-        resolved_.push_back(Delivery{d.to, d.from, std::move(d.msg)});
+        resolved_.push_back(
+            Delivery{d.to, d.from, nullptr, own(std::move(d.msg))});
       }
     }
     delayed_.resize(keep);
@@ -553,7 +565,7 @@ void Simulator::merge_faulted(int dst) {
   const std::vector<FaultEvent>* round_events =
       faults_->events_for_round(delivery_round_);
   const auto resolve = [&](NodeId from, NodeId to, std::size_t e,
-                           Message&& m) {
+                           const Message& m) {
     const std::uint32_t bits = m.bit_size();
     stats_.messages += 1;
     stats_.bits += bits;
@@ -577,43 +589,41 @@ void Simulator::merge_faulted(int dst) {
       ++fc.dropped;
       return;
     }
-    if (d.corrupt) {
-      m = FaultEngine::corrupted_copy(m, d);
-      ++fc.corrupted;
-    }
+    if (d.corrupt) ++fc.corrupted;
     if (d.delay > 0) {
       ++fc.delayed;
-      delayed_.push_back(
-          Delayed{delivery_round_ + d.delay, to, from, std::move(m)});
+      delayed_.push_back(Delayed{
+          delivery_round_ + d.delay, to, from,
+          d.corrupt ? FaultEngine::corrupted_copy(m, d) : m});
       return;
     }
+    const Delivery out{to, from, &m,
+                       d.corrupt ? own(FaultEngine::corrupted_copy(m, d))
+                                 : Delivery::kOutbox};
     if (d.duplicate) {
       ++fc.duplicated;
-      resolved_.push_back(Delivery{to, from, m});
+      resolved_.push_back(out);
     }
-    resolved_.push_back(Delivery{to, from, std::move(m)});
+    resolved_.push_back(out);
   };
 
-  collect_senders();
-  for (NodeId from : merge_senders_) {
+  collect_senders(dst);
+  for (NodeId from : senders_[dst]) {
     const auto row = csr_->neighbors(from);
     const std::size_t base = slots_->edge_index(from, 0);
     replay(
-        outbox_[from],
-        [&](OutMsg& sm) {
-          resolve(from, sm.to, base + sm.slot, std::move(sm.msg));
-        },
+        outbox_[dst][from],
+        [&](const OutMsg& sm) { resolve(from, sm.to, base + sm.slot, sm.msg); },
         [&](const OutBcast& bc) {
           for (std::uint32_t s = 0; s < row.size(); ++s) {
-            resolve(from, row[s].to, base + s, Message(bc.msg));
+            resolve(from, row[s].to, base + s, bc.msg);
           }
         });
-    outbox_[from].clear();
   }
   for (const std::size_t e : touched_edge_scratch_) edge_ordinal_[e] = 0;
 
   // Pass 2: lay out and scatter the surviving deliveries in resolution
-  // order.
+  // order. `owned` is complete now, so its addresses are final.
   const std::size_t total = resolved_.size();
   for (const Delivery& d : resolved_) {
     if (count[d.to]++ == 0) {
@@ -623,9 +633,10 @@ void Simulator::merge_faulted(int dst) {
   }
   arena.ensure_capacity(total);
   place_rows(touched, dst, 0);
-  const Scatter put{arena.data(), arena.constructed(), fill_.data()};
-  for (Delivery& d : resolved_) put(d.to, d.from, std::move(d.msg));
-  arena.note_filled(total);
+  const Scatter put{arena.data(), fill_.data()};
+  for (const Delivery& d : resolved_) {
+    put(d.to, d.from, d.owned == Delivery::kOutbox ? *d.msg : owned[d.owned]);
+  }
   // Delayed messages are still in flight: they must keep the run alive
   // until they arrive, so they count as queued work.
   queued_count_ = total + delayed_.size();
@@ -791,10 +802,12 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     std::fill(inbox_count_[b].begin(), inbox_count_[b].end(), 0u);
     std::fill(touched_flag_[b].begin(), touched_flag_[b].end(), char{0});
     touched_[b].clear();
-    // Arena contents may be stale; rows are always assigned before they
-    // are spanned, so no reset is needed.
+    // Arena contents may be stale; rows are always constructed before
+    // they are spanned, so no reset is needed.
+    for (auto& box : outbox_[b]) box.clear();
+    senders_[b].clear();
+    fault_msgs_[b].clear();
   }
-  for (auto& box : outbox_) box.clear();
   std::fill(edge_bits_.begin(), edge_bits_.end(), 0u);
   fault_counters_ = FaultCounters{};
   delayed_.clear();
@@ -803,7 +816,8 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
   }
 
   // The faulted merge stays serial: fault resolution order is part of
-  // its determinism contract.
+  // its determinism contract. A merge into buffer dst ends the phase
+  // that read buffer 1-dst, so that generation is recycled right after.
   runtime::ThreadPool* pool = round_pool();
   const auto do_merge = [&](int dst) {
     if (faults_) {
@@ -811,6 +825,7 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     } else {
       merge(dst, pool);
     }
+    recycle(1 - dst);
   };
 
   std::vector<NodeContext> contexts;
@@ -822,6 +837,7 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
   // due in round 0 unless it sleeps.
   ++epoch_;
   std::fill(last_active_epoch_.begin(), last_active_epoch_.end(), epoch_);
+  send_gen_ = 0;
   wake_floor_ = 0;
   std::fill(wake_.begin(), wake_.end(), 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -862,10 +878,10 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
 
     if (faults_) apply_crashes();
     build_actives();
-    clear_mailbox(1 - cur_);  // two-rounds-ago mail, no longer referenced
 
     ++epoch_;
     for (NodeId v : actives_) last_active_epoch_[v] = epoch_;
+    send_gen_ = 1 - cur_;
     wake_floor_ = round_ + 1;
     run_actives(programs, contexts);
     refresh_live();

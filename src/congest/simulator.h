@@ -24,8 +24,14 @@
 //
 // Fast path (see docs/perf.md, "Simulator fast path"): message routing
 // and bandwidth accounting are O(1) per send via a precomputed
-// `EdgeSlotIndex`; mailbox rows live in a double-buffered arena that
-// allocates nothing in steady state; each round touches only the active
+// `EdgeSlotIndex`; each sent message is stored once, in its sender's
+// outbox, and a mailbox row holds 16-byte `Incoming` references to it
+// (docs/perf.md, "Messages by reference"). Outboxes and mailbox rows
+// are double-buffered by merge: the sends of round r stay in their
+// outbox generation while round r+1's receivers read them, and that
+// generation is recycled after round r+1's merge, so an inbox is valid
+// for its activation only (NodeProgram::on_round). Neither buffer
+// allocates in steady state. Each round touches only the active
 // node set (due nodes plus message receivers); and with
 // `Config::Execution::workers > 1` the independent per-node `on_round`
 // calls fan out over a work-stealing pool. The ledger, traces,
@@ -37,7 +43,9 @@
 // below `Config::Execution::pooled_round_min_work`, runs it as one
 // shard on the calling thread (docs/perf.md, "Sharded mailbox
 // delivery"). Under a fault plan the merge resolves every send through
-// the fault engine serially instead, in the same replay order.
+// the fault engine serially instead, in the same replay order; the
+// deliveries it makes up (corrupted copies, arrived delayed messages)
+// live in a buffer of the same generation as the outboxes.
 #pragma once
 
 #include <cstdint>
@@ -244,6 +252,10 @@ class NodeProgram {
   /// which the node has mail or is live and due: a node that never
   /// calls NodeContext::sleep_until is due every round. Programs read
   /// the round number from ctx.round() rather than counting calls.
+  /// The inbox and the messages its entries reference are valid only
+  /// during this call: the engine recycles them after the next merge.
+  /// Reading, sending and forwarding them (ctx.send(to, in.msg)) within
+  /// the call is fine; a program that keeps a message copies `in.msg`.
   virtual void on_round(NodeContext& ctx, std::span<const Incoming> inbox) = 0;
 
   /// The engine stops when every node is done and no messages are in
@@ -282,8 +294,9 @@ class Simulator {
  private:
   friend class NodeContext;
 
-  /// One queued point-to-point message, parked in its sender's outbox
-  /// until the merge scatters it into the receiver-side arena.
+  /// One queued point-to-point message. It stays in its sender's outbox
+  /// until the round that reads it is over; the receiver's mailbox row
+  /// references it.
   struct OutMsg {
     NodeId to;
     std::uint32_t slot;  ///< slot of `to` in the sender's adjacency row
@@ -293,7 +306,7 @@ class Simulator {
 
   /// One queued broadcast: stored once and expanded to every neighbour
   /// at scatter time (the dominant primitive — a degree-d broadcast
-  /// parks one message, not d copies).
+  /// parks one message, and its d mailbox entries all reference it).
   struct OutBcast {
     std::uint32_t seq;
     Message msg;
@@ -314,11 +327,10 @@ class Simulator {
     }
   };
 
-  /// Receiver-side mailbox storage: raw memory with a constructed-element
-  /// watermark. The scatter pass move/copy-constructs each slot on first
-  /// use and assigns thereafter — there is no default-construction pass
-  /// over fresh capacity (a vector resize would value-initialize every
-  /// new element only to overwrite it immediately).
+  /// Receiver-side mailbox storage: raw memory for `Incoming` entries.
+  /// Every merge placement-constructs each row it delivers, and an
+  /// Incoming is trivially destructible, so the arena never constructs
+  /// ahead of use, never destroys, and drops its old contents on growth.
   class MailArena {
    public:
     MailArena() = default;
@@ -328,18 +340,12 @@ class Simulator {
 
     Incoming* data() { return data_; }
     const Incoming* data() const { return data_; }
-    /// Elements [0, constructed()) are live and assignable; slots beyond
-    /// must be placement-constructed (then note_filled raises the mark).
-    std::size_t constructed() const { return constructed_; }
+    /// Room for `need` entries; the old entries are not kept.
     void ensure_capacity(std::size_t need);
-    void note_filled(std::size_t total) {
-      if (total > constructed_) constructed_ = total;
-    }
 
    private:
     Incoming* data_ = nullptr;
     std::size_t cap_ = 0;
-    std::size_t constructed_ = 0;
   };
 
   void sleep_node(NodeId v, std::uint64_t round);
@@ -347,14 +353,14 @@ class Simulator {
   void queue_to_slot(NodeId from, std::uint32_t slot, Message m);
   void queue_broadcast(NodeId from, const Message& m);
   void admit(NodeId from, NodeId to, std::uint32_t slot, Message&& m);
-  std::size_t collect_senders();
+  std::size_t collect_senders(int gen);
   void merge(int dst, runtime::ThreadPool* pool);
   void merge_faulted(int dst);
   void ensure_shard_plan(unsigned workers);
   std::size_t place_rows(std::span<const NodeId> rows, int dst,
                          std::size_t off);
   void apply_crashes();
-  void clear_mailbox(int b);
+  void recycle(int b);
   std::uint64_t earliest_wake() const;
   void build_actives();
   void run_actives(std::span<const std::unique_ptr<NodeProgram>> programs,
@@ -390,14 +396,22 @@ class Simulator {
   // Per-sender outboxes (worker-private during a parallel round) and the
   // flat per-directed-edge bandwidth ledger, reset via the queued
   // messages themselves (touched slots only, never an O(2m) refill).
-  std::vector<Outbox> outbox_;
+  // Outboxes come in two generations, indexed like the mailbox buffer
+  // their messages are delivered into: a phase sends into outbox_[g]
+  // (g = send_gen_), the merge scatters references to those messages
+  // into arena_[g], and recycle(g) empties both once the round that
+  // read arena_[g] is over. senders_[g] lists the outboxes with mail.
+  std::vector<Outbox> outbox_[2];
+  std::vector<NodeId> senders_[2];
+  int send_gen_ = 0;
   std::vector<std::uint32_t> edge_bits_;
   std::uint32_t round_max_edge_bits_ = 0;
   std::uint64_t queued_count_ = 0;
 
   // Double-buffered mailbox arena: arena_[cur_] is delivered this round
   // while the merge scatters next round's messages into arena_[1-cur_].
-  // Rows are contiguous spans [inbox_begin_[v], +inbox_count_[v]).
+  // Rows are contiguous spans [inbox_begin_[v], +inbox_count_[v]) of
+  // Incoming references into outbox_[b] (or, faulted, fault_msgs_[b]).
   MailArena arena_[2];
   std::vector<std::size_t> inbox_begin_[2];
   std::vector<std::uint32_t> inbox_count_[2];
@@ -434,7 +448,6 @@ class Simulator {
     std::uint64_t total = 0;          ///< shard: deliveries owned
     std::uint32_t max_edge_bits = 0;  ///< shard: utilization sample
   };
-  std::vector<NodeId> merge_senders_;        ///< active senders with mail
   std::vector<std::uint64_t> sender_prefix_; ///< delivery-count prefix
   std::vector<std::size_t> sender_bounds_;   ///< accounting chunk cuts
   std::vector<MergeChunk> merge_chunks_;
@@ -450,13 +463,20 @@ class Simulator {
   // outcomes — like the ledger — are identical at any worker count.
   std::unique_ptr<FaultEngine> faults_;
   FaultCounters fault_counters_;
-  /// One message after fault resolution, waiting to be scattered.
+  /// One message after fault resolution, waiting to be scattered: a
+  /// reference into an outbox, or (owned != kOutbox) the index of a
+  /// message the merge made up in fault_msgs_ of the same generation.
   struct Delivery {
+    static constexpr std::uint32_t kOutbox = ~std::uint32_t{0};
     NodeId to;
     NodeId from;
-    Message msg;
+    const Message* msg;
+    std::uint32_t owned;
   };
   std::vector<Delivery> resolved_;  ///< scratch, reused across merges
+  /// Corrupted copies and arrived delayed messages, by generation (the
+  /// mailbox buffer whose rows reference them); recycled with it.
+  std::vector<Message> fault_msgs_[2];
   /// A message held back by a delay fault until its new delivery round.
   struct Delayed {
     std::uint64_t round;  ///< adjusted delivery round

@@ -12,6 +12,38 @@ namespace qc::paths {
 
 namespace {
 
+/// Per source, the number of targets within `cap` hops (itself
+/// included): exactly the targets that ever get a Lemma 3.2 label. The
+/// top scale rounds every weight to 1, so each of them is labelled
+/// there, and no rounded weight is below 1, so nothing farther ever is.
+/// With cap >= n-1 a ball is the source's whole component, and one BFS
+/// serves every source in it.
+std::vector<NodeId> ball_sizes(const CsrGraph& base,
+                               const std::vector<NodeId>& sources, Dist cap,
+                               DijkstraWorkspace& ws, std::vector<Dist>& hop) {
+  const NodeId n = base.node_count();
+  const bool whole_component = cap + 1 >= n;
+  std::vector<NodeId> component_size(whole_component ? n : 0, 0);
+  std::vector<NodeId> sizes;
+  sizes.reserve(sources.size());
+  for (const NodeId s : sources) {
+    if (whole_component && component_size[s] != 0) {
+      sizes.push_back(component_size[s]);
+      continue;
+    }
+    ws.bfs(base, s, hop);
+    const auto size = static_cast<NodeId>(std::count_if(
+        hop.begin(), hop.end(), [&](Dist h) { return h <= cap; }));
+    if (whole_component) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (hop[v] < kInfDist) component_size[v] = size;
+      }
+    }
+    sizes.push_back(size);
+  }
+  return sizes;
+}
+
 /// Multi-source variant: one reweighted view per scale, shared across
 /// sources. Returns rows indexed like `sources`. The per-scale rounding
 /// w_i only changes weights, so instead of rebuilding a WeightedGraph per
@@ -19,6 +51,14 @@ namespace {
 /// kept and only its weight entries are rewritten; the scratch CSR, the
 /// Dijkstra workspace, and the row buffer are all reused across the
 /// scale × source loop, so iterations allocate nothing after the first.
+///
+/// Exact early stop (docs/perf.md, "Exact scale-loop stop"). Because
+/// ⌈⌈x⌉/2⌉ = ⌈x/2⌉, w_{i+1} = ⌈w_i/2⌉ ≥ w_i/2, so a label d_i(v)·2^i
+/// never decreases as i grows while d_i(v) itself never increases: the
+/// first scale with d_i(v) <= cap already holds the minimum over all
+/// scales. A source is therefore done once every target in its cap-hop
+/// ball has a label, and the loop (reweighting included) ends once every
+/// source is done. The rows equal the full scale loop's integers.
 std::vector<std::vector<Dist>> approx_bounded_hop_multi(
     const WeightedGraph& g, const std::vector<NodeId>& sources,
     const HopScale& scale) {
@@ -31,24 +71,32 @@ std::vector<std::vector<Dist>> approx_bounded_hop_multi(
   CsrGraph gi;
   DijkstraWorkspace ws;
   std::vector<Dist> di;
-  for (std::uint32_t i = 0; i < scales; ++i) {
+  // unlabelled[a]: targets of sources[a] that will get a label but have
+  // none yet; open: indices of the sources with any left.
+  std::vector<NodeId> unlabelled = ball_sizes(base, sources, cap, ws, di);
+  std::vector<std::size_t> open(sources.size());
+  std::iota(open.begin(), open.end(), std::size_t{0});
+  for (std::uint32_t i = 0; i < scales && !open.empty(); ++i) {
     gi.assign_reweighted(
         base, [&](Weight w) { return scale.rounded_weight(w, i); });
-    for (std::size_t a = 0; a < sources.size(); ++a) {
+    std::size_t keep = 0;
+    for (const std::size_t a : open) {
       // Labels above the eligibility cap are discarded by the filter
       // below, so the capped run (exact up to `cap`, see algorithms.h)
       // yields identical rows while settling only the cap ball — at
       // fine scales that ball is a small fraction of the graph.
       ws.dijkstra(gi, sources[a], di, cap);
       for (NodeId v = 0; v < n; ++v) {
-        if (di[v] <= cap) {
-          const Dist shifted = di[v] << i;
-          QC_CHECK((shifted >> i) == di[v] && shifted < kInfDist,
-                   "scaled distance overflow");
-          best[a][v] = std::min(best[a][v], shifted);
-        }
+        if (di[v] > cap || best[a][v] < kInfDist) continue;
+        const Dist shifted = di[v] << i;
+        QC_CHECK((shifted >> i) == di[v] && shifted < kInfDist,
+                 "scaled distance overflow");
+        best[a][v] = shifted;
+        --unlabelled[a];
       }
+      if (unlabelled[a] != 0) open[keep++] = a;
     }
+    open.resize(keep);
   }
   return best;
 }
@@ -107,11 +155,12 @@ void approx_matrix_into(const std::vector<std::vector<Dist>>& w,
   wi.assign(n, std::vector<Dist>(n, kInfDist));
   // Useful-scale band, exact on both ends: a scale whose lightest
   // rounded edge already exceeds the eligibility cap settles nothing
-  // beyond the diagonal (skip it), and once every pair is finite with
-  // value <= 2^{i+1}, scale j > i only offers dist_j·2^j >= 2^{i+1}
-  // (every rounded weight is >= 1), so no later scale can improve any
-  // entry (stop). Skipped and stopped scales reproduce the full loop's
-  // integers exactly.
+  // beyond the diagonal (skip it), and once every off-diagonal pair is
+  // finite no later scale can change any entry (stop): as in
+  // approx_bounded_hop_multi, a pair's first eligible label is its
+  // minimum over all scales. Skipped and stopped scales reproduce the
+  // full loop's integers exactly.
+  std::size_t unlabelled = n * (n - 1);  // off-diagonal pairs still kInfDist
   Dist min_w = kInfDist;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
@@ -152,27 +201,15 @@ void approx_matrix_into(const std::vector<std::vector<Dist>>& w,
     }
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = 0; b < n; ++b) {
-        if (wi[a][b] <= cap) {
-          const Dist shifted = wi[a][b] << i;
-          QC_CHECK((shifted >> i) == wi[a][b] && shifted < kInfDist,
-                   "scaled distance overflow");
-          best[a][b] = std::min(best[a][b], shifted);
-        }
+        if (wi[a][b] > cap || best[a][b] < kInfDist) continue;
+        const Dist shifted = wi[a][b] << i;
+        QC_CHECK((shifted >> i) == wi[a][b] && shifted < kInfDist,
+                 "scaled distance overflow");
+        best[a][b] = shifted;
+        if (a != b) --unlabelled;
       }
     }
-    bool settled = true;
-    Dist mx = 0;
-    for (std::size_t a = 0; a < n && settled; ++a) {
-      for (std::size_t b = 0; b < n; ++b) {
-        if (a == b) continue;
-        if (best[a][b] >= kInfDist) {
-          settled = false;
-          break;
-        }
-        mx = std::max(mx, best[a][b]);
-      }
-    }
-    if (settled && mx <= (Dist{1} << (i + 1))) break;
+    if (unlabelled == 0) break;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "congest/primitives.h"
@@ -440,6 +441,72 @@ TEST(Flood, DuplicatePayloadInjectionFailsLoudly) {
     EXPECT_NE(std::string(e.what()).find("node 0"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("node 8"), std::string::npos);
   }
+}
+
+std::vector<std::vector<std::uint64_t>> field_values(
+    const std::vector<FloodItem>& items) {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (const FloodItem& item : items) {
+    auto& fields = out.emplace_back();
+    for (std::size_t i = 0; i < item.field_count(); ++i) {
+      fields.push_back(item.field(i));
+    }
+  }
+  return out;
+}
+
+// Items with mixed field counts whose values share prefixes. Results are
+// sorted by field values, lexicographically, a proper prefix first. The
+// literals were captured from the map-based dedup the sorted index
+// replaced.
+TEST(Flood, MixedFieldCountItemsArePinned) {
+  const auto g = gen::grid(3, 4);
+  const auto item = [](std::initializer_list<std::uint64_t> fields) {
+    FloodItem f;
+    for (const std::uint64_t x : fields) f.push(x, 5);
+    return f;
+  };
+  std::vector<std::vector<FloodItem>> initial(12);
+  initial[0] = {item({3}), item({2, 9, 9})};
+  initial[5] = {item({3, 0})};
+  initial[7] = {item({2}), item({9, 9})};
+  initial[11] = {item({2, 9}), item({3, 0, 1}), item({0})};
+  const auto res = flood_items(g, initial, {}, FloodCollect::kAllNodes);
+  EXPECT_EQ(res.stats, (RunStats{12, 272, 2550}));
+  const std::vector<std::vector<std::uint64_t>> expected = {
+      {0}, {2}, {2, 9}, {2, 9, 9}, {3}, {3, 0}, {3, 0, 1}, {9, 9}};
+  ASSERT_EQ(res.items_at.size(), 12u);
+  for (NodeId v = 0; v < 12; ++v) {
+    EXPECT_EQ(field_values(res.items_at[v]), expected) << "node " << v;
+    for (const FloodItem& f : res.items_at[v]) {
+      EXPECT_EQ(f.bit_size(), 5 * f.field_count()) << "node " << v;
+    }
+  }
+}
+
+// A flood far past the sizes the library sends (b·k items): every node
+// ends with every item, in content order.
+TEST(Flood, TwoThousandItemsReachEveryNodeSorted) {
+  Rng rng(8);
+  const auto g = gen::erdos_renyi_connected(24, 0.15, rng);
+  constexpr std::uint64_t kItems = 2100;
+  std::vector<std::vector<FloodItem>> initial(g.node_count());
+  std::vector<std::vector<std::uint64_t>> expected;
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    // (k), (k, 1), (k, 2) for k = i / 3: distinct, sharing prefixes, and
+    // generated in result order.
+    FloodItem f;
+    f.push(i / 3, 12);
+    if (i % 3 != 0) f.push(i % 3, 2);
+    expected.push_back(field_values({f}).front());
+    initial[(i * 7) % g.node_count()].push_back(std::move(f));
+  }
+  const auto res = flood_items(g, std::move(initial));
+  ASSERT_EQ(res.items_at.size(), g.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(field_values(res.items_at[v]), expected) << "node " << v;
+  }
+  EXPECT_LE(res.stats.rounds, unweighted_diameter(g) + kItems + 1);
 }
 
 // --- fast-path regression tests (see docs/perf.md) --------------------
@@ -893,6 +960,131 @@ TEST(SimulatorGolden, InterleaveInboxLogsArePinned) {
     EXPECT_EQ(run.at(7).log, (Log{{0, 0, 1}, {0, 0, 2}}))
         << "workers=" << workers;
     EXPECT_EQ(run.stats, (RunStats{1, 30, 540})) << "workers=" << workers;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Messages by reference: an inbox entry is a (sender, reference) pair
+// into the engine's one stored copy, valid for its activation only.
+// ---------------------------------------------------------------------
+static_assert(sizeof(Incoming) <= 16);
+static_assert(std::is_trivially_destructible_v<Incoming>);
+
+// Reads its inbox, broadcasts, forwards a received message and reads the
+// inbox again, all within one activation: everything a program may do
+// with the messages it is handed. Each node folds every delivery it
+// reads, before and after its own sends, into a digest.
+class RelayProgram final : public NodeProgram {
+ public:
+  static constexpr std::uint64_t kLastSendRound = 12;
+
+  void on_start(NodeContext& ctx) override {
+    Message hello;
+    hello.push(ctx.id(), 16).push(0, 8);
+    ctx.broadcast(hello);
+  }
+  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    const std::uint64_t r = ctx.round();
+    std::uint64_t mix = r;
+    for (const Incoming& in : inbox) {
+      digest_ = fnv1a({r, in.from, in.msg.field(0), in.msg.field(1)}, digest_);
+      mix += 3 * in.msg.field(0) + in.msg.field(1);
+    }
+    last_round_ = r;
+    if (r > kLastSendRound) return;
+    Message own;
+    own.push(ctx.id(), 16).push(mix & 0xff, 8);
+    ctx.broadcast(own);
+    if (!inbox.empty()) {
+      const auto row = ctx.neighbors();
+      ctx.send(row[r % row.size()].to, inbox[r % inbox.size()].msg);
+    }
+    for (const Incoming& in : inbox) {
+      digest_ = fnv1a({in.from, in.msg.field(0), in.msg.bit_size()}, digest_);
+    }
+  }
+  bool done() const override { return last_round_ > kLastSendRound; }
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  std::uint64_t digest_ = fnv1a({});
+  std::uint64_t last_round_ = 0;
+};
+
+struct RelayCapture {
+  RunStats stats;
+  std::uint64_t trace = 0;    ///< trace_digest
+  std::uint64_t metrics = 0;  ///< metrics_digest
+  std::uint64_t outputs = 0;  ///< the nodes' digests, in id order
+  FaultCounters faults;
+};
+
+// Every phase forced through the pool (threshold 0) when workers > 1.
+RelayCapture run_relay(unsigned workers, FaultPlan plan = {}) {
+  Rng rng(99);
+  const auto g = gen::erdos_renyi_connected(48, 0.1, rng);
+  Config cfg;
+  cfg.bandwidth_bits = 64;
+  cfg.hooks.record_trace = true;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = 0;
+  cfg.faults = std::move(plan);
+  std::vector<RoundMetrics> metrics;
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
+    metrics.push_back(rm);
+  };
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    programs.push_back(std::make_unique<RelayProgram>());
+  }
+  Simulator sim(g, cfg);
+  RelayCapture cap;
+  cap.stats = sim.run(programs);
+  cap.trace = trace_digest(sim.trace());
+  cap.metrics = metrics_digest(metrics);
+  cap.outputs = fnv1a({});
+  for (const auto& p : programs) {
+    cap.outputs =
+        fnv1a({static_cast<const RelayProgram&>(*p).digest()}, cap.outputs);
+  }
+  cap.faults = sim.fault_counters();
+  return cap;
+}
+
+// Literals captured from the engine that copied every delivery into its
+// mailbox row.
+TEST(ByReference, RelayRunIsPinned) {
+  for (const unsigned workers : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    const RelayCapture got = run_relay(workers);
+    EXPECT_EQ(got.stats, (RunStats{14, 3816, 91584}));
+    EXPECT_EQ(got.trace, 450311352711795274ull);
+    EXPECT_EQ(got.metrics, 17037489179321775999ull);
+    EXPECT_EQ(got.outputs, 16929904263582058254ull);
+    EXPECT_EQ(got.faults, FaultCounters{});
+  }
+}
+
+TEST(ByReference, FaultedRelayRunIsPinned) {
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.probabilities.duplicate = 0.05;
+  plan.probabilities.corrupt = 0.05;
+  plan.probabilities.delay = 0.05;
+  plan.probabilities.delay_rounds = 3;
+  for (const unsigned workers : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    const RelayCapture got = run_relay(workers, plan);
+    EXPECT_EQ(got.stats, (RunStats{17, 3816, 91584}));
+    EXPECT_EQ(got.trace, 450311352711795274ull);
+    EXPECT_EQ(got.metrics, 18112021809027891594ull);
+    EXPECT_EQ(got.outputs, 15359309066750277256ull);
+    EXPECT_EQ(got.faults.duplicated, 195u);
+    EXPECT_EQ(got.faults.corrupted, 148u);
+    EXPECT_EQ(got.faults.delayed, 169u);
+    EXPECT_EQ(got.faults.total(),
+              got.faults.duplicated + got.faults.corrupted +
+                  got.faults.delayed);
   }
 }
 

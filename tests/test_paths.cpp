@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "paths/distributed.h"
 #include "paths/params.h"
 #include "paths/reference.h"
+#include "runtime/thread_pool.h"
 #include "toolkit_pins.h"
 #include "util/rng.h"
 
@@ -101,6 +104,180 @@ TEST_P(Lemma32Test, ApproximationSandwich) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Lemma32Test,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------
+// Exact early stop in the Lemma 3.2 scale loops: every backend must
+// reproduce the full scale loop — one Dijkstra (graphs) or one
+// Floyd–Warshall (matrices) per scale, every scale folded.
+// ---------------------------------------------------------------------
+std::vector<Dist> full_scale_row(const WeightedGraph& g, NodeId s,
+                                 const HopScale& hs) {
+  std::vector<Dist> best(g.node_count(), kInfDist);
+  for (std::uint32_t i = 0; i < hs.scale_count(); ++i) {
+    const auto di = dijkstra(
+        g.reweighted([&](Weight w) { return hs.rounded_weight(w, i); }), s);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (di[v] <= hs.rounded_cap()) best[v] = std::min(best[v], di[v] << i);
+    }
+  }
+  return best;
+}
+
+std::vector<std::vector<Dist>> full_scale_matrix(
+    const std::vector<std::vector<Dist>>& w, const HopScale& hs) {
+  const std::size_t n = w.size();
+  std::vector<std::vector<Dist>> best(n, std::vector<Dist>(n, kInfDist));
+  for (std::uint32_t i = 0; i < hs.scale_count(); ++i) {
+    std::vector<std::vector<Dist>> d(n, std::vector<Dist>(n, kInfDist));
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b) {
+          d[a][b] = 0;
+        } else if (w[a][b] < kInfDist) {
+          d[a][b] = hs.rounded_weight(w[a][b], i);
+        }
+      }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = 0; b < n; ++b) {
+          d[a][b] = std::min(d[a][b], dist_add(d[a][k], d[k][b]));
+        }
+      }
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        if (d[a][b] <= hs.rounded_cap()) {
+          best[a][b] = std::min(best[a][b], d[a][b] << i);
+        }
+      }
+    }
+  }
+  return best;
+}
+
+struct NamedGraph {
+  const char* name;
+  WeightedGraph g;
+};
+
+// One graph per family, plus one with two components.
+std::vector<NamedGraph> early_stop_graphs() {
+  Rng rng(2024);
+  std::vector<NamedGraph> out;
+  out.push_back({"ER", test_graph(11, 40, 12)});
+  out.push_back({"grid", gen::randomize_weights(gen::grid(5, 6), 9, rng)});
+  out.push_back({"path", gen::randomize_weights(gen::path(24), 20, rng)});
+  out.push_back({"cliques",
+                 gen::randomize_weights(gen::path_of_cliques(4, 5), 7, rng)});
+  out.push_back({"tree", gen::randomize_weights(gen::random_tree(30, rng), 15,
+                                                rng)});
+  WeightedGraph split(20);  // a path on 0..9 and a cycle on 10..19
+  for (NodeId v = 0; v + 1 < 10; ++v) split.add_edge(v, v + 1, 1 + v % 6);
+  for (NodeId v = 10; v < 20; ++v) {
+    split.add_edge(v, v == 19 ? 10 : v + 1, 1 + (3 * v) % 11);
+  }
+  out.push_back({"disconnected", std::move(split)});
+  return out;
+}
+
+// (ℓ, 1/ε) pairs: cap = (1 + 2/ε)·ℓ runs from 3 hops, which leaves most
+// of the path and tree beyond reach, to past n.
+constexpr std::pair<std::uint64_t, std::uint32_t> kEarlyStopScales[] = {
+    {1, 1}, {2, 1}, {3, 3}, {4, 2}, {40, 6}};
+
+TEST(EarlyStop, GraphRowsMatchFullScaleLoop) {
+  std::size_t beyond_cap = 0;
+  for (const auto& [name, g] : early_stop_graphs()) {
+    for (const auto& [ell, eps_inv] : kEarlyStopScales) {
+      SCOPED_TRACE(::testing::Message() << name << " ell=" << ell
+                                        << " eps_inv=" << eps_inv);
+      const HopScale hs{ell, eps_inv, g.max_weight()};
+      for (NodeId s = 0; s < g.node_count(); ++s) {
+        const auto full = full_scale_row(g, s, hs);
+        EXPECT_EQ(approx_bounded_hop_from(g, s, hs), full) << "s=" << s;
+        const auto hops = bfs_distances(g, s);
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+          if (hops[v] < kInfDist && full[v] >= kInfDist) ++beyond_cap;
+        }
+      }
+    }
+  }
+  // Some reachable targets must lie beyond cap hops, so the test covers
+  // sources whose labelled set is smaller than their component.
+  EXPECT_GT(beyond_cap, 0u);
+}
+
+TEST(EarlyStop, ToolkitRowsMatchFullScaleLoop) {
+  runtime::ThreadPool pool(4);
+  for (const auto& [name, g] : early_stop_graphs()) {
+    std::vector<NodeId> all(g.node_count());
+    std::iota(all.begin(), all.end(), NodeId{0});
+    for (const auto& [ell, eps_inv] : kEarlyStopScales) {
+      Params params;
+      params.n = g.node_count();
+      params.ell = ell;
+      params.eps_inv = eps_inv;
+      for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                     &pool}) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " ell=" << ell << " eps_inv=" << eps_inv
+                     << (p ? " pooled" : " serial"));
+        ToolkitCache cache(g, params);
+        cache.ensure_rows(all, p);
+        ASSERT_EQ(cache.cached_row_count(), all.size());
+        for (const NodeId u : all) {
+          EXPECT_EQ(cache.approx_row(u),
+                    full_scale_row(g, u, cache.base_scale()))
+              << "u=" << u;
+        }
+      }
+    }
+  }
+}
+
+TEST(EarlyStop, MatrixMatchesFullScaleLoop) {
+  Rng rng(77);
+  std::vector<std::pair<const char*, std::vector<std::vector<Dist>>>> mats;
+  // Dense, with ~30% of the pairs missing.
+  const std::size_t n = 14;
+  std::vector<std::vector<Dist>> dense(n, std::vector<Dist>(n, kInfDist));
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (rng.chance(0.3)) continue;
+      dense[a][b] = dense[b][a] = 1 + rng.below(500);
+    }
+  }
+  mats.emplace_back("dense", dense);
+  // A weighted path: far pairs need many hops.
+  std::vector<std::vector<Dist>> chain(n, std::vector<Dist>(n, kInfDist));
+  for (std::size_t a = 0; a + 1 < n; ++a) {
+    chain[a][a + 1] = chain[a + 1][a] = 1 + (7 * a) % 13;
+  }
+  mats.emplace_back("chain", chain);
+  // Two blocks with no edge between them.
+  auto blocks = dense;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if ((a < n / 2) != (b < n / 2)) blocks[a][b] = kInfDist;
+    }
+  }
+  mats.emplace_back("disconnected", blocks);
+  for (const auto& [name, w] : mats) {
+    Dist max_w = 1;
+    for (const auto& row : w) {
+      for (const Dist x : row) {
+        if (x < kInfDist) max_w = std::max(max_w, x);
+      }
+    }
+    for (const auto& [ell, eps_inv] : kEarlyStopScales) {
+      SCOPED_TRACE(::testing::Message() << name << " ell=" << ell
+                                        << " eps_inv=" << eps_inv);
+      const HopScale hs{ell, eps_inv, max_w};
+      EXPECT_EQ(approx_bounded_hop_matrix(w, hs), full_scale_matrix(w, hs));
+    }
+  }
+}
 
 // ---------------------------------------------------------------------
 // Algorithm 2 vs capped Dijkstra

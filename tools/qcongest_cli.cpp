@@ -4,7 +4,7 @@
 //                          [--maxw W] [--seed S] [--radius]
 //                          [--eps-inv E] [--graph FILE]
 //   qcongest_cli gadget    [--h H] [--radius] [--seed S] [--full]
-//   qcongest_cli degree    --k K [--or] [--eps NUM/DEN]
+//   qcongest_cli degree    --k K [--or]
 //   qcongest_cli baseline  [--n N] [--seed S]
 //   qcongest_cli params    --n N --d D
 //   qcongest_cli sweep     [--n 64,128] [--family ER,grid] [--seeds K]
@@ -29,6 +29,7 @@
 // `serve` keeps a resident service::QueryEngine answering line-delimited
 // JSON requests from stdin against warm graph artifacts; `query` is its
 // one-shot twin (docs/service.md documents both and the wire format).
+// Every subcommand rejects a flag it does not read.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -40,6 +41,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -103,7 +105,56 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, int from) {
+// The flags each subcommand reads (dataset verbs are keyed "dataset
+// <verb>"). parse_args rejects any other flag before the subcommand
+// runs, so a mistyped flag fails instead of silently keeping a default.
+const std::map<std::string, std::set<std::string>>& command_flags() {
+  const auto join = [](std::initializer_list<std::set<std::string>> parts) {
+    std::set<std::string> out;
+    for (const auto& part : parts) out.insert(part.begin(), part.end());
+    return out;
+  };
+  // Read by make_graph and make_engine.
+  static const std::set<std::string> graph = {"graph", "n", "family", "maxw",
+                                              "seed"};
+  static const std::set<std::string> engine = {"workers", "queue", "batch"};
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"diameter", join({graph, {"radius", "eps-inv"}})},
+      {"gadget", {"h", "radius", "full", "seed"}},
+      {"degree", {"k", "or"}},
+      {"baseline", graph},
+      {"params", {"n", "d"}},
+      {"sweep",
+       {"n", "family", "seeds", "eps-inv", "bandwidth", "maxw", "seed", "algo",
+        "round-metrics", "out", "workers"}},
+      {"serve", join({engine, {"graphs", "count", "n", "family", "maxw",
+                               "seed", "warm", "metrics"}})},
+      {"query", join({graph, engine, {"id", "type", "node", "target",
+                                      "query-seed", "op", "weight"}})},
+      {"dataset generate",
+       {"out", "family", "maxw", "seed", "scale", "m", "n", "exponent",
+        "avg-deg", "p", "rows", "cols", "diag"}},
+      {"dataset convert", {"in", "out"}},
+      {"dataset shuffle", {"in", "out", "seed", "mem-budget"}},
+      {"dataset sort", {"in", "out", "mem-budget"}},
+      {"dataset summarize", {"in"}},
+      {"dataset pack-csr", {"in", "out", "workers"}},
+  };
+  return table;
+}
+
+// Flags that take no value; every other flag takes exactly one.
+bool is_switch(const std::string& flag) {
+  return flag == "radius" || flag == "full" || flag == "or" ||
+         flag == "warm" || flag == "round-metrics";
+}
+
+// Parses argv[from..) as `--flag value` pairs and bare switches, against
+// `command`'s flag list. A value is the next token unless that starts
+// with "--", so a negative number reaches the strict numeric parser,
+// which names it.
+Args parse_args(int argc, char** argv, int from, const std::string& command) {
+  const std::set<std::string>& known = command_flags().at(command);
   Args a;
   for (int i = from; i < argc; ++i) {
     std::string tok = argv[i];
@@ -111,10 +162,20 @@ Args parse_args(int argc, char** argv, int from) {
       throw ArgumentError("unexpected argument: " + tok);
     }
     tok = tok.substr(2);
-    if (i + 1 < argc && argv[i + 1][0] != '-') {
+    if (known.count(tok) == 0) {
+      std::string list;
+      for (const std::string& k : known) {
+        list += (list.empty() ? "--" : ", --") + k;
+      }
+      throw ArgumentError("unknown flag --" + tok + " for '" + command +
+                          "' (it reads " + list + ")");
+    }
+    if (is_switch(tok)) {
+      a.flags[tok] = true;
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       a.kv[tok] = argv[++i];
     } else {
-      a.flags[tok] = true;
+      throw ArgumentError("--" + tok + " needs a value");
     }
   }
   return a;
@@ -734,9 +795,17 @@ int main(int argc, char** argv) {
       QC_REQUIRE(argc >= 3 && argv[2][0] != '-',
                  "dataset needs a verb: generate|convert|shuffle|sort|"
                  "summarize|pack-csr");
-      return cmd_dataset(argv[2], parse_args(argc, argv, 3));
+      const std::string verb = argv[2];
+      if (command_flags().count("dataset " + verb) == 0) {
+        return cmd_dataset(verb, Args{});  // names the unknown verb
+      }
+      return cmd_dataset(verb, parse_args(argc, argv, 3, "dataset " + verb));
     }
-    const Args a = parse_args(argc, argv, 2);
+    if (command_flags().count(cmd) == 0) {
+      usage();
+      return 1;
+    }
+    const Args a = parse_args(argc, argv, 2, cmd);
     if (cmd == "diameter") return cmd_diameter(a);
     if (cmd == "gadget") return cmd_gadget(a);
     if (cmd == "degree") return cmd_degree(a);
