@@ -71,117 +71,7 @@ void CsrGraph::detach() {
   rebind_views();
 }
 
-std::vector<HalfEdge>& CsrGraph::overlay_row(NodeId u) {
-  if (!patch_) {
-    patch_ = std::make_unique<Patch>();
-    patch_->slot.assign(node_count(), -1);
-  }
-  std::int32_t s = patch_->slot[u];
-  if (s < 0) {
-    s = static_cast<std::int32_t>(patch_->rows.size());
-    patch_->rows.emplace_back(halves_.begin() + offsets_[u],
-                              halves_.begin() + offsets_[u + 1]);
-    patch_->slot[u] = s;
-    patch_->resident += patch_->rows.back().size();
-  }
-  return patch_->rows[static_cast<std::size_t>(s)];
-}
-
-void CsrGraph::patch_row(NodeId u, std::span<const HalfEdge> row) {
-  QC_REQUIRE(u < node_count(), "node id out of range");
-  std::vector<HalfEdge>& dst = overlay_row(u);
-  const auto old_size = static_cast<std::int64_t>(dst.size());
-  const auto new_size = static_cast<std::int64_t>(row.size());
-  dst.assign(row.begin(), row.end());
-  patch_->resident =
-      static_cast<std::size_t>(static_cast<std::int64_t>(patch_->resident) +
-                               new_size - old_size);
-  // half_delta tracks current-vs-base, and `old` here may itself have
-  // been an overlay row already off the base size — so account for the
-  // step, not the base difference.
-  patch_->half_delta += new_size - old_size;
-}
-
-void CsrGraph::patch_weight(NodeId u, NodeId to, Weight w) {
-  QC_REQUIRE(u < node_count(), "node id out of range");
-  HalfEdge* entry = nullptr;
-  if (patch_ && patch_->slot[u] >= 0) {
-    for (HalfEdge& h : patch_->rows[static_cast<std::size_t>(patch_->slot[u])]) {
-      if (h.to == to) entry = &h;
-    }
-  } else if (mapping_ != nullptr) {
-    for (HalfEdge& h : overlay_row(u)) {
-      if (h.to == to) entry = &h;
-    }
-  } else {
-    for (std::size_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
-      if (own_halves_[i].to == to) entry = &own_halves_[i];
-    }
-  }
-  QC_REQUIRE(entry != nullptr, "patch_weight: no such directed edge");
-  entry->weight = w;
-}
-
-void CsrGraph::compact() {
-  if (!patch_) return;
-  const NodeId n = node_count();
-  std::vector<std::size_t> offs(std::size_t{n} + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    offs[std::size_t{u} + 1] = offs[u] + neighbors(u).size();
-  }
-  std::vector<HalfEdge> flat(offs[n]);
-  Weight mx = 1;
-  for (NodeId u = 0; u < n; ++u) {
-    std::size_t pos = offs[u];
-    for (const HalfEdge& h : neighbors(u)) {
-      flat[pos++] = h;
-      mx = std::max(mx, h.weight);
-    }
-  }
-  own_offsets_ = std::move(offs);
-  own_halves_ = std::move(flat);
-  mapping_.reset();
-  patch_.reset();
-  max_weight_ = mx;
-  rebind_views();
-}
-
-void CsrGraph::recompute_max_weight() {
-  Weight mx = 1;
-  const NodeId n = node_count();
-  for (NodeId u = 0; u < n; ++u) {
-    for (const HalfEdge& h : neighbors(u)) mx = std::max(mx, h.weight);
-  }
-  max_weight_ = mx;
-}
-
-void CsrGraph::materialize_from(const CsrGraph& o) {
-  // Build into scratch first: `this == &o` is the caller's problem, but
-  // aliasing o's arrays mid-copy is not.
-  const NodeId n = o.node_count();
-  std::vector<std::size_t> offs(std::size_t{n} + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    offs[std::size_t{u} + 1] = offs[u] + o.neighbors(u).size();
-  }
-  std::vector<HalfEdge> flat(offs[n]);
-  for (NodeId u = 0; u < n; ++u) {
-    std::size_t pos = offs[u];
-    for (const HalfEdge& h : o.neighbors(u)) flat[pos++] = h;
-  }
-  own_offsets_ = std::move(offs);
-  own_halves_ = std::move(flat);
-  mapping_.reset();
-  patch_.reset();
-  max_weight_ = o.max_weight_;
-  rebind_views();
-}
-
 std::vector<NodeId> CsrGraph::balanced_node_shards(unsigned shards) const {
-  if (patch_ != nullptr) {
-    // Patched views have no flat offsets to binary-search; one O(n)
-    // prefix walk gives the same deterministic boundaries.
-    return balanced_node_shards_patched(shards);
-  }
   const NodeId n = node_count();
   const NodeId k = static_cast<NodeId>(
       std::max<unsigned>(1, std::min<unsigned>(shards, std::max<NodeId>(n, 1))));
@@ -201,40 +91,6 @@ std::vector<NodeId> CsrGraph::balanced_node_shards(unsigned shards) const {
     while (lo < hi) {
       const NodeId mid = lo + (hi - lo) / 2;
       if (static_cast<std::uint64_t>(offsets_[mid]) + mid >= target) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    bounds.push_back(lo);
-  }
-  bounds.push_back(n);
-  return bounds;
-}
-
-std::vector<NodeId> CsrGraph::balanced_node_shards_patched(
-    unsigned shards) const {
-  const NodeId n = node_count();
-  const NodeId k = static_cast<NodeId>(
-      std::max<unsigned>(1, std::min<unsigned>(shards, std::max<NodeId>(n, 1))));
-  // cum[v] = cumulative mass of [0, v) under mass(v) = deg(v) + 1 —
-  // exactly what offsets_[v] + v is for a flat view, so the boundaries
-  // match what a compacted copy would produce.
-  std::vector<std::uint64_t> cum(std::size_t{n} + 1, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    cum[std::size_t{u} + 1] = cum[u] + neighbors(u).size() + 1;
-  }
-  std::vector<NodeId> bounds;
-  bounds.reserve(std::size_t{k} + 1);
-  bounds.push_back(0);
-  const std::uint64_t total = cum[n];
-  for (NodeId s = 1; s < k; ++s) {
-    const std::uint64_t target = (total / k) * s + (total % k) * s / k;
-    NodeId lo = bounds.back() + 1;
-    NodeId hi = n - (k - s);
-    while (lo < hi) {
-      const NodeId mid = lo + (hi - lo) / 2;
-      if (cum[mid] >= target) {
         hi = mid;
       } else {
         lo = mid + 1;

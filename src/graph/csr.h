@@ -26,15 +26,9 @@
 // and the edge axis never passes through `NodeId`, so graphs with
 // hundreds of millions of half-edges are representable.
 //
-// On top of either flavor sits an optional *patch overlay*
-// (WeightedGraph::apply's incremental path): a per-node slot map plus
-// replacement rows for the nodes an update batch touched. neighbors()
-// serves overlay rows first and base rows otherwise, so the kernels
-// see the updated graph without a flat rebuild; compact() folds the
-// overlay into flat owned arrays once it outgrows its budget. The raw
-// offsets()/halves() accessors refuse to serve while an overlay is
-// live — they expose exactly the flat layout, which a patched view by
-// definition does not have.
+// An edge update never edits a CsrGraph in place: WeightedGraph::apply
+// drops the graph's cached view, and the next WeightedGraph::csr()
+// packs the updated rows flat again.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +64,6 @@ class CsrGraph {
         mapping_(std::move(o.mapping_)),
         offsets_(o.offsets_),
         halves_(o.halves_),
-        patch_(std::move(o.patch_)),
         max_weight_(o.max_weight_) {
     o.own_offsets_.assign(1, 0);
     o.rebind_views();
@@ -82,7 +75,6 @@ class CsrGraph {
       mapping_ = std::move(o.mapping_);
       offsets_ = o.offsets_;
       halves_ = o.halves_;
-      patch_ = std::move(o.patch_);
       max_weight_ = o.max_weight_;
       o.own_offsets_.assign(1, 0);
       o.own_halves_.clear();
@@ -124,72 +116,19 @@ class CsrGraph {
   }
 
   /// Number of undirected edges (half-edge count / 2).
-  std::size_t edge_count() const {
-    const auto base = static_cast<std::int64_t>(halves_.size());
-    return static_cast<std::size_t>(base + (patch_ ? patch_->half_delta : 0)) /
-           2;
-  }
+  std::size_t edge_count() const { return halves_.size() / 2; }
 
   std::span<const HalfEdge> neighbors(NodeId u) const {
     QC_REQUIRE(u < node_count(), "node id out of range");
-    if (patch_ != nullptr) {
-      const std::int32_t s = patch_->slot[u];
-      if (s >= 0) return patch_->rows[static_cast<std::size_t>(s)];
-    }
     return {halves_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
   }
 
   std::size_t degree(NodeId u) const { return neighbors(u).size(); }
 
-  // --- patch overlay (WeightedGraph::apply's incremental path) ---
-
-  /// True while a patch overlay is live (some rows served from it).
-  bool is_patched() const { return patch_ != nullptr; }
-
-  /// Overlay half-edges currently resident (the quantity the patch
-  /// budget bounds); 0 when unpatched.
-  std::size_t patched_half_edges() const {
-    return patch_ ? patch_->resident : 0;
-  }
-
-  /// Replaces node u's row through the overlay. The caller passes the
-  /// *final* row (WeightedGraph::apply hands over the post-batch
-  /// adjacency row verbatim), so repeated patches of one node cost one
-  /// overlay slot. Does not touch max_weight — the caller reconciles it
-  /// batch-wide via note_weight / recompute_max_weight.
-  void patch_row(NodeId u, std::span<const HalfEdge> row);
-
-  /// Rewrites the weight of the (u -> to) entry in place: through the
-  /// overlay row when one exists, directly in owned storage otherwise
-  /// (a mapped base gets an overlay copy first — the mapping is never
-  /// written). The entry must exist.
-  void patch_weight(NodeId u, NodeId to, Weight w);
-
-  /// Folds a live overlay into flat owned arrays (and drops any
-  /// mapping); recomputes max_weight exactly. No-op when unpatched.
-  void compact();
-
-  /// Raises max_weight to at least w (an insert/reweight introduced w).
-  void note_weight(Weight w) { max_weight_ = std::max(max_weight_, w); }
-
-  /// Exact max-weight rescan over neighbors(); needed after a batch
-  /// that may have removed or lowered the previous maximum.
-  void recompute_max_weight();
-
   /// The raw arrays (diagnostics, serialization). Row u is
-  /// halves()[offsets()[u] .. offsets()[u+1]). Unavailable while a
-  /// patch overlay is live — the flat layout these expose would be
-  /// stale; compact() first.
-  std::span<const std::size_t> offsets() const {
-    QC_REQUIRE(patch_ == nullptr,
-               "raw CSR arrays are stale while patched — compact() first");
-    return offsets_;
-  }
-  std::span<const HalfEdge> halves() const {
-    QC_REQUIRE(patch_ == nullptr,
-               "raw CSR arrays are stale while patched — compact() first");
-    return halves_;
-  }
+  /// halves()[offsets()[u] .. offsets()[u+1]).
+  std::span<const std::size_t> offsets() const { return offsets_; }
+  std::span<const HalfEdge> halves() const { return halves_; }
 
   /// Max edge weight W (1 if the graph has no edges).
   Weight max_weight() const { return max_weight_; }
@@ -211,23 +150,16 @@ class CsrGraph {
   /// allocations after the first scale. `f` must return weights >= 1.
   /// `this == &base` is allowed; `f` then receives the *current* (already
   /// transformed) weights, so per-scale callers should keep a pristine
-  /// base and a separate scratch. A mapped or patched base (or mapped /
-  /// patched *this on the self path) is materialized into flat owned
-  /// storage first — the mapping itself is never written, and the
-  /// overlay rows are folded in so the copied weights are current.
+  /// base and a separate scratch. A mapped base (or a mapped *this on
+  /// the self path) is copied into owned storage first — the mapping
+  /// itself is never written.
   template <typename Fn>
   void assign_reweighted(const CsrGraph& base, Fn&& f) {
     if (this != &base) {
-      if (base.patch_ != nullptr) {
-        materialize_from(base);
-      } else {
-        own_offsets_.assign(base.offsets_.begin(), base.offsets_.end());
-        own_halves_.assign(base.halves_.begin(), base.halves_.end());
-        mapping_.reset();
-        rebind_views();
-      }
-    } else if (patch_ != nullptr) {
-      compact();
+      own_offsets_.assign(base.offsets_.begin(), base.offsets_.end());
+      own_halves_.assign(base.halves_.begin(), base.halves_.end());
+      mapping_.reset();
+      rebind_views();
     } else if (mapping_ != nullptr) {
       detach();
     }
@@ -241,16 +173,6 @@ class CsrGraph {
   }
 
  private:
-  struct Patch {
-    /// slot[u] >= 0: u's row lives at rows[slot[u]]; -1: base row.
-    std::vector<std::int32_t> slot;
-    std::vector<std::vector<HalfEdge>> rows;
-    /// Overlay half-edges resident (sum of rows[i].size()).
-    std::size_t resident = 0;
-    /// Current half-edge count minus the base arrays' (for edge_count).
-    std::int64_t half_delta = 0;
-  };
-
   void rebind_views() {
     offsets_ = own_offsets_;
     halves_ = own_halves_;
@@ -258,18 +180,6 @@ class CsrGraph {
 
   /// Copies a mapped view into owned storage and drops the mapping.
   void detach();
-
-  /// Rebuilds owned flat arrays from o.neighbors() (follows o's patch
-  /// overlay); leaves *this unpatched.
-  void materialize_from(const CsrGraph& o);
-
-  /// O(n) prefix-walk variant for patched views; same boundaries as the
-  /// flat binary search would produce after compact().
-  std::vector<NodeId> balanced_node_shards_patched(unsigned shards) const;
-
-  /// Returns u's overlay row, creating it (as a copy of the current
-  /// row) on first touch.
-  std::vector<HalfEdge>& overlay_row(NodeId u);
 
   void assign_from(const CsrGraph& o) {
     if (o.mapping_ != nullptr) {
@@ -284,7 +194,6 @@ class CsrGraph {
       mapping_.reset();
       rebind_views();
     }
-    patch_ = o.patch_ ? std::make_unique<Patch>(*o.patch_) : nullptr;
     max_weight_ = o.max_weight_;
   }
 
@@ -293,7 +202,6 @@ class CsrGraph {
   std::shared_ptr<const void> mapping_;   ///< mapped mode: keep-alive
   std::span<const std::size_t> offsets_;  ///< active view (either mode)
   std::span<const HalfEdge> halves_;      ///< active view (either mode)
-  std::unique_ptr<Patch> patch_;          ///< live update overlay (or null)
   Weight max_weight_ = 1;
 };
 

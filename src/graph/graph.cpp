@@ -10,8 +10,8 @@ namespace qc {
 
 // add_edge / remove_edge / set_edge_weight are sugar for one-op
 // batches: apply() is the single sanctioned mutation surface, so the
-// validation messages, cache patching, and connectivity rules live in
-// exactly one place (graph/update.cpp).
+// validation messages, cache invalidation, and connectivity rules live
+// in exactly one place (graph/update.cpp).
 
 void WeightedGraph::add_edge(NodeId u, NodeId v, Weight w) {
   apply(GraphUpdate{}.insert(u, v, w));
@@ -57,13 +57,6 @@ Weight WeightedGraph::edge_weight(NodeId u, NodeId v) const {
 void WeightedGraph::set_edge_weight(NodeId u, NodeId v, Weight w) {
   QC_REQUIRE(w >= 1, "weights must be positive integers");
   apply(GraphUpdate{}.reweight(u, v, w));
-}
-
-std::size_t WeightedGraph::csr_patch_budget() const {
-  if (csr_patch_budget_ != 0) return csr_patch_budget_;
-  // Auto: an eighth of the half-edge count (= m/4), floored so tiny
-  // graphs still amortize a few batches before compacting.
-  return std::max<std::size_t>(64, edges_.size() / 4);
 }
 
 Weight WeightedGraph::max_weight() const {

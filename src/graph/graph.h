@@ -27,41 +27,13 @@ class GraphUpdate;    // graph/update.h
 using NodeId = std::uint32_t;
 using Weight = std::uint64_t;
 
-/// What a mutation did to the graph, as far as the derived caches are
-/// concerned. Replaces the bare `bool topology_changed` the cache
-/// invalidation used to take: call sites name the mutation and the
-/// connectivity dirty-bit rules live in one switch.
-enum class MutationKind : std::uint8_t {
-  kReweight,    ///< weight change only; topology untouched
-  kEdgeInsert,  ///< an edge appeared
-  kEdgeRemove,  ///< an edge disappeared
-};
-
-/// How WeightedGraph::apply maintains the derived caches.
-enum class UpdatePolicy : std::uint8_t {
-  /// Patch the cached CSR / slot index in place and keep any
-  /// connectivity verdict the batch provably preserves (the default).
-  kIncremental,
-  /// Discard every derived cache; the next access rebuilds from
-  /// scratch. Exists as the baseline the dynamic bench compares
-  /// against, and as the escape hatch if a patched cache is suspect.
-  kRebuild,
-};
-
 /// What WeightedGraph::apply did. Counts are *net* effects (an edge
-/// inserted and removed in the same batch cancels); the flags report
-/// which cache-maintenance path ran.
+/// inserted and removed in the same batch cancels).
 struct UpdateStats {
   std::size_t inserted = 0;
   std::size_t removed = 0;
   std::size_t reweighted = 0;
   bool topology_changed = false;
-  /// The cached CSR was patched in place (vs absent or discarded).
-  bool csr_patched = false;
-  /// The patch overlay crossed the budget and was folded flat.
-  bool csr_compacted = false;
-  /// The cached slot index was repaired in place.
-  bool slot_index_repaired = false;
   /// A known connectivity verdict survived the batch.
   bool connectivity_kept = false;
   /// The graph was serving reads from a memory-mapped bcsr view and
@@ -119,15 +91,13 @@ class WeightedGraph {
         edges_(std::move(o.edges_)),
         csr_cache_(std::move(o.csr_cache_)),
         slot_index_cache_(std::move(o.slot_index_cache_)),
-        connected_cache_(o.connected_cache_),
-        csr_patch_budget_(o.csr_patch_budget_) {}
+        connected_cache_(o.connected_cache_) {}
   WeightedGraph& operator=(WeightedGraph&& o) noexcept {
     adjacency_ = std::move(o.adjacency_);
     edges_ = std::move(o.edges_);
     csr_cache_ = std::move(o.csr_cache_);
     slot_index_cache_ = std::move(o.slot_index_cache_);
     connected_cache_ = o.connected_cache_;
-    csr_patch_budget_ = o.csr_patch_budget_;
     return *this;
   }
 
@@ -150,15 +120,13 @@ class WeightedGraph {
   /// untouched, like from_edges. Semantics are the batch's net effect:
   /// inserting and removing the same edge in one batch cancels.
   ///
-  /// Under the default kIncremental policy the cached CSR is patched
-  /// per touched node (compacted once the overlay crosses
-  /// `csr_patch_budget()`), the slot index is repaired row-by-row, and
-  /// a cached connectivity verdict survives whenever the batch provably
-  /// preserves it — removals keep "connected" when every removed edge's
+  /// A batch with a net change drops the cached CSR and slot index
+  /// (the next csr() / slot_index() rebuilds them flat) and keeps a
+  /// cached connectivity verdict whenever the batch provably preserves
+  /// it — removals keep "connected" when every removed edge's
   /// endpoints still share a common neighbor afterwards (the 2-hop
   /// replacement path certificate).
-  UpdateStats apply(const GraphUpdate& update,
-                    UpdatePolicy policy = UpdatePolicy::kIncremental);
+  UpdateStats apply(const GraphUpdate& update);
 
   /// Adds an undirected edge {u, v} with weight w >= 1.
   /// Throws ArgumentError on self loops, out-of-range ids, zero weight,
@@ -179,16 +147,6 @@ class WeightedGraph {
   /// Replaces the weight of an existing edge. Sugar for a one-op
   /// apply().
   void set_edge_weight(NodeId u, NodeId v, Weight w);
-
-  /// Half-edge budget for the cached CSR's patch overlay: once an
-  /// incremental apply() leaves more overlay half-edges resident than
-  /// this, the overlay is folded into flat arrays. 0 (the default)
-  /// means auto: max(64, half_edges/8). Purely a speed/space knob —
-  /// results are identical at any value.
-  void set_csr_patch_budget(std::size_t half_edges) {
-    csr_patch_budget_ = half_edges;
-  }
-  std::size_t csr_patch_budget() const;
 
   std::span<const HalfEdge> neighbors(NodeId u) const {
     QC_REQUIRE(u < node_count(), "node id out of range");
@@ -228,10 +186,9 @@ class WeightedGraph {
   }
 
   /// Flat CSR view of this graph, built lazily on first use and cached;
-  /// mutations keep it current (incremental applies patch it in place,
-  /// everything else discards it). The reference stays valid until the
-  /// next mutation. Thread-safe to call concurrently; building happens
-  /// once.
+  /// a mutation that changes the graph drops it, and the next call
+  /// rebuilds it. The reference stays valid until the next mutation.
+  /// Thread-safe to call concurrently; building happens once.
   const CsrGraph& csr() const;
 
   /// O(1) (from, to) -> adjacency-slot lookup over csr(), built lazily
@@ -245,10 +202,10 @@ class WeightedGraph {
   /// primitives call this on every aggregate/flood, thousands of times
   /// per run). Unlike csr(), the verdict survives mutations that cannot
   /// change it: reweights never touch topology, inserts keep
-  /// "connected", removals keep "disconnected" — and an incremental
-  /// apply() additionally keeps "connected" across removals whose
-  /// endpoints retain a common neighbor. Every other combination
-  /// downgrades the cache to dirty.
+  /// "connected", removals keep "disconnected" — and apply()
+  /// additionally keeps "connected" across removals whose endpoints
+  /// retain a common neighbor. Every other combination downgrades the
+  /// cache to dirty.
   bool is_connected() const;
 
   /// True when is_connected() would be answered from the cached verdict
@@ -267,37 +224,9 @@ class WeightedGraph {
 
  private:
   /// Cached is_connected() verdict. A tri-state rather than the CSR
-  /// caches' build-or-null because mutations *downgrade* it selectively
-  /// (see invalidate_csr) instead of always discarding it.
+  /// caches' build-or-null because apply() *downgrades* it selectively
+  /// instead of always discarding it.
   enum class ConnCache : std::uint8_t { kUnknown, kConnected, kDisconnected };
-
-  /// Discards the derived caches after a mutation. The CSR view and
-  /// slot index embed weights and slot layout, so they always go (the
-  /// incremental apply() path patches them instead of calling this).
-  /// The connectivity verdict is a tri-state that only downgrades when
-  /// the mutation could actually flip it: reweights never can; an
-  /// insert can only bridge components (a cached "disconnected" goes
-  /// dirty); a removal can only cut them (a cached "connected" goes
-  /// dirty — apply() may still preserve it via the replacement-path
-  /// certificate before invoking this).
-  void invalidate_csr(MutationKind kind) {
-    std::lock_guard<std::mutex> lock(csr_mutex_);
-    csr_cache_.reset();
-    slot_index_cache_.reset();
-    downgrade_connectivity_locked(kind);
-  }
-
-  /// The connectivity tri-state rules alone (caller holds csr_mutex_).
-  void downgrade_connectivity_locked(MutationKind kind) {
-    if (kind == MutationKind::kEdgeInsert &&
-        connected_cache_ == ConnCache::kDisconnected) {
-      connected_cache_ = ConnCache::kUnknown;
-    }
-    if (kind == MutationKind::kEdgeRemove &&
-        connected_cache_ == ConnCache::kConnected) {
-      connected_cache_ = ConnCache::kUnknown;
-    }
-  }
 
   std::vector<std::vector<HalfEdge>> adjacency_;
   std::vector<Edge> edges_;
@@ -305,7 +234,6 @@ class WeightedGraph {
   mutable std::shared_ptr<CsrGraph> csr_cache_;
   mutable std::shared_ptr<EdgeSlotIndex> slot_index_cache_;
   mutable ConnCache connected_cache_ = ConnCache::kUnknown;
-  std::size_t csr_patch_budget_ = 0;
 };
 
 /// Graphviz DOT rendering (undirected). Weight-1 edges are drawn plain;

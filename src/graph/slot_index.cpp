@@ -29,67 +29,6 @@ EdgeSlotIndex::EdgeSlotIndex(const CsrGraph& g) {
   }
 }
 
-void EdgeSlotIndex::erase_key(std::uint64_t key) {
-  std::size_t i = hash_key(key) & mask_;
-  while (table_[i].key != key) {
-    if (table_[i].key == kEmptyKey) return;  // not present
-    i = (i + 1) & mask_;
-  }
-  // Backward-shift deletion: walk the probe chain after the hole and
-  // pull back every entry whose home slot lies at or before the hole,
-  // so lookups never need tombstones.
-  std::size_t hole = i;
-  std::size_t j = i;
-  for (;;) {
-    table_[hole].key = kEmptyKey;
-    for (;;) {
-      j = (j + 1) & mask_;
-      if (table_[j].key == kEmptyKey) return;
-      const std::size_t home = hash_key(table_[j].key) & mask_;
-      // Movable iff home is not in the cyclic interval (hole, j].
-      const bool movable = hole <= j ? (home <= hole || home > j)
-                                     : (home <= hole && home > j);
-      if (movable) break;
-    }
-    table_[hole] = table_[j];
-    hole = j;
-  }
-}
-
-void EdgeSlotIndex::repair_rows(const CsrGraph& g,
-                                std::span<const NodeId> dirty,
-                                std::span<const std::vector<NodeId>> old_targets) {
-  QC_REQUIRE(dirty.size() == old_targets.size(),
-             "repair_rows: dirty/old_targets size mismatch");
-  const NodeId n = g.node_count();
-  QC_REQUIRE(offsets_.size() == std::size_t{n} + 1,
-             "repair_rows: index was built for a different node count");
-  std::size_t halves = 0;
-  for (NodeId u = 0; u < n; ++u) halves += g.degree(u);
-  if (table_.size() < 2 * halves + 1) {
-    *this = EdgeSlotIndex(g);
-    return;
-  }
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    for (const NodeId to : old_targets[i]) {
-      erase_key(make_key(dirty[i], to));
-    }
-  }
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    const auto row = g.neighbors(dirty[i]);
-    for (std::uint32_t s = 0; s < row.size(); ++s) {
-      const std::uint64_t key = make_key(dirty[i], row[s].to);
-      std::size_t j = hash_key(key) & mask_;
-      while (table_[j].key != kEmptyKey) j = (j + 1) & mask_;
-      table_[j] = Entry{key, s};
-    }
-  }
-  offsets_[0] = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    offsets_[u + 1] = offsets_[u] + g.degree(u);
-  }
-}
-
 const EdgeSlotIndex& WeightedGraph::slot_index() const {
   // Build (or fetch) the CSR view first: csr() takes csr_mutex_, so the
   // lock below must not be held yet.

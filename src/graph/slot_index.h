@@ -14,10 +14,13 @@
 // index in [0, 2m), so per-directed-edge accounting (bandwidth bits,
 // qubits in flight) can live in one flat array instead of a
 // vector-of-vectors.
+//
+// Like the CSR view it indexes, the index is built once per graph
+// version: WeightedGraph::apply drops the cached index, and the next
+// slot_index() rebuilds it from the rebuilt CSR.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/csr.h"
@@ -60,19 +63,7 @@ class EdgeSlotIndex {
     return offsets_.empty() ? 0 : offsets_.back();
   }
 
-  /// Incremental repair after an update batch changed the adjacency
-  /// rows in `dirty` (sorted unique node ids): the rows' previous
-  /// neighbor targets (`old_targets[i]` for dirty[i]) are erased via
-  /// backward-shift deletion (no tombstones, probe chains stay intact),
-  /// the current rows of `g` are re-inserted, and the dense edge_index
-  /// offsets rebuild in one O(n) pass. Falls back to a full rebuild
-  /// when the grown edge count would push the load factor past 1/2.
-  /// Lookup results are identical to a freshly built index.
-  void repair_rows(const CsrGraph& g, std::span<const NodeId> dirty,
-                   std::span<const std::vector<NodeId>> old_targets);
-
  private:
-  void erase_key(std::uint64_t key);
   struct Entry {
     std::uint64_t key = kEmptyKey;
     std::uint32_t slot = 0;

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
-
-#include "graph/csr.h"
-#include "graph/slot_index.h"
 
 namespace qc {
 
@@ -29,9 +25,8 @@ enum class NetKind : std::uint8_t { kInsert, kRemove, kReweight };
 
 struct NetChange {
   NetKind kind;
-  NodeId u, v;  // canonical u < v
-  Weight weight;      // final weight (kRemove: unused)
-  Weight old_weight;  // previous weight (kInsert: unused)
+  NodeId u, v;    // canonical u < v
+  Weight weight;  // final weight (kRemove: unused)
 };
 
 /// True when a and b share a neighbor in the current adjacency — the
@@ -89,8 +84,7 @@ std::vector<NodeId> GraphUpdate::endpoints() const {
   return out;
 }
 
-UpdateStats WeightedGraph::apply(const GraphUpdate& update,
-                                 UpdatePolicy policy) {
+UpdateStats WeightedGraph::apply(const GraphUpdate& update) {
   UpdateStats stats;
   const auto& ops = update.ops();
   if (ops.empty()) return stats;
@@ -149,11 +143,11 @@ UpdateStats WeightedGraph::apply(const GraphUpdate& update,
       const NodeId a = std::min(op.u, op.v);
       const NodeId b = std::max(op.u, op.v);
       if (e.initially_present && !e.present) {
-        net.push_back({NetKind::kRemove, a, b, 0, e.initial_weight});
+        net.push_back({NetKind::kRemove, a, b, 0});
       } else if (!e.initially_present && e.present) {
-        net.push_back({NetKind::kInsert, a, b, e.weight, 0});
+        net.push_back({NetKind::kInsert, a, b, e.weight});
       } else if (e.initially_present && e.weight != e.initial_weight) {
-        net.push_back({NetKind::kReweight, a, b, e.weight, e.initial_weight});
+        net.push_back({NetKind::kReweight, a, b, e.weight});
       }
     }
   }
@@ -161,7 +155,6 @@ UpdateStats WeightedGraph::apply(const GraphUpdate& update,
 
   bool any_insert = false;
   bool any_remove = false;
-  std::vector<NodeId> dirty;  // endpoints of structural (topology) changes
   for (const NetChange& c : net) {
     switch (c.kind) {
       case NetKind::kInsert:
@@ -176,50 +169,19 @@ UpdateStats WeightedGraph::apply(const GraphUpdate& update,
         ++stats.reweighted;
         break;
     }
-    if (c.kind != NetKind::kReweight) {
-      dirty.push_back(c.u);
-      dirty.push_back(c.v);
-    }
   }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   stats.topology_changed = any_insert || any_remove;
 
-  // Snapshot the caches and the pre-batch connectivity verdict. The
-  // cache pointers are private to this graph (accessors return
-  // references), so patching *csr in place cannot be observed by a
-  // stale holder.
-  std::shared_ptr<CsrGraph> csr;
-  std::shared_ptr<EdgeSlotIndex> slot;
   ConnCache verdict;
   {
     std::lock_guard<std::mutex> lock(csr_mutex_);
     verdict = connected_cache_;
-    if (policy == UpdatePolicy::kIncremental) {
-      csr = csr_cache_;
-      slot = slot_index_cache_;
-    }
-  }
-
-  // Old neighbor targets of the structurally dirty rows, captured
-  // before the adjacency mutates: the slot-index repair needs them to
-  // erase the stale keys.
-  std::vector<std::vector<NodeId>> old_targets;
-  if (slot && stats.topology_changed) {
-    old_targets.reserve(dirty.size());
-    for (const NodeId u : dirty) {
-      std::vector<NodeId> targets;
-      targets.reserve(adjacency_[u].size());
-      for (const HalfEdge& h : adjacency_[u]) targets.push_back(h.to);
-      old_targets.push_back(std::move(targets));
-    }
   }
 
   // ---- Phase 3: mutate the adjacency rows and the canonical edge
   // list. Rows keep their relative order under removal and append
   // inserts, exactly mirroring the edge list's compact-then-append —
-  // so from_edges(n, edges()) reproduces the adjacency verbatim and a
-  // freshly built CSR matches the patched one byte for byte.
+  // so from_edges(n, edges()) reproduces the adjacency verbatim.
   for (const NetChange& c : net) {
     switch (c.kind) {
       case NetKind::kInsert:
@@ -281,48 +243,13 @@ UpdateStats WeightedGraph::apply(const GraphUpdate& update,
   stats.connectivity_kept =
       verdict != ConnCache::kUnknown && final_verdict == verdict;
 
-  // ---- Phase 5: derived-cache maintenance.
-  if (csr) {
-    // Weight bookkeeping first: raises apply directly; a removed or
-    // lowered previous maximum forces one exact rescan (after the
-    // rows are patched).
-    Weight raised = 0;
-    bool max_lowered = false;
-    for (const NetChange& c : net) {
-      if (c.kind != NetKind::kRemove) raised = std::max(raised, c.weight);
-      if (c.kind != NetKind::kInsert && c.old_weight == csr->max_weight() &&
-          (c.kind == NetKind::kRemove || c.weight < c.old_weight)) {
-        max_lowered = true;
-      }
-    }
-    for (const NodeId u : dirty) csr->patch_row(u, adjacency_[u]);
-    for (const NetChange& c : net) {
-      if (c.kind != NetKind::kReweight) continue;
-      csr->patch_weight(c.u, c.v, c.weight);
-      csr->patch_weight(c.v, c.u, c.weight);
-    }
-    csr->note_weight(raised);
-    if (max_lowered) csr->recompute_max_weight();
-    stats.csr_patched = true;
-
-    if (slot && stats.topology_changed) {
-      slot->repair_rows(*csr, dirty, old_targets);
-      stats.slot_index_repaired = true;
-    }
-
-    if (csr->patched_half_edges() > csr_patch_budget()) {
-      csr->compact();
-      stats.csr_compacted = true;
-    }
-
-    std::lock_guard<std::mutex> lock(csr_mutex_);
-    connected_cache_ = final_verdict;
-  } else {
-    std::lock_guard<std::mutex> lock(csr_mutex_);
-    csr_cache_.reset();
-    slot_index_cache_.reset();
-    connected_cache_ = final_verdict;
-  }
+  // ---- Phase 5: the CSR view and slot index embed weights and slot
+  // layout, so they go; the next csr() / slot_index() rebuilds them
+  // flat from the mutated rows.
+  std::lock_guard<std::mutex> lock(csr_mutex_);
+  csr_cache_.reset();
+  slot_index_cache_.reset();
+  connected_cache_ = final_verdict;
   return stats;
 }
 

@@ -2,14 +2,16 @@
 //
 // The paper's setting is static, but the service layer (ROADMAP
 // "Dynamic graphs") keeps N resident graphs warm — CSR, slot index,
-// eccentricity tables, toolkit rows — and a mutation used to nuke all
-// of it wholesale. `GraphUpdate` batches insert/remove/reweight ops
-// behind one validated entry point, `WeightedGraph::apply`, which
-// patches the derived caches in place (graph/csr.h's overlay,
-// EdgeSlotIndex::repair_rows, the connectivity tri-state) instead of
-// discarding them. The legacy mutators (add_edge, remove_edge,
-// set_edge_weight) are one-op sugar over the same path, so apply() is
-// the single sanctioned mutation surface.
+// eccentricity tables, toolkit rows. `GraphUpdate` batches
+// insert/remove/reweight ops behind one validated entry point,
+// `WeightedGraph::apply`, which mutates the adjacency rows and the
+// edge list, keeps the connectivity verdict where a certificate allows,
+// and drops the CSR view and slot index for a flat rebuild on next use.
+// The expensive warm tables (eccentricities, toolkit rows) are repaired
+// by the service layer, keyed off the batch's endpoints. The legacy
+// mutators (add_edge, remove_edge, set_edge_weight) are one-op sugar
+// over the same path, so apply() is the single sanctioned mutation
+// surface.
 //
 // Batch semantics are the *net* effect: ops validate sequentially
 // against the simulated intermediate state (so "insert then reweight"

@@ -470,7 +470,7 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
 
   UpdateOutcome out;
   if (!incremental) {
-    out.stats = g_.apply(update, UpdatePolicy::kRebuild);
+    out.stats = g_.apply(update);
     out.stats.mapped_detached = detached_now;
     std::lock_guard<std::mutex> lock(warm_mutex_);
     ecc_.clear();
@@ -515,15 +515,13 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
       touched.push_back(e);
     }
   }
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(touched.size() * 2);
-  for (const TouchedEdgeState& e : touched) {
-    endpoints.push_back(e.u);
-    endpoints.push_back(e.v);
-  }
-  std::sort(endpoints.begin(), endpoints.end());
-  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
-                  endpoints.end());
+  // Out-of-range ids (the sorted tail) get no pre-update search, so
+  // apply() reports them with its own "node id out of range"; a batch
+  // that passes validation has none, so the slots stay aligned.
+  std::vector<NodeId> endpoints = update.endpoints();
+  endpoints.erase(
+      std::lower_bound(endpoints.begin(), endpoints.end(), g_.node_count()),
+      endpoints.end());
 
   // Lemma-2 pre-vectors: distances *from each endpoint* in the old
   // graph. By symmetry pre_w[slot(x)][s] = d_old(s, x), so the tight-
@@ -548,7 +546,7 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
     }
   }
 
-  out.stats = g_.apply(update, UpdatePolicy::kIncremental);
+  out.stats = g_.apply(update);
   out.stats.mapped_detached = detached_now;
 
   std::vector<TouchedEdgeState> changed;
@@ -599,7 +597,7 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
     return out;
   }
 
-  // Post-vectors on the (patched) new graph, same endpoint slots.
+  // Post-vectors on the new graph, same endpoint slots.
   const CsrGraph& csr1 = g_.csr();
   std::vector<std::vector<Dist>> post_w, post_h;
   const bool topo_changed = out.stats.topology_changed;

@@ -37,9 +37,9 @@
 //
 // Mutations ride the same registry: the built-in "update" type batches
 // edge insert/remove/reweight ops through `GraphContext::apply_update`,
-// which patches the warm artifacts delta-aware (CSR overlay, slot-index
-// row repair, toolkit row invalidation, eccentricity-table delta
-// repair) instead of discarding them. Ordering against reads is a
+// which repairs the warm tables delta-aware (toolkit row invalidation,
+// eccentricity-table delta repair) instead of discarding them; the CSR
+// view and slot index rebuild flat on next use. Ordering against reads is a
 // per-graph reader/writer lock: handlers whose `mutating()` returns
 // true run under the exclusive side, everything else shares — so reads
 // never observe a half-applied batch, and a graph's queries serialize
@@ -247,9 +247,9 @@ class GraphContext {
   // view — exactly once per context (later updates find owned storage),
   // reporting it via UpdateStats::mapped_detached in the outcome.
 
-  /// Applies an edge batch and repairs the warm artifacts. With
-  /// `incremental` the CSR/slot-index are patched (WeightedGraph::apply
-  /// kIncremental), toolkit rows are invalidated per the endpoint
+  /// Applies an edge batch (WeightedGraph::apply, which drops the CSR
+  /// view and slot index) and repairs the warm tables. With
+  /// `incremental` toolkit rows are invalidated per the endpoint
   /// certificate (paths::ToolkitCache::invalidate_rows) after a
   /// rebind_params, and the eccentricity tables are delta-repaired: a
   /// source u's distance vector can only change if some changed edge

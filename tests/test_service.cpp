@@ -512,8 +512,7 @@ TEST(QueryEngine, MappedUpdateDetachesExactlyOnce) {
 
   // Both detached copies answer like owned graphs with the same edits.
   WeightedGraph expect_g = g;
-  expect_g.apply(GraphUpdate{}.reweight(e.u, e.v, e.weight + 2),
-                 UpdatePolicy::kRebuild);
+  expect_g.apply(GraphUpdate{}.reweight(e.u, e.v, e.weight + 2));
   const auto ecc = eccentricities(expect_g);
   const Dist want = *std::max_element(ecc.begin(), ecc.end());
   Query q;
