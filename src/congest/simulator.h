@@ -177,6 +177,14 @@ struct RunStats {
   std::uint64_t messages = 0;  ///< total point-to-point messages
   std::uint64_t bits = 0;      ///< total bits on all edges
 
+  /// Sums a later phase's ledger into this one.
+  RunStats& operator+=(const RunStats& part) {
+    rounds += part.rounds;
+    messages += part.messages;
+    bits += part.bits;
+    return *this;
+  }
+
   friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 

@@ -17,13 +17,6 @@ using congest::Incoming;
 using congest::Message;
 using congest::NodeContext;
 using congest::NodeProgram;
-using congest::RunStats;
-
-void accumulate(RunStats& total, const RunStats& part) {
-  total.rounds += part.rounds;
-  total.messages += part.messages;
-  total.bits += part.bits;
-}
 
 // Timed-release weighted SSSP with early termination: a node announces
 // exactly in round d(s,v) and is done once it has announced, so the
@@ -62,84 +55,6 @@ class WeightedSsspProgram final : public NodeProgram {
   Dist best_ = kInfDist;
   Dist round_ = 0;
   bool announced_ = false;
-};
-
-// Random-delay pipelined multi-source BFS (the unweighted analogue of
-// Algorithm 3, single scale). Windows of ceil(log n) physical rounds;
-// instance a's wave runs during windows [delay_a, delay_a + cap].
-class MultiBfsDelayProgram final : public NodeProgram {
- public:
-  MultiBfsDelayProgram(const std::vector<NodeId>& sources,
-                       const std::vector<std::uint64_t>& delays, Dist cap,
-                       std::uint32_t slot_count, NodeId n)
-      : sources_(&sources),
-        delays_(&delays),
-        cap_(cap),
-        slot_count_(slot_count),
-        inst_bits_(bits_for(sources.size() + 1)),
-        dist_bits_(bits_for(cap + 2)) {
-    (void)n;
-    dist_.assign(sources.size(), kInfDist);
-    announced_.assign(sources.size(), false);
-    const std::uint64_t max_delay =
-        *std::max_element(delays.begin(), delays.end());
-    total_windows_ = max_delay + cap + 2;
-  }
-
-  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
-    const std::uint64_t window = local_round_ / slot_count_;
-    const std::uint64_t slot = local_round_ % slot_count_;
-
-    for (const Incoming& in : inbox) {
-      const auto a = static_cast<std::size_t>(in.msg.field(0));
-      QC_CHECK(a < sources_->size(), "bad BFS instance tag");
-      dist_[a] = std::min(dist_[a], in.msg.field(1) + 1);
-    }
-
-    if (slot == 0) {
-      for (std::size_t a = 0; a < sources_->size(); ++a) {
-        if (window < (*delays_)[a]) continue;
-        const std::uint64_t tau = window - (*delays_)[a];
-        if (tau > cap_) continue;
-        if (tau == 0 && ctx.id() == (*sources_)[a]) dist_[a] = 0;
-        if (!announced_[a] && dist_[a] == tau) {
-          announced_[a] = true;
-          Message m;
-          m.push(a, inst_bits_).push(dist_[a], dist_bits_);
-          queue_.push_back(std::move(m));
-        }
-      }
-      if (queue_.size() > slot_count_) {
-        throw paths::AlgorithmFailure(
-            "multi-source BFS: window overflow at node " +
-            std::to_string(ctx.id()));
-      }
-    }
-    if (!queue_.empty()) {
-      ctx.broadcast(queue_.front());
-      queue_.erase(queue_.begin());
-    }
-    ++local_round_;
-  }
-
-  bool done() const override {
-    return local_round_ >= total_windows_ * slot_count_;
-  }
-
-  Dist dist(std::size_t a) const { return dist_[a]; }
-
- private:
-  const std::vector<NodeId>* sources_;
-  const std::vector<std::uint64_t>* delays_;
-  Dist cap_;
-  std::uint64_t slot_count_;
-  std::uint32_t inst_bits_;
-  std::uint32_t dist_bits_;
-  std::uint64_t total_windows_;
-  std::uint64_t local_round_ = 0;
-  std::vector<Dist> dist_;
-  std::vector<bool> announced_;
-  std::vector<Message> queue_;
 };
 
 // Weighted APSP: every node runs a timed-release-style weighted wave,
@@ -282,7 +197,7 @@ ClassicalWeightedResult classical_weighted_extremum(const WeightedGraph& g,
       std::min<std::uint32_t>(63, bits_for(bound + 1)), config);
   ClassicalWeightedResult out;
   out.stats = apsp.stats;
-  accumulate(out.stats, agg.stats);
+  out.stats += agg.stats;
   out.value = agg.value;
   return out;
 }
@@ -314,7 +229,7 @@ WeightedApspResult distributed_weighted_apsp(const WeightedGraph& g,
       config);
   WeightedApspResult out;
   out.stats = tree.stats;
-  accumulate(out.stats, run.stats);
+  out.stats += run.stats;
   out.dist.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     out.dist.push_back(run.at(v).distances());
@@ -364,7 +279,7 @@ TwoApproxResult two_approx_weighted_diameter(const WeightedGraph& g,
       std::min<std::uint32_t>(63, bits_for(bound + 1)), config);
   TwoApproxResult out;
   out.stats = sssp.stats;
-  accumulate(out.stats, agg.stats);
+  out.stats += agg.stats;
   out.ecc_leader = agg.value;
   out.upper_bound = 2 * agg.value;
   return out;
@@ -376,62 +291,29 @@ MultiBfsResult distributed_multi_source_bfs(const WeightedGraph& g,
   QC_REQUIRE(!sources.empty(), "multi-source BFS needs sources");
   QC_REQUIRE(g.is_connected(), "multi-source BFS needs connectivity");
   const NodeId n = g.node_count();
-  const std::size_t b = sources.size();
-  const std::uint32_t slot_count = std::max<std::uint32_t>(1, clog2(n));
 
   MultiBfsResult out;
 
   // Leader's BFS gives ecc(leader) (= depth max), so cap = 2·ecc >= D.
   const auto tree = congest::build_bfs_tree(g, 0, config);
-  accumulate(out.stats, tree.stats);
+  out.stats += tree.stats;
   std::vector<std::uint64_t> depths(n);
   for (NodeId v = 0; v < n; ++v) depths[v] = tree.nodes[v].depth;
   const auto dagg = congest::global_aggregate(
       g, 0, depths, congest::AggregateOp::kMax, bits_for(n), config);
-  accumulate(out.stats, dagg.stats);
+  out.stats += dagg.stats;
   const Dist cap = 2 * std::max<Dist>(1, dagg.value) + 1;
 
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    std::vector<std::uint64_t> delays(b);
-    const std::uint64_t range = b * slot_count + 1;
-    for (auto& d : delays) d = rng.below(range);
-
-    // Leader floods the delays (O(D + b) rounds).
-    std::vector<std::vector<congest::FloodItem>> items(n);
-    const std::uint32_t idx_bits = bits_for(b + 1);
-    const std::uint32_t delay_bits = bits_for(range + 1);
-    for (std::size_t a = 0; a < b; ++a) {
-      congest::FloodItem f;
-      f.push(a, idx_bits).push(delays[a], delay_bits);
-      items[0].push_back(std::move(f));
-    }
-    accumulate(out.stats,
-               congest::flood_items(g, std::move(items), config,
-                                    congest::FloodCollect::kStatsOnly)
-                   .stats);
-
-    try {
-      auto run = congest::run_on_all<MultiBfsDelayProgram>(
-          g,
-          [&](NodeId) {
-            return std::make_unique<MultiBfsDelayProgram>(
-                sources, delays, cap, slot_count, n);
-          },
-          config);
-      accumulate(out.stats, run.stats);
-      out.attempts = attempt;
-      out.dist.assign(b, std::vector<Dist>(n, kInfDist));
-      for (NodeId v = 0; v < n; ++v) {
-        for (std::size_t a = 0; a < b; ++a) {
-          out.dist[a][v] = run.at(v).dist(a);
-        }
-      }
-      return out;
-    } catch (const paths::AlgorithmFailure&) {
-      out.stats.rounds += (b * slot_count + cap + 2) * slot_count;
-      QC_CHECK(attempt < 64, "multi-source BFS failed too many times");
-    }
-  }
+  auto bfs = paths::distributed_multi_source_hop_bfs(
+      g, paths::RunRequest{}
+             .with_sources(sources)
+             .with_cap(cap)
+             .with_rng(rng)
+             .with_config(std::move(config)));
+  out.stats += bfs.stats;
+  out.attempts = bfs.attempts;
+  out.dist = std::move(bfs.approx);
+  return out;
 }
 
 ThreeHalvesResult three_halves_unweighted_diameter(const WeightedGraph& g,
@@ -455,7 +337,7 @@ ThreeHalvesResult three_halves_unweighted_diameter(const WeightedGraph& g,
   out.sample_size = sample.size();
 
   auto mb = distributed_multi_source_bfs(g, sample, rng, config);
-  accumulate(out.stats, mb.stats);
+  out.stats += mb.stats;
 
   // Estimate part 1: max_{s in S} ecc(s) = max over all (a, v) — one
   // aggregate of per-node maxima.
@@ -469,7 +351,7 @@ ThreeHalvesResult three_halves_unweighted_diameter(const WeightedGraph& g,
   }
   const auto ecc_s = congest::global_aggregate(
       g, 0, local_max, congest::AggregateOp::kMax, bits_for(n), config);
-  accumulate(out.stats, ecc_s.stats);
+  out.stats += ecc_s.stats;
 
   // Find w = argmax_v d(v, S): pack (distance, reversed id) so the max
   // aggregate returns the argmax too.
@@ -486,19 +368,19 @@ ThreeHalvesResult three_halves_unweighted_diameter(const WeightedGraph& g,
   const auto wagg = congest::global_aggregate(
       g, 0, packed, congest::AggregateOp::kMax,
       std::min<std::uint32_t>(63, bits_for(n) + id_bits + 1), config);
-  accumulate(out.stats, wagg.stats);
+  out.stats += wagg.stats;
   const auto w =
       static_cast<NodeId>(wagg.value & ((std::uint64_t{1} << id_bits) - 1));
   out.far_node = w;
 
   // Estimate part 2: ecc(w) via a BFS wave from w.
   const auto wtree = congest::build_bfs_tree(g, w, config);
-  accumulate(out.stats, wtree.stats);
+  out.stats += wtree.stats;
   std::vector<std::uint64_t> wdepth(n);
   for (NodeId v = 0; v < n; ++v) wdepth[v] = wtree.nodes[v].depth;
   const auto ecc_w = congest::global_aggregate(
       g, 0, wdepth, congest::AggregateOp::kMax, bits_for(n), config);
-  accumulate(out.stats, ecc_w.stats);
+  out.stats += ecc_w.stats;
 
   out.estimate = std::max<Dist>(ecc_s.value, ecc_w.value);
   out.exact = unweighted_diameter(g);

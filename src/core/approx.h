@@ -7,8 +7,9 @@
 //    approximation in Õ(√n·D^{1/4}+D) rounds — cost-modeled, S3);
 //
 //  * pipelined multi-source BFS with random delays (Õ(|S| + D) rounds,
-//    the unweighted engine behind [15]/[3]) and the classic
-//    3/2-approximation of the unweighted diameter built on it:
+//    the unweighted engine behind [15]/[3]) — Algorithm 3's program on
+//    hop distances (paths::distributed_multi_source_hop_bfs) — and the
+//    classic 3/2-approximation of the unweighted diameter built on it:
 //    sample |S| ≈ √n·log n sources, find the node w farthest from S,
 //    answer max{ecc(s) : s ∈ S ∪ {w}} — always ≤ D and ≥ ⌊2D/3⌋ w.h.p.
 #pragma once
@@ -71,9 +72,10 @@ TwoApproxResult two_approx_weighted_diameter(const WeightedGraph& g,
                                              congest::Config config = {});
 
 /// Pipelined multi-source BFS: every node learns its hop distance to
-/// every source, in Õ(|S| + D) rounds (random start delays; window
-/// stretching like Algorithm 3; retries on the low-probability
-/// congestion event).
+/// every source, in Õ(|S| + D) rounds. A leader BFS and depth aggregate
+/// fix the cap 2·ecc(leader) + 1 > D; then Algorithm 3's random-delay
+/// program runs on hop distances with one scale (retrying, and charging
+/// the failed attempt, on its low-probability congestion event).
 struct MultiBfsResult {
   congest::RunStats stats;
   std::uint32_t attempts = 1;

@@ -115,12 +115,6 @@ class MultiBfsProgram final : public NodeProgram {
   std::size_t next_child_ = 0;
 };
 
-void accumulate(congest::RunStats& total, const congest::RunStats& part) {
-  total.rounds += part.rounds;
-  total.messages += part.messages;
-  total.bits += part.bits;
-}
-
 ClassicalExtremumResult classical_extremum(const WeightedGraph& g,
                                            bool radius,
                                            congest::Config config) {
@@ -137,7 +131,7 @@ ClassicalExtremumResult classical_extremum(const WeightedGraph& g,
       bits_for(n), config);
   ClassicalExtremumResult out;
   out.stats = apsp.stats;
-  accumulate(out.stats, agg.stats);
+  out.stats += agg.stats;
   out.value = agg.value;
   return out;
 }
@@ -195,7 +189,7 @@ DistributedApspResult distributed_unweighted_apsp(const WeightedGraph& g,
       config);
   DistributedApspResult out;
   out.stats = tree.stats;
-  accumulate(out.stats, run.stats);
+  out.stats += run.stats;
   out.dist.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     out.dist.push_back(run.at(v).distances());

@@ -79,11 +79,6 @@ paths::Params params_for(NodeId n, std::uint64_t d_hat,
   return params;
 }
 
-bool params_equal(const paths::Params& x, const paths::Params& y) {
-  return x.n == y.n && x.unweighted_diameter == y.unweighted_diameter &&
-         x.eps_inv == y.eps_inv && x.r == y.r && x.ell == y.ell && x.k == y.k;
-}
-
 Theorem11Result run(const WeightedGraph& g, bool radius,
                     const Theorem11Options& opt) {
   const NodeId n = g.node_count();
@@ -171,7 +166,7 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
   if (opt.toolkit != nullptr) {
     QC_REQUIRE(&opt.toolkit->graph() == &g,
                "Theorem11Options::toolkit was built for a different graph");
-    QC_REQUIRE(params_equal(opt.toolkit->params(), out.params),
+    QC_REQUIRE(opt.toolkit->params() == out.params,
                "Theorem11Options::toolkit params disagree with "
                "derive_params(g, opt) — rebuild the resident cache");
   } else {
@@ -376,18 +371,6 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
 }  // namespace
 
 bool semantically_equal(const Theorem11Result& a, const Theorem11Result& b) {
-  const auto params_equal = [](const paths::Params& x,
-                               const paths::Params& y) {
-    return x.n == y.n && x.unweighted_diameter == y.unweighted_diameter &&
-           x.eps_inv == y.eps_inv && x.r == y.r && x.ell == y.ell &&
-           x.k == y.k;
-  };
-  const auto measured_equal = [](const MeasuredSetCosts& x,
-                                 const MeasuredSetCosts& y) {
-    return x.t0_rounds == y.t0_rounds &&
-           x.t_setup_rounds == y.t_setup_rounds &&
-           x.t_eval_rounds == y.t_eval_rounds;
-  };
   return a.radius == b.radius && a.estimate_scaled == b.estimate_scaled &&
          a.total_scale == b.total_scale && a.estimate == b.estimate &&
          a.exact == b.exact && a.ratio == b.ratio &&
@@ -396,9 +379,8 @@ bool semantically_equal(const Theorem11Result& a, const Theorem11Result& b) {
          a.t0_outer == b.t0_outer && a.t1_outer == b.t1_outer &&
          a.t2_outer == b.t2_outer && a.outer_calls == b.outer_calls &&
          a.inner_budget_calls == b.inner_budget_calls &&
-         measured_equal(a.measured, b.measured) &&
-         params_equal(a.params, b.params) && a.d_hat == b.d_hat &&
-         a.chosen_set == b.chosen_set &&
+         a.measured == b.measured && a.params == b.params &&
+         a.d_hat == b.d_hat && a.chosen_set == b.chosen_set &&
          a.chosen_set_size == b.chosen_set_size && a.witness == b.witness &&
          a.distributed_value_matches == b.distributed_value_matches;
 }

@@ -86,6 +86,9 @@ struct MeasuredSetCosts {
   std::uint64_t t0_rounds = 0;      ///< Initialization_i (Algs 3+4 + set flood)
   std::uint64_t t_setup_rounds = 0; ///< Setup_i (collect + broadcast + Alg 5)
   std::uint64_t t_eval_rounds = 0;  ///< Evaluation_i (convergecast)
+
+  friend bool operator==(const MeasuredSetCosts&,
+                         const MeasuredSetCosts&) = default;
 };
 
 /// Run-report diagnostics of the oracle backend. Excluded from

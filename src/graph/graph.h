@@ -128,6 +128,10 @@ class WeightedGraph {
   /// replacement path certificate).
   UpdateStats apply(const GraphUpdate& update);
 
+  /// Runs apply()'s validation alone: throws the ArgumentError that
+  /// apply(update) would throw, and mutates nothing either way.
+  void check_update(const GraphUpdate& update) const;
+
   /// Adds an undirected edge {u, v} with weight w >= 1.
   /// Throws ArgumentError on self loops, out-of-range ids, zero weight,
   /// or duplicate edges. Sugar for a one-op apply().

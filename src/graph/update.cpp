@@ -57,6 +57,52 @@ bool have_common_neighbor(const std::vector<std::vector<HalfEdge>>& adj,
   return false;
 }
 
+using TouchedEdges = std::unordered_map<std::uint64_t, TouchedEdge>;
+
+/// Validates the batch against a simulated edge state and returns that
+/// state. Checks (and their messages) run in the historical add_edge /
+/// set_edge_weight order, sequentially per op, so a batch fails exactly
+/// where the equivalent op sequence would — and before anything
+/// mutates.
+TouchedEdges simulate_ops(const WeightedGraph& g,
+                          const std::vector<EdgeOp>& ops) {
+  const NodeId n = g.node_count();
+  TouchedEdges touched;
+  touched.reserve(ops.size() * 2);
+  for (const EdgeOp& op : ops) {
+    QC_REQUIRE(op.u < n && op.v < n, "node id out of range");
+    QC_REQUIRE(op.u != op.v, "self loops are not allowed");
+    auto [it, fresh] = touched.try_emplace(edge_key(op.u, op.v));
+    TouchedEdge& e = it->second;
+    if (fresh) {
+      e.initially_present = g.has_edge(op.u, op.v);
+      e.present = e.initially_present;
+      if (e.present) {
+        e.initial_weight = g.edge_weight(op.u, op.v);
+        e.weight = e.initial_weight;
+      }
+    }
+    switch (op.kind) {
+      case EdgeOpKind::kInsert:
+        QC_REQUIRE(op.weight >= 1, "weights must be positive integers");
+        QC_REQUIRE(!e.present, "parallel edges are not allowed");
+        e.present = true;
+        e.weight = op.weight;
+        break;
+      case EdgeOpKind::kRemove:
+        if (!e.present) throw ArgumentError("remove_edge: no such edge");
+        e.present = false;
+        break;
+      case EdgeOpKind::kReweight:
+        QC_REQUIRE(op.weight >= 1, "weights must be positive integers");
+        if (!e.present) throw ArgumentError("set_edge_weight: no such edge");
+        e.weight = op.weight;
+        break;
+    }
+  }
+  return touched;
+}
+
 void erase_half(std::vector<HalfEdge>& row, NodeId to) {
   const auto it =
       std::find_if(row.begin(), row.end(),
@@ -84,50 +130,17 @@ std::vector<NodeId> GraphUpdate::endpoints() const {
   return out;
 }
 
+void WeightedGraph::check_update(const GraphUpdate& update) const {
+  simulate_ops(*this, update.ops());
+}
+
 UpdateStats WeightedGraph::apply(const GraphUpdate& update) {
   UpdateStats stats;
   const auto& ops = update.ops();
   if (ops.empty()) return stats;
-  const NodeId n = node_count();
 
-  // ---- Phase 1: validate the whole batch against a simulated edge
-  // state. Checks (and their messages) run in the historical
-  // add_edge / set_edge_weight order, sequentially per op, so a batch
-  // fails exactly where the equivalent op sequence would — but nothing
-  // has mutated yet when it does.
-  std::unordered_map<std::uint64_t, TouchedEdge> touched;
-  touched.reserve(ops.size() * 2);
-  for (const EdgeOp& op : ops) {
-    QC_REQUIRE(op.u < n && op.v < n, "node id out of range");
-    QC_REQUIRE(op.u != op.v, "self loops are not allowed");
-    auto [it, fresh] = touched.try_emplace(edge_key(op.u, op.v));
-    TouchedEdge& e = it->second;
-    if (fresh) {
-      e.initially_present = has_edge(op.u, op.v);
-      e.present = e.initially_present;
-      if (e.present) {
-        e.initial_weight = edge_weight(op.u, op.v);
-        e.weight = e.initial_weight;
-      }
-    }
-    switch (op.kind) {
-      case EdgeOpKind::kInsert:
-        QC_REQUIRE(op.weight >= 1, "weights must be positive integers");
-        QC_REQUIRE(!e.present, "parallel edges are not allowed");
-        e.present = true;
-        e.weight = op.weight;
-        break;
-      case EdgeOpKind::kRemove:
-        if (!e.present) throw ArgumentError("remove_edge: no such edge");
-        e.present = false;
-        break;
-      case EdgeOpKind::kReweight:
-        QC_REQUIRE(op.weight >= 1, "weights must be positive integers");
-        if (!e.present) throw ArgumentError("set_edge_weight: no such edge");
-        e.weight = op.weight;
-        break;
-    }
-  }
+  // ---- Phase 1: validate the whole batch (simulate_ops above).
+  const TouchedEdges touched = simulate_ops(*this, ops);
 
   // ---- Phase 2: reduce to net changes, in first-touch op order (the
   // order inserts append to rows, so it must be deterministic).

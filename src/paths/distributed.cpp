@@ -16,13 +16,6 @@ using congest::Incoming;
 using congest::Message;
 using congest::NodeContext;
 using congest::NodeProgram;
-using congest::RunStats;
-
-void accumulate(RunStats& total, const RunStats& part) {
-  total.rounds += part.rounds;
-  total.messages += part.messages;
-  total.bits += part.bits;
-}
 
 /// Conservative global bound on any σ-scaled d̃ value (and on shortcut
 /// weights derived from them): every node can compute it from n, W and
@@ -222,21 +215,35 @@ class BoundedHopProgram final : public NodeProgram {
 // only in those slot-0 windows; an arrival in between lowers the next
 // due window in O(1).
 // ---------------------------------------------------------------------
+
+// What every instance runs: `scales` scales of cap+2 offsets, scale j
+// rounding a base weight w to ⌈σ·w/2^j⌉. Algorithm 3 takes these from
+// its HopScale; the hop-distance BFS runs σ = 1, one scale and base
+// weight 1 on every edge.
+struct MultiSourceSchedule {
+  std::uint64_t sigma;
+  std::uint32_t scales;
+  Dist cap;                 ///< per-scale announcement cap
+  std::uint32_t dist_bits;  ///< width of an announced distance
+  bool unit_weights;        ///< base weight 1, not the edge's weight
+};
+
 class MultiSourceProgram final : public NodeProgram {
  public:
   MultiSourceProgram(const std::vector<NodeId>& sources,
                      const std::vector<std::uint64_t>& delays,
-                     const HopScale& scale, std::uint32_t slot_count)
+                     const MultiSourceSchedule& schedule,
+                     std::uint32_t slot_count)
       : sources_(&sources),
         delays_(&delays),
-        scale_(scale),
-        scales_(scale.scale_count()),
-        cap_(scale.rounded_cap()),
+        sigma_(schedule.sigma),
+        cap_(schedule.cap),
         period_(cap_ + 2),
         slot_count_(slot_count),
         inst_bits_(bits_for(sources.size() + 1)),
-        dist_bits_(bits_for(cap_ + 2)) {
-    t_logical_ = scales_ * period_;
+        dist_bits_(schedule.dist_bits),
+        unit_weights_(schedule.unit_weights) {
+    t_logical_ = schedule.scales * period_;
     const std::uint64_t max_delay =
         *std::max_element(delays.begin(), delays.end());
     last_round_ = (max_delay + t_logical_ + 1) * slot_count_ - 1;
@@ -249,7 +256,7 @@ class MultiSourceProgram final : public NodeProgram {
   void on_start(NodeContext& ctx) override {
     weights_.reserve(ctx.neighbors().size());
     for (const HalfEdge& h : ctx.neighbors()) {
-      weights_.push_back(h.weight);
+      weights_.push_back(unit_weights_ ? 1 : h.weight);
     }
   }
 
@@ -287,11 +294,10 @@ class MultiSourceProgram final : public NodeProgram {
       QC_CHECK(window >= (*delays_)[a], "arrival before instance start");
       const std::uint64_t tau = window - (*delays_)[a];
       QC_CHECK(tau < t_logical_, "arrival after instance end");
-      const Dist via =
-          dist_add(in.msg.field(1),
-                   scale_.rounded_weight(
-                       weights_[ctx.neighbor_slot(in.from)],
-                       static_cast<std::uint32_t>(tau / period_)));
+      const Dist via = dist_add(
+          in.msg.field(1),
+          ceil_div(sigma_ * weights_[ctx.neighbor_slot(in.from)],
+                   std::uint64_t{1} << (tau / period_)));
       cur_[a] = std::min(cur_[a], via);
       // This window's slot 0 has passed (or is being served now), so
       // only a later offset of the same scale can still announce; else
@@ -365,16 +371,16 @@ class MultiSourceProgram final : public NodeProgram {
 
   const std::vector<NodeId>* sources_;
   const std::vector<std::uint64_t>* delays_;
-  HopScale scale_;
-  std::uint32_t scales_;
+  std::uint64_t sigma_;
   Dist cap_;
   std::uint64_t period_;
   std::uint64_t slot_count_;
   std::uint32_t inst_bits_;
   std::uint32_t dist_bits_;
+  bool unit_weights_;
   std::uint64_t t_logical_ = 0;
   std::uint64_t last_round_ = 0;  ///< where every node finishes
-  std::vector<Weight> weights_;  ///< by neighbour slot
+  std::vector<Weight> weights_;  ///< base weights, by neighbour slot
   std::vector<Dist> cur_;
   std::vector<bool> announced_;
   std::vector<Dist> dtilde_;
@@ -384,6 +390,67 @@ class MultiSourceProgram final : public NodeProgram {
   std::uint64_t next_event_ = kNoEvent;
   bool finished_ = false;
 };
+
+// Algorithm 3's attempt loop, shared by both of its entry points.
+MultiSourceResult run_multi_source(const WeightedGraph& g,
+                                   const RunRequest& req,
+                                   const MultiSourceSchedule& schedule) {
+  QC_REQUIRE(req.rng != nullptr,
+             "Algorithm 3 needs RunRequest::rng (with_rng) for its delays");
+  const std::vector<NodeId>& sources = req.sources;
+  Rng& rng = *req.rng;
+  const Config& config = req.config;
+  QC_REQUIRE(!sources.empty(), "Algorithm 3 needs at least one source");
+  const NodeId n = g.node_count();
+  const std::size_t b = sources.size();
+  const std::uint32_t slot_count = std::max<std::uint32_t>(1, clog2(n));
+
+  MultiSourceResult out;
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    // The leader samples the delays and disseminates them by pipelined
+    // flooding (O(D + b) rounds), as in the paper's Algorithm 3 step 2.
+    std::vector<std::uint64_t> delays(b);
+    const std::uint64_t delay_range = b * slot_count + 1;
+    for (auto& d : delays) d = rng.below(delay_range);
+
+    std::vector<std::vector<FloodItem>> items(n);
+    const std::uint32_t idx_bits = bits_for(b + 1);
+    const std::uint32_t delay_bits = bits_for(delay_range + 1);
+    for (std::size_t a = 0; a < b; ++a) {
+      FloodItem item;
+      item.push(a, idx_bits).push(delays[a], delay_bits);
+      items[0].push_back(std::move(item));  // leader = node 0
+    }
+    out.stats += congest::flood_items(g, std::move(items), config,
+                                      congest::FloodCollect::kStatsOnly)
+                     .stats;
+
+    try {
+      auto run = congest::run_on_all<MultiSourceProgram>(
+          g,
+          [&](NodeId) {
+            return std::make_unique<MultiSourceProgram>(sources, delays,
+                                                        schedule, slot_count);
+          },
+          config);
+      out.stats += run.stats;
+      out.attempts = attempt;
+      out.approx.assign(b, std::vector<Dist>(n, kInfDist));
+      for (NodeId v = 0; v < n; ++v) {
+        for (std::size_t a = 0; a < b; ++a) {
+          out.approx[a][v] = run.at(v).approx(a);
+        }
+      }
+      return out;
+    } catch (const AlgorithmFailure&) {
+      // Charge the full scheduled duration of the failed attempt, then
+      // retry with fresh delays (failure probability <= 1/poly(n)).
+      const std::uint64_t t_logical = schedule.scales * (schedule.cap + 2);
+      out.stats.rounds += (b * slot_count + t_logical + 1) * slot_count;
+      QC_CHECK(attempt < 64, "Algorithm 3 failed too many times");
+    }
+  }
+}
 
 }  // namespace
 
@@ -437,64 +504,24 @@ BoundedHopResult distributed_bounded_hop_sssp(const WeightedGraph& g,
 
 MultiSourceResult distributed_multi_source_bhs(const WeightedGraph& g,
                                                const RunRequest& req) {
-  QC_REQUIRE(req.rng != nullptr,
-             "Algorithm 3 needs RunRequest::rng (with_rng) for its delays");
-  const std::vector<NodeId>& sources = req.sources;
-  const HopScale& scale = req.scale;
-  Rng& rng = *req.rng;
-  const Config& config = req.config;
-  QC_REQUIRE(!sources.empty(), "Algorithm 3 needs at least one source");
-  const NodeId n = g.node_count();
-  const std::size_t b = sources.size();
-  const std::uint32_t slot_count = std::max<std::uint32_t>(1, clog2(n));
+  const Dist cap = req.scale.rounded_cap();
+  return run_multi_source(g, req,
+                          {.sigma = req.scale.sigma(),
+                           .scales = req.scale.scale_count(),
+                           .cap = cap,
+                           .dist_bits = bits_for(cap + 2),
+                           .unit_weights = false});
+}
 
-  MultiSourceResult out;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    // The leader samples the delays and disseminates them by pipelined
-    // flooding (O(D + b) rounds), as in the paper's Algorithm 3 step 2.
-    std::vector<std::uint64_t> delays(b);
-    const std::uint64_t delay_range = b * slot_count + 1;
-    for (auto& d : delays) d = rng.below(delay_range);
-
-    std::vector<std::vector<FloodItem>> items(n);
-    const std::uint32_t idx_bits = bits_for(b + 1);
-    const std::uint32_t delay_bits = bits_for(delay_range + 1);
-    for (std::size_t a = 0; a < b; ++a) {
-      FloodItem item;
-      item.push(a, idx_bits).push(delays[a], delay_bits);
-      items[0].push_back(std::move(item));  // leader = node 0
-    }
-    accumulate(out.stats,
-               congest::flood_items(g, std::move(items), config,
-                                    congest::FloodCollect::kStatsOnly)
-                   .stats);
-
-    try {
-      auto run = congest::run_on_all<MultiSourceProgram>(
-          g,
-          [&](NodeId) {
-            return std::make_unique<MultiSourceProgram>(sources, delays,
-                                                        scale, slot_count);
-          },
-          config);
-      accumulate(out.stats, run.stats);
-      out.attempts = attempt;
-      out.approx.assign(b, std::vector<Dist>(n, kInfDist));
-      for (NodeId v = 0; v < n; ++v) {
-        for (std::size_t a = 0; a < b; ++a) {
-          out.approx[a][v] = run.at(v).approx(a);
-        }
-      }
-      return out;
-    } catch (const AlgorithmFailure&) {
-      // Charge the full scheduled duration of the failed attempt, then
-      // retry with fresh delays (failure probability <= 1/poly(n)).
-      const std::uint64_t period = scale.rounded_cap() + 2;
-      const std::uint64_t t_logical = scale.scale_count() * period;
-      out.stats.rounds += (b * slot_count + t_logical + 1) * slot_count;
-      QC_CHECK(attempt < 64, "Algorithm 3 failed too many times");
-    }
-  }
+MultiSourceResult distributed_multi_source_hop_bfs(const WeightedGraph& g,
+                                                   const RunRequest& req) {
+  QC_REQUIRE(req.cap >= 1, "hop-distance BFS needs a cap >= 1");
+  return run_multi_source(g, req,
+                          {.sigma = 1,
+                           .scales = 1,
+                           .cap = req.cap - 1,
+                           .dist_bits = bits_for(req.cap + 2),
+                           .unit_weights = true});
 }
 
 OverlayEmbedding distributed_embed_overlay(
@@ -557,7 +584,7 @@ OverlayEmbedding distributed_embed_overlay(
   }
   auto flood = congest::flood_items(g, std::move(items), config,
                                     congest::FloodCollect::kFirstNode);
-  accumulate(out.stats, flood.stats);
+  out.stats += flood.stats;
 
   // Every node now holds the same star union H; reconstruct it from the
   // flood output of node 0 (tests assert all nodes agree).
@@ -606,7 +633,7 @@ OverlayEmbedding distributed_embed_overlay(
   }
   auto agg = congest::global_aggregate(g, 0, inputs, congest::AggregateOp::kMax,
                                        w_bits, config);
-  accumulate(out.stats, agg.stats);
+  out.stats += agg.stats;
   out.max_w2 = std::max<std::uint64_t>(1, agg.value);
   return out;
 }
@@ -665,14 +692,14 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
               congest::AggregateOp::kSum, idx_bits, config);
           QC_CHECK(zero_agg->value == 0, "announcement count mismatch");
         }
-        accumulate(out.stats, zero_agg->stats);
+        out.stats += zero_agg->stats;
         continue;
       }
       std::vector<std::uint64_t> counts(n, 0);
       for (const auto& [a, d] : due) counts[overlay.sources[a]] += 1;
       auto agg = congest::global_aggregate(
           g, 0, counts, congest::AggregateOp::kSum, idx_bits, config);
-      accumulate(out.stats, agg.stats);
+      out.stats += agg.stats;
       QC_CHECK(agg.value == due.size(), "announcement count mismatch");
       if (due.empty()) continue;
 
@@ -683,10 +710,9 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
         item.push(a, idx_bits).push(d, d_bits);
         items[overlay.sources[a]].push_back(std::move(item));
       }
-      accumulate(out.stats,
-                 congest::flood_items(g, std::move(items), config,
-                                      congest::FloodCollect::kStatsOnly)
-                     .stats);
+      out.stats += congest::flood_items(g, std::move(items), config,
+                                        congest::FloodCollect::kStatsOnly)
+                       .stats;
 
       // Every node records the announcement; overlay members relax
       // their own state with their private w″ row.

@@ -52,7 +52,8 @@ struct RunRequest {
   congest::Config config;
   /// Source node (Algorithms 1-2).
   NodeId source = 0;
-  /// Distance cap for bounded-distance SSSP (Algorithm 2).
+  /// Distance cap for bounded-distance SSSP (Algorithm 2) and the
+  /// hop-distance BFS.
   Dist cap = 0;
   /// Edge-weight transform for bounded-distance SSSP; empty = identity.
   std::function<std::uint64_t(Weight)> weight_of;
@@ -61,7 +62,7 @@ struct RunRequest {
   /// Source set (Algorithms 3-4).
   std::vector<NodeId> sources;
   /// Private randomness for Algorithm 3's delays (borrowed, required by
-  /// distributed_multi_source_bhs only).
+  /// distributed_multi_source_bhs and _hop_bfs only).
   Rng* rng = nullptr;
   /// Paper parameters (Algorithms 4-5; borrowed, must outlive the call).
   const Params* params = nullptr;
@@ -146,6 +147,18 @@ struct MultiSourceResult {
 /// Reads req.sources, req.scale, req.rng (required) and req.config.
 MultiSourceResult distributed_multi_source_bhs(const WeightedGraph& g,
                                                const RunRequest& req);
+
+/// Algorithm 3 on hop distances: the random-delay multi-source BFS of
+/// Table 1's unweighted baselines (core::distributed_multi_source_bfs).
+/// Same program and retry loop as above, with σ = 1, one scale and
+/// every edge weighing 1, so approx[a][v] is the hop distance from
+/// sources[a] to v when it is below req.cap, else kInfDist. Instance a
+/// occupies windows [delay_a, delay_a + cap] (the last one never
+/// announces) and distances travel in bits_for(cap + 2)-bit fields.
+/// Reads req.sources, req.cap (>= 1), req.rng (required) and
+/// req.config.
+MultiSourceResult distributed_multi_source_hop_bfs(const WeightedGraph& g,
+                                                   const RunRequest& req);
 
 /// Algorithm 4: embedding the k-shortcut overlay network (G″_S, w″_S).
 /// Inputs are Algorithm 3's outputs. On return, member a's row of w″ is

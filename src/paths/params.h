@@ -68,6 +68,8 @@ struct Params {
   /// ε as a double — for reporting approximation ratios only; never used
   /// in distance arithmetic.
   double epsilon() const { return 1.0 / static_cast<double>(eps_inv); }
+
+  friend bool operator==(const Params&, const Params&) = default;
 };
 
 /// Generic Lemma 3.2 scaling context for an arbitrary positive-integer-

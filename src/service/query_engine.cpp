@@ -481,6 +481,10 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
     return out;
   }
 
+  // A batch apply() rejects must not pay for the pre-update searches
+  // below: validate it first.
+  g_.check_update(update);
+
   // Which warm tables exist decides what pre-update state to capture.
   // Callers hold the exclusive state lock, so nobody flips these under
   // us — the warm mutex is only against the engine's locking being
@@ -493,12 +497,10 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
     had_toolkit = toolkit_ != nullptr;
   }
 
-  // Pre-apply state of every touched edge. Out-of-range ids are left
-  // uncaptured: apply() below throws on them before anything is used.
+  // Pre-apply state of every touched edge.
   std::vector<TouchedEdgeState> touched;
   {
     std::unordered_set<std::uint64_t> seen;
-    const NodeId n = g_.node_count();
     for (const EdgeOp& op : update.ops()) {
       const NodeId a = std::min(op.u, op.v);
       const NodeId b = std::max(op.u, op.v);
@@ -508,20 +510,12 @@ GraphContext::UpdateOutcome GraphContext::apply_update(
       TouchedEdgeState e;
       e.u = a;
       e.v = b;
-      if (a != b && b < n) {
-        e.before = g_.has_edge(a, b);
-        if (e.before) e.w_before = g_.edge_weight(a, b);
-      }
+      e.before = g_.has_edge(a, b);
+      if (e.before) e.w_before = g_.edge_weight(a, b);
       touched.push_back(e);
     }
   }
-  // Out-of-range ids (the sorted tail) get no pre-update search, so
-  // apply() reports them with its own "node id out of range"; a batch
-  // that passes validation has none, so the slots stay aligned.
-  std::vector<NodeId> endpoints = update.endpoints();
-  endpoints.erase(
-      std::lower_bound(endpoints.begin(), endpoints.end(), g_.node_count()),
-      endpoints.end());
+  const std::vector<NodeId> endpoints = update.endpoints();
 
   // Lemma-2 pre-vectors: distances *from each endpoint* in the old
   // graph. By symmetry pre_w[slot(x)][s] = d_old(s, x), so the tight-

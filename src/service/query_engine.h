@@ -257,7 +257,8 @@ class GraphContext {
   /// 2·|endpoints| endpoint Dijkstras/BFS certify exactly — only the
   /// affected sources re-run. Without `incremental` (or when the batch
   /// disconnects the graph) every warm artifact is discarded instead.
-  /// Validation is atomic: an ArgumentError propagates with the graph
+  /// Validation is atomic and comes first (WeightedGraph::check_update):
+  /// an ArgumentError propagates before any search runs, with the graph
   /// and all warm state untouched. Callers must hold the exclusive
   /// side of state_mutex() (the engine's update handler does).
   UpdateOutcome apply_update(const GraphUpdate& update,
@@ -273,6 +274,8 @@ class GraphContext {
     std::size_t toolkit_rows = 0;  ///< cached d̃^ℓ rows (0 = no cache yet)
     bool mapped = false;           ///< reads served from the bcsr mapping
     bool materialized = false;     ///< owned WeightedGraph exists
+
+    friend bool operator==(const WarmState&, const WarmState&) = default;
   };
   WarmState warm_state() const;
 

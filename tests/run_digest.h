@@ -1,15 +1,23 @@
 // FNV-1a digests of a simulator run's trace and per-round metrics, so a
-// golden test can pin a whole run with one literal per log.
+// golden test can pin a whole run with one literal per log, and a
+// readable printer for the RunStats ledger such pins compare.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
+#include <ostream>
 #include <vector>
 
 #include "congest/simulator.h"
 
 namespace qc::congest {
+
+/// Prints a ledger on a failed comparison the way goldens spell it,
+/// {rounds, messages, bits}, instead of as raw bytes.
+inline void PrintTo(const RunStats& s, std::ostream* os) {
+  *os << "{" << s.rounds << ", " << s.messages << ", " << s.bits << "}";
+}
 
 inline std::uint64_t fnv1a(std::initializer_list<std::uint64_t> words,
                            std::uint64_t h = 0xcbf29ce484222325ull) {

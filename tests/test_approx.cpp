@@ -1,16 +1,19 @@
 // Tests for the additional approximation baselines (core/approx.h):
 // distributed weighted SSSP, the folklore 2-approximation, pipelined
 // multi-source BFS, and the 3/2-approximation of the unweighted
-// diameter — plus the ε-override knob on Theorem 1.1.
+// diameter, with literal goldens for the BFS and for the 3/2-approx
+// and LGM rounds built on it — plus the ε-override knob on Theorem 1.1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "core/approx.h"
+#include "core/baselines.h"
 #include "core/theorem11.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "run_digest.h"
 #include "util/rng.h"
 
 namespace qc::core {
@@ -162,6 +165,70 @@ TEST_P(MultiBfsTest, RoundsScaleAsSourcesPlusDiameter) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, MultiBfsTest, ::testing::Range(0, 6));
+
+std::uint64_t rows_digest(const std::vector<std::vector<Dist>>& rows) {
+  std::uint64_t h = congest::fnv1a({rows.size()});
+  for (const auto& row : rows) {
+    for (const Dist d : row) h = congest::fnv1a({d}, h);
+  }
+  return h;
+}
+
+// RunStats, attempts and a digest of every node's distances, as
+// literals captured from the random-delay BFS that ran every node in
+// every round. The hypercube retries once; on path(8) the leader's
+// eccentricity is 7, so the cap is 15 and the distance field needs
+// bits_for(17) = 5 bits, one more than bits_for(16).
+TEST(MultiBfsGolden, RunsArePinned) {
+  Rng er_rng(12);
+  const struct {
+    const char* name;
+    WeightedGraph g;
+    std::vector<NodeId> sources;
+    std::uint64_t seed;
+    congest::RunStats stats;
+    std::uint32_t attempts;
+    std::uint64_t digest;
+  } cases[] = {
+      {"hypercube(2)", gen::hypercube(2), {0, 1, 2, 3}, 8, {85, 124, 729}, 2,
+       4773020080802085825ull},
+      {"path(8)", gen::path(8), {0, 3, 7}, 5, {111, 140, 763}, 1,
+       243113072448735586ull},
+      {"er(40)", gen::erdos_renyi_connected(40, 0.1, er_rng),
+       {0, 5, 10, 15, 20, 25, 30, 35}, 21, {338, 3360, 29043}, 1,
+       10556893036022445195ull},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(c.seed);
+    const auto res = distributed_multi_source_bfs(c.g, c.sources, rng);
+    EXPECT_EQ(res.stats, c.stats);
+    EXPECT_EQ(res.attempts, c.attempts);
+    EXPECT_EQ(rows_digest(res.dist), c.digest);
+    for (std::size_t a = 0; a < c.sources.size(); ++a) {
+      EXPECT_EQ(res.dist[a], bfs_distances(c.g, c.sources[a])) << "a=" << a;
+    }
+  }
+}
+
+// The baselines built on the BFS above, on one ER graph large enough
+// that the 3/2-approximation samples a proper subset of the nodes.
+TEST(UnweightedBaselineGolden, RoundsArePinned) {
+  Rng rng(31);
+  const auto g = gen::erdos_renyi_connected(128, 0.05, rng);
+  const auto th = three_halves_unweighted_diameter(g, 4);
+  EXPECT_EQ(th.stats, (congest::RunStats{6134, 210642, 2909150}));
+  EXPECT_EQ(th.estimate, 7u);
+  EXPECT_EQ(th.sample_size, 119u);
+  const auto dia = lgm_quantum_unweighted_diameter(g, 4);
+  EXPECT_EQ(dia.rounds, 33927u);
+  EXPECT_EQ(dia.eval_rounds, 445u);
+  EXPECT_EQ(dia.value, 7u);
+  const auto rad = lgm_quantum_unweighted_radius(g, 4);
+  EXPECT_EQ(rad.rounds, 34835u);
+  EXPECT_EQ(rad.eval_rounds, 451u);
+  EXPECT_EQ(rad.value, 4u);
+}
 
 // ---------------------------------------------------------------------
 // 3/2-approximation

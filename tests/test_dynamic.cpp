@@ -114,6 +114,14 @@ TEST(UpdateBatch, ValidationIsAtomic) {
   loop.insert(3, 3, 1);
   EXPECT_THROW(g.apply(loop), ArgumentError);
   EXPECT_EQ(g.edges(), edges_before);
+
+  // check_update runs the same validation and never mutates.
+  for (const GraphUpdate* u : {&bad, &oob, &loop}) {
+    EXPECT_THROW(g.check_update(*u), ArgumentError);
+  }
+  g.check_update(GraphUpdate{}.reweight(e0.u, e0.v, e0.weight + 1));
+  EXPECT_EQ(g.edges(), edges_before);
+  expect_matches_fresh(g);
 }
 
 TEST(UpdateBatch, NetEffectCancelsInsertRemove) {
@@ -689,8 +697,8 @@ TEST(ServiceUpdate, BatchFallbackGivesPerOpVerdicts) {
 
 TEST(ServiceUpdate, OutOfRangeUpdateAfterWarmReadKeepsApplyError) {
   // Warm eccentricity tables make apply_update search from the batch's
-  // endpoints before apply() runs; an out-of-range id must still fail
-  // with apply()'s own message and leave the graph as it was.
+  // endpoints; an out-of-range id must fail with apply()'s own message
+  // before any such search, and leave the graph as it was.
   const WeightedGraph base = weighted_family("ER", 24, 9, 95);
   for (const bool incremental : {true, false}) {
     SCOPED_TRACE(incremental ? "incremental" : "scratch");
@@ -718,6 +726,83 @@ TEST(ServiceUpdate, OutOfRangeUpdateAfterWarmReadKeepsApplyError) {
         << r.error;
     EXPECT_EQ(ctx->graph().edge_count(), base.edge_count());
   }
+}
+
+TEST(ServiceUpdate, ErrorTextNamesSourceRelativeToCheckout) {
+  // An error reply is the same bytes from every build tree: the source
+  // location reads src/..., with no directory of the checkout before it.
+  EngineOptions opt;
+  opt.auto_dispatch = false;
+  QueryEngine engine(opt);
+  engine.add_graph("g0", weighted_family("ER", 16, 9, 95));
+  Query u;
+  u.type = "update";
+  u.op = "insert";
+  u.node = 0;
+  u.target = 999;
+  const QueryResult r = engine.query(u);
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.error.find(" at src/graph/update.cpp:"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(r.error.find("/src/graph/update.cpp"), std::string::npos)
+      << r.error;
+}
+
+std::string apply_error(WeightedGraph g, const GraphUpdate& batch) {
+  try {
+    g.apply(batch);
+  } catch (const ArgumentError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GraphContextUpdate, RejectedBatchLeavesWarmTablesUntouched) {
+  // apply_update validates a batch before its pre-update searches from
+  // the endpoints; a batch apply() rejects throws apply()'s own message
+  // and leaves the graph and every warm table as they were.
+  runtime::ThreadPool pool(2);
+  const WeightedGraph base = weighted_family("ER", 24, 9, 97);
+  GraphContext ctx("g", WeightedGraph(base));
+  ctx.weighted_eccentricities(pool);
+  ctx.hop_eccentricities(pool);
+  const GraphContext::WarmState warm = ctx.warm_state();
+  ASSERT_TRUE(warm.weighted_ecc && warm.hop_ecc);
+
+  const Edge e = base.edges().front();
+  NodeId absent = 1;  // 0 has no edge to it
+  while (base.has_edge(0, absent)) ++absent;
+  ASSERT_LT(absent, base.node_count());
+  const struct {
+    const char* name;
+    GraphUpdate batch;
+  } cases[] = {
+      {"parallel edge", GraphUpdate{}.insert(e.v, e.u, 3)},
+      {"missing edge", GraphUpdate{}.remove(0, absent)},
+      {"zero weight", GraphUpdate{}.reweight(e.u, e.v, 0)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string expected = apply_error(base, c.batch);
+    ASSERT_FALSE(expected.empty());
+    try {
+      ctx.apply_update(c.batch, pool, /*incremental=*/true);
+      ADD_FAILURE() << "batch accepted";
+    } catch (const ArgumentError& err) {
+      EXPECT_EQ(std::string(err.what()), expected);
+    }
+    EXPECT_EQ(ctx.warm_state(), warm);
+    EXPECT_EQ(ctx.graph().edges(), base.edges());
+  }
+
+  // The next valid update answers like the scratch path.
+  const GraphUpdate valid = GraphUpdate{}.reweight(e.u, e.v, e.weight + 4);
+  ctx.apply_update(valid, pool, /*incremental=*/true);
+  GraphContext scratch("s", WeightedGraph(base));
+  scratch.apply_update(valid, pool, /*incremental=*/false);
+  EXPECT_EQ(ctx.weighted_eccentricities(pool),
+            scratch.weighted_eccentricities(pool));
+  EXPECT_EQ(ctx.hop_eccentricities(pool), scratch.hop_eccentricities(pool));
 }
 
 TEST(ServiceUpdate, T11AnswersTrackUpdates) {

@@ -23,6 +23,8 @@
 #include "paths/distributed.h"
 #include "paths/reference.h"
 #include "quantum/search.h"
+#include "service/wire.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace qc {
@@ -243,6 +245,55 @@ TEST_P(FuzzSweep, BGraphParserSurvivesByteMutations) {
     }
   }
   std::remove(path.c_str());
+}
+
+// The NDJSON request parser under byte mutation: flip, insert and
+// delete a few bytes of a valid request line, and sometimes truncate
+// it. Every mutant must either parse or throw ArgumentError — never
+// crash or throw any other exception type. Half the mutated bytes come
+// from the characters the parser branches on, half are arbitrary.
+TEST_P(FuzzSweep, WireParserSurvivesByteMutations) {
+  Rng rng(GetParam() * 89 + 3);
+  const std::string lines[] = {
+      R"({"id":7,"graph":"g0","type":"sssp","node":5})",
+      R"({"id":8,"type":"update","op":"reweight","u":3,"v":9,"w":17})",
+      R"({ "type" : "approx_distance", "source":1, "target":2, "seed":42 })",
+      R"({"type":"diameter","graph":"a\"b\\c\/d\n\t\r"})",
+      R"({"id":18446744073709551615,"type":"eccentricity","node":4294967295})",
+  };
+  const std::string alphabet = "{}\":,\\ \t\r\n0123456789.eE-+";
+  std::uint64_t rejected = 0;
+  for (const std::string& good : lines) {
+    ASSERT_NO_THROW((void)service::parse_request(good)) << good;
+    for (int trial = 0; trial < 64; ++trial) {
+      std::string bytes = good;
+      const auto edits = 1 + rng.below(4);
+      for (std::uint64_t k = 0; k < edits; ++k) {
+        const char c = rng.chance(0.5)
+                           ? alphabet[rng.below(alphabet.size())]
+                           : static_cast<char>(rng.below(256));
+        const auto at = static_cast<std::size_t>(rng.below(bytes.size() + 1));
+        switch (rng.below(3)) {
+          case 0:
+            if (at < bytes.size()) bytes[at] = c;
+            break;
+          case 1:
+            bytes.insert(at, 1, c);
+            break;
+          default:
+            if (at < bytes.size()) bytes.erase(at, 1);
+            break;
+        }
+      }
+      if (rng.chance(0.2)) bytes.resize(rng.below(bytes.size() + 1));
+      try {
+        EXPECT_FALSE(service::parse_request(bytes).type.empty()) << bytes;
+      } catch (const ArgumentError&) {
+        ++rejected;  // expected for most mutants
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
