@@ -1,25 +1,29 @@
-// Wall-clock benchmark of the CONGEST simulator fast path against the
-// seed engine it replaced.
+// Wall-clock benchmark of the CONGEST simulator fast path.
 //
-// The seed engine (reproduced verbatim below) allocated two heap vectors
-// per message, located neighbour slots by O(degree) row scans (making a
-// broadcast O(deg²)), swapped per-node inbox vectors and refilled the
-// whole 2m-entry bandwidth ledger every round, and ran strictly
-// serially. The fast path stores messages inline, routes through the
+// The fast path stores messages once and routes through the
 // precomputed EdgeSlotIndex, keeps mailboxes in a double-buffered arena,
 // touches only the active node set per round, and optionally fans
-// on_round out over the work-stealing pool. This bench times both on
-// identical workloads (BFS flood, Algorithm 1 bounded-hop SSSP, and the
-// Algorithm 4 overlay embedding), asserts the ledgers, traces and
-// program outputs are byte-identical (including across worker counts
-// and at both extremes of the pooled_round_min_work knob, whose 0
-// forces the sharded mailbox merge on), and writes
-// BENCH_congest_sim.json with one row per (workload, variant, n,
-// workers). The alg1 "fast pooled" row runs with the default
-// pooled_round_min_work, which keeps its tiny rounds on the calling
-// thread; the "fast pooled always-pool" row forces the pool on every
-// program phase and every merge, and documents the fan-out tax the
-// threshold removes.
+// on_round out over the work-stealing pool. This bench times it on three
+// workloads (BFS flood, Algorithm 1 bounded-hop SSSP, and the Algorithm
+// 4 overlay embedding), checks that ledgers, traces and program outputs
+// are byte-identical across worker counts and at both extremes of the
+// pooled_round_min_work knob (whose 0 forces the sharded mailbox merge
+// on), and writes BENCH_congest_sim.json with one row per (workload,
+// variant, n, workers). The alg1 "fast pooled" row runs with the
+// default pooled_round_min_work, which keeps its tiny rounds on the
+// calling thread; the "fast pooled always-pool" row forces the pool on
+// every program phase and every merge, and documents the fan-out tax
+// the threshold removes.
+//
+// The seed engine this fast path replaced (per-message heap vectors,
+// O(degree) neighbour scans, whole-ledger refills, strictly serial) is
+// retired; its last timings are frozen in docs/perf.md. What it
+// guaranteed stays checked: at n = 128 (the ctest smoke) and n = 2048
+// (the default) every fast run of bfs_flood and alg1_hop_sssp must
+// equal literals captured from the seed engine — the ledger plus
+// digests of the trace, of the per-node outputs and of the order in
+// which each node heard its senders. At any other --n there is no seed
+// pin, and the bench checks worker-count identity only.
 //
 // Usage: bench_congest_sim [--smoke] [--large] [--n N] [--out FILE]
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
@@ -28,332 +32,33 @@
 //             graph (p = 8/n) at w = 1/2/4/8 — the sharded-merge
 //             scaling row; excluded from the ctest smoke entry
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <limits>
-#include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "../tests/run_digest.h"
 #include "congest/simulator.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "harness.h"
 #include "paths/distributed.h"
 #include "paths/params.h"
-#include "runtime/sweep.h"
 #include "util/rng.h"
-#include "util/table.h"
-
-// --- seed (pre-fast-path) engine, kept as the comparison baseline -----
-// Verbatim from the pre-PR src/congest/{message,simulator}.{h,cpp},
-// comments elided; only the namespace differs.
-
-namespace seedsim {
-
-using qc::HalfEdge;
-using qc::ModelError;
-using qc::NodeId;
-using qc::Rng;
-using qc::WeightedGraph;
-
-class Message {
- public:
-  Message() = default;
-  Message& push(std::uint64_t value, std::uint32_t bits) {
-    QC_REQUIRE(bits >= 1 && bits <= 64, "field width must be in [1, 64]");
-    QC_REQUIRE(bits == 64 || value < (std::uint64_t{1} << bits),
-               "field value does not fit in declared width");
-    fields_.push_back(value);
-    widths_.push_back(bits);
-    bit_size_ += bits;
-    return *this;
-  }
-  std::size_t field_count() const { return fields_.size(); }
-  std::uint64_t field(std::size_t i) const {
-    QC_REQUIRE(i < fields_.size(), "message field index out of range");
-    return fields_[i];
-  }
-  std::uint32_t field_width(std::size_t i) const {
-    QC_REQUIRE(i < widths_.size(), "message field index out of range");
-    return widths_[i];
-  }
-  std::uint32_t bit_size() const { return bit_size_; }
-
- private:
-  std::vector<std::uint64_t> fields_;
-  std::vector<std::uint32_t> widths_;
-  std::uint32_t bit_size_ = 0;
-};
-
-struct Incoming {
-  NodeId from;
-  Message msg;
-};
-
-struct Config {
-  std::uint32_t bandwidth_bits = 0;
-  std::uint64_t max_rounds = 50'000'000;
-  std::uint64_t seed = 1;
-  bool record_trace = false;
-};
-
-struct TraceEntry {
-  std::uint64_t round;
-  NodeId from;
-  NodeId to;
-  std::uint32_t bits;
-};
-
-struct RunStats {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-};
-
-class Simulator;
-
-class NodeContext {
- public:
-  NodeId id() const { return id_; }
-  NodeId n() const;
-  std::span<const HalfEdge> neighbors() const;
-  void send(NodeId to, Message m);
-  void broadcast(const Message& m);
-  Rng& rng();
-
- private:
-  friend class Simulator;
-  NodeContext(Simulator& sim, NodeId id) : sim_(&sim), id_(id) {}
-  Simulator* sim_;
-  NodeId id_;
-};
-
-class NodeProgram {
- public:
-  virtual ~NodeProgram() = default;
-  virtual void on_start(NodeContext& ctx) { (void)ctx; }
-  virtual void on_round(NodeContext& ctx, std::span<const Incoming> inbox) = 0;
-  virtual bool done() const = 0;
-};
-
-class Simulator {
- public:
-  Simulator(const WeightedGraph& graph, Config config)
-      : graph_(&graph),
-        config_(config),
-        bandwidth_(config.bandwidth_bits != 0
-                       ? config.bandwidth_bits
-                       : qc::congest::default_bandwidth(graph.node_count())) {
-    QC_REQUIRE(graph.node_count() >= 1, "network needs at least one node");
-    Rng master(config_.seed);
-    node_rngs_.reserve(graph.node_count());
-    for (NodeId v = 0; v < graph.node_count(); ++v) {
-      node_rngs_.push_back(master.fork());
-    }
-    sender_done_.assign(graph.node_count(), false);
-    outgoing_.resize(graph.node_count());
-    edge_bits_.resize(graph.node_count());
-    for (NodeId v = 0; v < graph.node_count(); ++v) {
-      edge_bits_[v].assign(graph.degree(v), 0);
-    }
-  }
-
-  RunStats run(std::span<const std::unique_ptr<NodeProgram>> programs) {
-    const NodeId n = graph_->node_count();
-    QC_REQUIRE(programs.size() == n, "need exactly one program per node");
-    stats_ = RunStats{};
-    round_ = 0;
-    outgoing_count_ = 0;
-    trace_.clear();
-    for (auto& row : outgoing_) row.clear();
-    std::vector<NodeContext> contexts;
-    contexts.reserve(n);
-    for (NodeId v = 0; v < n; ++v) contexts.push_back(NodeContext(*this, v));
-    for (NodeId v = 0; v < n; ++v) {
-      sender_done_[v] = false;
-      programs[v]->on_start(contexts[v]);
-    }
-    std::vector<std::vector<Incoming>> inboxes(n);
-    for (;;) {
-      for (NodeId v = 0; v < n; ++v) {
-        inboxes[v].clear();
-        inboxes[v].swap(outgoing_[v]);
-      }
-      const bool had_messages = outgoing_count_ > 0;
-      outgoing_count_ = 0;
-      for (auto& bits : edge_bits_) {
-        std::fill(bits.begin(), bits.end(), 0);
-      }
-      bool all_done = true;
-      for (NodeId v = 0; v < n; ++v) {
-        if (!programs[v]->done()) {
-          all_done = false;
-          break;
-        }
-      }
-      if (all_done && !had_messages) break;
-      for (NodeId v = 0; v < n; ++v) {
-        sender_done_[v] = programs[v]->done() && inboxes[v].empty();
-        if (sender_done_[v]) continue;
-        programs[v]->on_round(contexts[v], inboxes[v]);
-        sender_done_[v] = false;
-      }
-      ++round_;
-      QC_REQUIRE(round_ <= config_.max_rounds, "exceeded max_rounds");
-    }
-    stats_.rounds = round_;
-    return stats_;
-  }
-
-  const WeightedGraph& graph() const { return *graph_; }
-  const std::vector<TraceEntry>& trace() const { return trace_; }
-
- private:
-  friend class NodeContext;
-
-  void queue_message(NodeId from, NodeId to, Message m) {
-    QC_CHECK(from < graph_->node_count(), "sender out of range");
-    if (to >= graph_->node_count() || !graph_->has_edge(from, to)) {
-      throw ModelError("node " + std::to_string(from) +
-                       " tried to message non-neighbour " + std::to_string(to));
-    }
-    if (sender_done_[from]) {
-      throw ModelError("node " + std::to_string(from) +
-                       " sent a message after declaring done");
-    }
-    const auto adj = graph_->neighbors(from);
-    std::size_t slot = adj.size();
-    for (std::size_t i = 0; i < adj.size(); ++i) {
-      if (adj[i].to == to) {
-        slot = i;
-        break;
-      }
-    }
-    QC_CHECK(slot < adj.size(), "neighbour slot lookup failed");
-    const std::uint32_t used = edge_bits_[from][slot] + m.bit_size();
-    if (used > bandwidth_) {
-      throw ModelError("bandwidth exceeded");
-    }
-    edge_bits_[from][slot] = used;
-    stats_.messages += 1;
-    stats_.bits += m.bit_size();
-    if (config_.record_trace) {
-      trace_.push_back(TraceEntry{round_, from, to, m.bit_size()});
-    }
-    outgoing_[to].push_back(Incoming{from, std::move(m)});
-    ++outgoing_count_;
-  }
-
-  const WeightedGraph* graph_;
-  Config config_;
-  std::uint32_t bandwidth_;
-  std::uint64_t round_ = 0;
-  RunStats stats_;
-  std::vector<Rng> node_rngs_;
-  std::vector<bool> sender_done_;
-  std::vector<std::vector<Incoming>> outgoing_;
-  std::uint64_t outgoing_count_ = 0;
-  std::vector<std::vector<std::uint32_t>> edge_bits_;
-  std::vector<TraceEntry> trace_;
-};
-
-inline NodeId NodeContext::n() const { return sim_->graph().node_count(); }
-inline std::span<const HalfEdge> NodeContext::neighbors() const {
-  return sim_->graph().neighbors(id_);
-}
-inline void NodeContext::send(NodeId to, Message m) {
-  sim_->queue_message(id_, to, std::move(m));
-}
-inline void NodeContext::broadcast(const Message& m) {
-  for (const HalfEdge& h : neighbors()) {
-    sim_->queue_message(id_, h.to, m);
-  }
-}
-inline Rng& NodeContext::rng() { return sim_->node_rngs_[id_]; }
-
-}  // namespace seedsim
 
 namespace {
 
 using namespace qc;
 
-// --- engine-generic workload programs ---------------------------------
-// The same program source runs on both engines via an Api tag, so the
-// comparison isolates engine differences (both variants use the
-// pre-fast-path program idiom: map-based per-neighbour state, broadcast
-// by node id).
-
-struct SeedApi {
-  using Message = seedsim::Message;
-  using Incoming = seedsim::Incoming;
-  using NodeContext = seedsim::NodeContext;
-  using NodeProgram = seedsim::NodeProgram;
-};
-
-struct FastApi {
-  using Message = congest::Message;
-  using Incoming = congest::Incoming;
-  using NodeContext = congest::NodeContext;
-  using NodeProgram = congest::NodeProgram;
-};
-
-/// BFS flood: the source announces 0; every node announces dist on first
-/// arrival. Broadcast-heavy, few rounds — the workload the O(deg²)
-/// broadcast scan hurt most.
-template <typename Api>
-class BfsFloodProgram final : public Api::NodeProgram {
- public:
-  BfsFloodProgram(NodeId source, std::uint32_t dist_bits)
-      : source_(source), dist_bits_(dist_bits) {}
-
-  void on_start(typename Api::NodeContext& ctx) override {
-    if (ctx.id() == source_) {
-      dist_ = 0;
-      announced_ = true;
-      typename Api::Message m;
-      m.push(0, dist_bits_);
-      ctx.broadcast(m);
-    }
-  }
-
-  void on_round(typename Api::NodeContext& ctx,
-                std::span<const typename Api::Incoming> inbox) override {
-    if (announced_) return;  // later arrivals can't improve a BFS level
-    for (const auto& in : inbox) {
-      dist_ = std::min(dist_, in.msg.field(0) + 1);
-    }
-    if (dist_ != kInfDist) {
-      announced_ = true;
-      typename Api::Message m;
-      m.push(dist_, dist_bits_);
-      ctx.broadcast(m);
-    }
-  }
-
-  bool done() const override { return announced_; }
-
-  Dist value() const { return dist_; }
-
- private:
-  NodeId source_;
-  std::uint32_t dist_bits_;
-  Dist dist_ = kInfDist;
-  bool announced_ = false;
-};
-
 /// Algorithm 1 (bounded-hop SSSP): one timed-release pass per weight
 /// scale on a fixed schedule — long-running with a shrinking active
-/// set, the workload the O(n)-per-round scans hurt most.
-template <typename Api>
-class HopSsspProgram final : public Api::NodeProgram {
+/// set and few deliveries per round. It keeps the seed engine's program
+/// idiom (map-based per-neighbour state), as the seed pins were
+/// captured with it.
+class HopSsspProgram final : public congest::NodeProgram {
  public:
   HopSsspProgram(NodeId source, const paths::HopScale& scale,
                  std::uint32_t dist_bits)
@@ -363,15 +68,16 @@ class HopSsspProgram final : public Api::NodeProgram {
         cap_(scale.rounded_cap()),
         dist_bits_(dist_bits) {}
 
-  void on_start(typename Api::NodeContext& ctx) override {
+  void on_start(congest::NodeContext& ctx) override {
     for (const HalfEdge& h : ctx.neighbors()) {
       weights_[h.to] = h.weight;
     }
     reset_scale(ctx.id());
   }
 
-  void on_round(typename Api::NodeContext& ctx,
-                std::span<const typename Api::Incoming> inbox) override {
+  void on_round(congest::NodeContext& ctx,
+                std::span<const congest::Incoming> inbox) override {
+    heard_ = bench::fold_senders(heard_, inbox);
     for (const auto& in : inbox) {
       const std::uint64_t w =
           scale_.rounded_weight(weights_.at(in.from), scale_index_);
@@ -379,7 +85,7 @@ class HopSsspProgram final : public Api::NodeProgram {
     }
     if (!announced_ && best_ == offset_ && best_ <= cap_) {
       announced_ = true;
-      typename Api::Message m;
+      congest::Message m;
       m.push(best_, dist_bits_);
       ctx.broadcast(m);
     }
@@ -396,6 +102,7 @@ class HopSsspProgram final : public Api::NodeProgram {
   bool done() const override { return scale_index_ >= scales_; }
 
   Dist value() const { return dtilde_; }
+  std::uint64_t heard() const { return heard_; }
 
  private:
   void reset_scale(NodeId me) {
@@ -415,174 +122,87 @@ class HopSsspProgram final : public Api::NodeProgram {
   Dist offset_ = 0;
   bool announced_ = false;
   Dist dtilde_ = kInfDist;
+  std::uint64_t heard_ = bench::kNothingHeard;
 };
 
-// --- harness ----------------------------------------------------------
+// --- seed pins ---------------------------------------------------------
 
-double time_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-// Process CPU time (user + system). For single-threaded variants this is
-// the steal- and load-immune measure of "work done on one core", which
-// is what the serial speedup claim is about; wall clock on a shared
-// machine also charges whatever the neighbours are doing.
-double cpu_now() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
-}
-
-double cpu_time_of(const std::function<void()>& fn) {
-  const double t0 = cpu_now();
-  fn();
-  return cpu_now() - t0;
-}
-
-// Best-of-k timing: runs the variants interleaved for `batches` rounds
-// and keeps each variant's fastest batch. The minimum is the standard
-// estimator for "true cost" on a machine with background load (noise is
-// strictly additive), and interleaving keeps slow phases of the host
-// from landing entirely on one variant. `use_cpu[i]` selects process CPU
-// time instead of wall clock (single-threaded variants only — CPU time
-// would hide the point of the pooled ones).
-std::vector<double> best_of(int batches,
-                            std::span<const std::function<void()>> variants,
-                            std::span<const bool> use_cpu) {
-  std::vector<double> best(variants.size(),
-                           std::numeric_limits<double>::infinity());
-  for (int b = 0; b < batches; ++b) {
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      const double t =
-          use_cpu[i] ? cpu_time_of(variants[i]) : time_of(variants[i]);
-      best[i] = std::min(best[i], t);
-    }
-  }
-  return best;
-}
-
-struct Outcome {
+/// One run reduced to literals: the ledger and FNV-1a digests of the
+/// trace, of the per-node outputs and of the per-node delivery orders.
+struct Pin {
   congest::RunStats stats;
-  std::vector<congest::TraceEntry> trace;
-  std::vector<Dist> values;
+  std::uint64_t trace = 0;
+  std::uint64_t values = 0;
+  std::uint64_t heard = 0;
 
-  friend bool operator==(const Outcome&, const Outcome&) = default;
+  friend bool operator==(const Pin&, const Pin&) = default;
 };
 
-template <typename Program, typename Make>
-Outcome run_seed(const WeightedGraph& g, const Make& make, bool trace) {
-  seedsim::Config cfg;
-  cfg.record_trace = trace;
-  std::vector<std::unique_ptr<seedsim::NodeProgram>> programs;
-  programs.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) programs.push_back(make(v));
-  seedsim::Simulator sim(g, cfg);
-  const seedsim::RunStats s = sim.run(programs);
-  Outcome out;
-  out.stats = congest::RunStats{s.rounds, s.messages, s.bits};
-  out.trace.reserve(sim.trace().size());
-  for (const seedsim::TraceEntry& t : sim.trace()) {
-    out.trace.push_back(congest::TraceEntry{t.round, t.from, t.to, t.bits});
+Pin pin_of(const bench::SimOutcome& o) {
+  Pin p{o.stats, congest::trace_digest(o.trace), congest::fnv1a({}),
+        congest::fnv1a({})};
+  for (const Dist v : o.values) p.values = congest::fnv1a({v}, p.values);
+  for (const std::uint64_t h : o.heard) p.heard = congest::fnv1a({h}, p.heard);
+  return p;
+}
+
+/// Literals captured from the seed engine on this bench's graph (ER,
+/// avg degree 8, weights 1..64, Rng(2022)), where the bench asserted
+/// seed and fast outcomes equal.
+struct SeedPin {
+  NodeId n;
+  Pin pin;
+};
+constexpr SeedPin kBfsFloodPins[] = {
+    {128,
+     {{4, 966, 7728}, 16882940925607347460ull, 16919191894067003781ull,
+      15386370540349786052ull}},
+    {2048,
+     {{6, 16638, 199656}, 17917204541271482615ull, 16046030121014745091ull,
+      7882234277103212954ull}}};
+constexpr SeedPin kHopSsspPins[] = {
+    {128,
+     {{1066, 7829, 54803}, 4690499577286634920ull, 9248389722172280449ull,
+      9081315917525941598ull}},
+    {2048,
+     {{1066, 119534, 836738}, 8355622368699191718ull, 11903293261039554895ull,
+      4954725373022919053ull}}};
+
+/// The pin every run of a workload must equal: the seed literal at a
+/// pinned n, else the traced serial run's own (worker-count identity).
+Pin expected_pin(std::span<const SeedPin> pins, NodeId n, const char* workload,
+                 const bench::SimOutcome& serial) {
+  for (const SeedPin& p : pins) {
+    if (p.n == n) return p.pin;
   }
-  out.values.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    out.values.push_back(static_cast<const Program&>(*programs[v]).value());
-  }
-  return out;
+  std::printf("%s: no seed pin at n=%u (pinned: n=128, 2048); checking "
+              "worker-count identity only\n",
+              workload, static_cast<unsigned>(n));
+  return pin_of(serial);
 }
 
 template <typename Program, typename Make>
-Outcome run_fast(const WeightedGraph& g, const Make& make, bool trace,
-                 unsigned workers,
-                 std::size_t min_work =
-                     congest::Config::Execution{}.pooled_round_min_work) {
+bench::SimOutcome run_fast(const WeightedGraph& g, const Make& make,
+                           bool trace, unsigned workers,
+                           std::size_t min_work =
+                               congest::Config::Execution{}
+                                   .pooled_round_min_work) {
   congest::Config cfg;
   cfg.hooks.record_trace = trace;
   cfg.execution.workers = workers;
   cfg.execution.pooled_round_min_work = min_work;
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  programs.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) programs.push_back(make(v));
-  congest::Simulator sim(g, cfg);
-  Outcome out;
-  out.stats = sim.run(programs);
-  out.trace = sim.trace();
-  out.values.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    out.values.push_back(static_cast<const Program&>(*programs[v]).value());
-  }
-  return out;
-}
-
-struct Row {
-  std::string workload;
-  std::string variant;
-  NodeId n = 0;           ///< node count of the graph this row ran on
-  unsigned workers = 1;   ///< Config::Execution::workers (1 for seed)
-  double seconds = 0;
-  double speedup = 1.0;   ///< vs the workload's baseline variant (same n)
-  bool identical = true;  ///< outcome equals the baseline outcome
-};
-
-struct Spec {
-  NodeId n = 0;        ///< base graph node count
-  std::size_t m = 0;   ///< base graph edge count
-  unsigned hardware_workers = 0;  ///< raw std::thread::hardware_concurrency()
-  std::vector<unsigned> benched_workers;
-  bool large = false;  ///< whether the n=65536 rows were benched
-};
-
-std::string to_json(const Spec& spec, const std::vector<Row>& rows,
-                    double bfs_serial_speedup, double overlay_w8_speedup,
-                    NodeId overlay_n, bool deterministic) {
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"n\": " << spec.n << ", \"m\": " << spec.m
-     << ", \"hardware_workers\": " << spec.hardware_workers
-     << ", \"benched_workers\": [";
-  for (std::size_t i = 0; i < spec.benched_workers.size(); ++i) {
-    os << (i ? ", " : "") << spec.benched_workers[i];
-  }
-  os << "], \"large\": " << (spec.large ? "true" : "false")
-     << "},\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"variant\": \""
-       << r.variant << "\", \"n\": " << r.n << ", \"workers\": " << r.workers
-       << ", \"seconds\": " << r.seconds
-       << ", \"speedup_vs_baseline\": " << r.speedup << ", \"identical\": "
-       << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"acceptance\": {\"bfs_fast_serial_speedup_vs_seed\": "
-     << bfs_serial_speedup << ", \"alg4_overlay_w8_speedup_vs_w1\": "
-     << overlay_w8_speedup << ", \"alg4_overlay_speedup_n\": " << overlay_n
-     << ", \"byte_identical_at_all_worker_counts\": "
-     << (deterministic ? "true" : "false") << "}\n}\n";
-  return os.str();
+  return bench::run_programs<Program>(g, make, cfg);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 2048;
-  bool smoke = false;
-  bool large = false;
-  std::string out_path = "BENCH_congest_sim.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      n = 128;
-    } else if (std::strcmp(argv[i], "--large") == 0) {
-      large = true;
-    } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<NodeId>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv,
+                           {"--smoke", "--large", "--n N", "--out FILE"});
+  const bool smoke = flags.has("--smoke");
+  const bool large = flags.has("--large");
+  const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 2048);
+  const std::string out_path = flags.str("--out", "BENCH_congest_sim.json");
 
   // Random connected graph, avg degree ~8 — the Theorem 1.1 sweep regime.
   Rng rng(2022);
@@ -590,124 +210,100 @@ int main(int argc, char** argv) {
   g = gen::randomize_weights(g, 64, rng);
   g.csr();  // warm the CSR/slot caches outside the timers (one-time cost)
   g.slot_index();
-  // Report the machine as it is: hardware_concurrency() verbatim (0 =
-  // unknown), not clamped to the worker counts we bench. The benched
-  // counts live in spec.benched_workers — on a box with fewer cores
-  // than 8 the w=8 rows still run (oversubscribed) and are still
-  // byte-identical; they just can't show wall-clock scaling.
-  const unsigned hw = std::thread::hardware_concurrency();
+  // On a box with fewer cores than 8 the w=8 rows still run
+  // (oversubscribed) and are still byte-identical; they just can't show
+  // wall-clock scaling. The spec records the machine as it is.
   const std::vector<unsigned> benched_workers = {1, 2, 4, 8};
   const int reps_bfs = smoke ? 2 : 8;
   const int reps_hop = smoke ? 1 : 2;
-  const int batches = smoke ? 1 : 5;  // best-of-k, see best_of()
+  const int batches = smoke ? 1 : 5;  // best-of-k, see bench::best_of
 
   std::printf(
       "congest simulator: %s, avg deg %.1f, B=%u bits, %u hardware "
       "worker(s)\n\n",
       g.summary().c_str(), 2.0 * double(g.edge_count()) / double(n),
-      congest::default_bandwidth(n), hw);
+      congest::default_bandwidth(n), bench::hardware_workers());
 
-  std::vector<Row> rows;
-  TextTable table(
-      {"workload", "variant", "n", "w", "wall s", "speedup", "identical"});
+  bench::Report report;
   const auto push = [&](const std::string& workload,
                         const std::string& variant, NodeId row_n,
                         unsigned workers, double secs, double base_secs,
                         bool identical) {
-    const double speedup = secs > 0 ? base_secs / secs : 0.0;
-    rows.push_back({workload, variant, row_n, workers, secs, speedup,
-                    identical});
-    table.add(workload, variant, row_n, workers, secs, speedup,
-              identical ? "yes" : "NO");
+    report.add({workload, variant, row_n, workers, secs,
+                bench::speedup(base_secs, secs), identical});
   };
+  const std::size_t never_pool = std::numeric_limits<std::size_t>::max();
 
   bool all_identical = true;
-  double bfs_serial_speedup = 0;
 
   // BFS flood.
   {
     const std::uint32_t dist_bits = bits_for(n + 1);
-    const auto seed_make = [&](NodeId) {
-      return std::make_unique<BfsFloodProgram<SeedApi>>(0, dist_bits);
+    const auto make = [&](NodeId) {
+      return std::make_unique<bench::BfsFloodProgram>(0, dist_bits);
     };
-    const auto fast_make = [&](NodeId) {
-      return std::make_unique<BfsFloodProgram<FastApi>>(0, dist_bits);
-    };
-    using SeedP = BfsFloodProgram<SeedApi>;
-    using FastP = BfsFloodProgram<FastApi>;
+    using P = bench::BfsFloodProgram;
 
-    const Outcome golden = run_seed<SeedP>(g, seed_make, /*trace=*/true);
+    const Pin expected = expected_pin(
+        kBfsFloodPins, n, "bfs_flood", run_fast<P>(g, make, true, 1));
+    bool same = true;
     for (const unsigned w : benched_workers) {
-      // Force the pool (min=0) so the identity check covers the parallel
-      // scatter path even where n is below the default threshold.
-      const Outcome got =
-          run_fast<FastP>(g, fast_make, /*trace=*/true, w, /*min_work=*/0);
-      all_identical &= got == golden;
+      // Both extremes of the pool threshold: forced on (min=0) covers
+      // the parallel scatter even where n is below the default.
+      same &= pin_of(run_fast<P>(g, make, true, w, 0)) == expected;
+      same &= pin_of(run_fast<P>(g, make, true, w, never_pool)) == expected;
     }
+    all_identical &= same;
 
     const std::function<void()> variants[] = {
         [&] {
-          for (int r = 0; r < reps_bfs; ++r) run_seed<SeedP>(g, seed_make, false);
+          for (int r = 0; r < reps_bfs; ++r) run_fast<P>(g, make, false, 1);
         },
         [&] {
-          for (int r = 0; r < reps_bfs; ++r) run_fast<FastP>(g, fast_make, false, 1);
-        },
-        [&] {
-          for (int r = 0; r < reps_bfs; ++r) run_fast<FastP>(g, fast_make, false, 8);
+          for (int r = 0; r < reps_bfs; ++r) run_fast<P>(g, make, false, 8);
         },
     };
-    const bool use_cpu[] = {true, true, false};
-    const std::vector<double> t = best_of(batches, variants, use_cpu);
-    push("bfs_flood", "seed serial", n, 1, t[0], t[0], true);
-    bfs_serial_speedup = t[1] > 0 ? t[0] / t[1] : 0.0;
-    push("bfs_flood", "fast w=1", n, 1, t[1], t[0], all_identical);
-    push("bfs_flood", "fast pooled", n, 8, t[2], t[0], all_identical);
+    const bool use_cpu[] = {true, false};
+    const std::vector<double> t = bench::best_of(batches, variants, use_cpu);
+    push("bfs_flood", "fast w=1", n, 1, t[0], t[0], same);
+    push("bfs_flood", "fast pooled", n, 8, t[1], t[0], same);
   }
 
   // Algorithm 1: bounded-hop SSSP.
   {
     const paths::HopScale scale{/*ell=*/16, /*eps_inv=*/2, g.max_weight()};
     const std::uint32_t dist_bits = bits_for(scale.rounded_cap() + 2);
-    const auto seed_make = [&](NodeId) {
-      return std::make_unique<HopSsspProgram<SeedApi>>(0, scale, dist_bits);
+    const auto make = [&](NodeId) {
+      return std::make_unique<HopSsspProgram>(0, scale, dist_bits);
     };
-    const auto fast_make = [&](NodeId) {
-      return std::make_unique<HopSsspProgram<FastApi>>(0, scale, dist_bits);
-    };
-    using SeedP = HopSsspProgram<SeedApi>;
-    using FastP = HopSsspProgram<FastApi>;
+    using P = HopSsspProgram;
 
-    const Outcome golden = run_seed<SeedP>(g, seed_make, /*trace=*/true);
+    const bench::SimOutcome serial = run_fast<P>(g, make, true, 1);
+    const Pin expected = expected_pin(kHopSsspPins, n, "alg1_hop_sssp", serial);
+    bool same = true;
     for (const unsigned w : benched_workers) {
-      const Outcome got =
-          run_fast<FastP>(g, fast_make, /*trace=*/true, w, /*min_work=*/0);
-      all_identical &= got == golden;
       // Both extremes of the pool threshold must agree: the knob may
       // only trade wall-clock, never bytes.
-      const Outcome never =
-          run_fast<FastP>(g, fast_make, /*trace=*/true, w,
-                          std::numeric_limits<std::size_t>::max());
-      all_identical &= never == golden;
+      same &= pin_of(run_fast<P>(g, make, true, w, 0)) == expected;
+      same &= pin_of(run_fast<P>(g, make, true, w, never_pool)) == expected;
     }
+    all_identical &= same;
     // Workload shape for the docs/perf.md serial-bound analysis: alg1
     // runs many rounds each carrying very few deliveries, so neither
     // the pooled round loop nor the sharded merge has work to spread.
     std::printf("alg1_hop_sssp shape: %llu rounds, %llu messages "
                 "(%.1f deliveries/round)\n",
-                static_cast<unsigned long long>(golden.stats.rounds),
-                static_cast<unsigned long long>(golden.stats.messages),
-                double(golden.stats.messages) /
-                    double(std::max<std::uint64_t>(1, golden.stats.rounds)));
+                static_cast<unsigned long long>(serial.stats.rounds),
+                static_cast<unsigned long long>(serial.stats.messages),
+                double(serial.stats.messages) /
+                    double(std::max<std::uint64_t>(1, serial.stats.rounds)));
 
     const std::function<void()> variants[] = {
         [&] {
-          for (int r = 0; r < reps_hop; ++r) run_seed<SeedP>(g, seed_make, false);
+          for (int r = 0; r < reps_hop; ++r) run_fast<P>(g, make, false, 1);
         },
         [&] {
-          for (int r = 0; r < reps_hop; ++r) run_fast<FastP>(g, fast_make, false, 1);
-        },
-        [&] {
-          for (int r = 0; r < reps_hop; ++r) run_fast<FastP>(g, fast_make, false, 8);
+          for (int r = 0; r < reps_hop; ++r) run_fast<P>(g, make, false, 8);
         },
         // Diagnostic: the pool forced on for every program phase and
         // every merge. With ~112 deliveries/round the fan-out/join tax
@@ -716,26 +312,21 @@ int main(int argc, char** argv) {
         // regress below "fast w=1", while this row documents the cost
         // the threshold removes.
         [&] {
-          for (int r = 0; r < reps_hop; ++r) {
-            run_fast<FastP>(g, fast_make, false, 8, /*min_work=*/0);
-          }
+          for (int r = 0; r < reps_hop; ++r) run_fast<P>(g, make, false, 8, 0);
         },
     };
-    const bool use_cpu[] = {true, true, false, false};
-    const std::vector<double> t = best_of(batches, variants, use_cpu);
-    push("alg1_hop_sssp", "seed serial", n, 1, t[0], t[0], true);
-    push("alg1_hop_sssp", "fast w=1", n, 1, t[1], t[0], all_identical);
-    push("alg1_hop_sssp", "fast pooled", n, 8, t[2], t[0], all_identical);
-    push("alg1_hop_sssp", "fast pooled always-pool", n, 8, t[3], t[0],
-         all_identical);
+    const bool use_cpu[] = {true, false, false};
+    const std::vector<double> t = bench::best_of(batches, variants, use_cpu);
+    push("alg1_hop_sssp", "fast w=1", n, 1, t[0], t[0], same);
+    push("alg1_hop_sssp", "fast pooled", n, 8, t[1], t[0], same);
+    push("alg1_hop_sssp", "fast pooled always-pool", n, 8, t[2], t[0], same);
   }
 
-  // Algorithm 4: overlay embedding through the public API (fast engine
-  // only — the seed engine predates it); worker counts must agree. This
-  // is the sharded-merge scaling workload: every round moves dense
-  // broadcast batches, so the merge dominates and per-worker rows show
-  // whether the parallel scatter pays off. Returns the w=8 vs w=1
-  // speedup for the acceptance record.
+  // Algorithm 4: overlay embedding through the public API; worker
+  // counts must agree. This is the sharded-merge scaling workload:
+  // every round moves dense broadcast batches, so the merge dominates
+  // and per-worker rows show whether the parallel scatter pays off.
+  // Returns the w=8 vs w=1 speedup for the acceptance record.
   const auto bench_overlay = [&](const WeightedGraph& gg) {
     const NodeId nn = gg.node_count();
     const std::size_t b = std::min<std::size_t>(8, nn);
@@ -769,12 +360,13 @@ int main(int argc, char** argv) {
 
     paths::OverlayEmbedding golden;
     const double t_base =
-        time_of([&] { golden = run_overlay(1, def_min); });
+        bench::wall_seconds([&] { golden = run_overlay(1, def_min); });
     push("alg4_overlay", "fast w=1", nn, 1, t_base, t_base, true);
     double w8_speedup = 0;
     for (const unsigned w : {2u, 4u, 8u}) {
       paths::OverlayEmbedding got;
-      const double t_w = time_of([&] { got = run_overlay(w, def_min); });
+      const double t_w =
+          bench::wall_seconds([&] { got = run_overlay(w, def_min); });
       bool same = same_embedding(got, golden);
       if (nn < 4 * def_min) {
         // Small graphs sit below the sharding threshold in the timed run
@@ -786,7 +378,7 @@ int main(int argc, char** argv) {
       all_identical &= same;
       push("alg4_overlay", "fast w=" + std::to_string(w), nn, w, t_w, t_base,
            same);
-      if (w == 8) w8_speedup = t_w > 0 ? t_base / t_w : 0.0;
+      if (w == 8) w8_speedup = bench::speedup(t_base, t_w);
     }
     return w8_speedup;
   };
@@ -809,24 +401,21 @@ int main(int argc, char** argv) {
     overlay_n = ln;
   }
 
-  std::printf("%s\n", table.render().c_str());
-  std::printf("bfs fast-path speedup vs seed (one core): %.2fx "
-              "(acceptance target >= 3x; byte-identical outcomes %s)\n",
-              bfs_serial_speedup, all_identical ? "hold" : "FAIL");
+  std::printf("%s\n", report.table().c_str());
+  std::printf("seed pins and worker-count identity: %s\n",
+              all_identical ? "hold" : "FAIL");
   std::printf("alg4_overlay w=8 vs w=1 at n=%u: %.2fx (the >= 3x target "
               "presumes >= 8 hardware workers; this host reports %u)\n",
-              static_cast<unsigned>(overlay_n), overlay_w8_speedup, hw);
+              static_cast<unsigned>(overlay_n), overlay_w8_speedup,
+              bench::hardware_workers());
 
-  Spec spec;
-  spec.n = n;
-  spec.m = g.edge_count();
-  spec.hardware_workers = hw;
-  spec.benched_workers = benched_workers;
-  spec.large = large;
-  runtime::write_file(out_path, to_json(spec, rows, bfs_serial_speedup,
-                                        overlay_w8_speedup, overlay_n,
-                                        all_identical));
-  std::printf("wrote %s\n", out_path.c_str());
-
+  report.spec.add("n", n)
+      .add("m", g.edge_count())
+      .add("benched_workers", benched_workers)
+      .add("large", large);
+  report.acceptance.add("alg4_overlay_w8_speedup_vs_w1", overlay_w8_speedup)
+      .add("alg4_overlay_speedup_n", overlay_n)
+      .add("byte_identical_at_all_worker_counts", all_identical);
+  report.write(out_path);
   return all_identical ? 0 : 1;
 }

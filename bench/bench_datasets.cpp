@@ -27,16 +27,13 @@
 //
 // Usage: bench_datasets [--smoke] [--huge] [--out FILE] [--dir DIR]
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -45,106 +42,31 @@
 #include <unistd.h>
 #endif
 
-#include "congest/simulator.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "harness.h"
 #include "paths/distributed.h"
 #include "paths/params.h"
-#include "runtime/sweep.h"
 #include "runtime/thread_pool.h"
 #include "service/query_engine.h"
-#include "util/table.h"
 
 namespace qc {
 namespace {
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-double time_of(const std::function<void()>& fn) {
-  const double t0 = now_s();
-  fn();
-  return now_s() - t0;
-}
+using bench::wall_seconds;
 
 // --- peak-RSS measurement in a forked child ---------------------------
 //
-// ru_maxrss is a process-lifetime high-water mark, so measuring the
-// streaming CSR build inside the bench process would report whatever
-// earlier phase happened to be fattest. Forking gives the build a
-// pristine RSS baseline; the child streams the file, reports its own
-// getrusage high-water mark (bytes) through a pipe, and exits without
-// running destructors that could touch the parent's state.
-struct ChildBuild {
-  double seconds = 0;
-  double peak_rss_bytes = 0;
-  bool ok = false;
-};
-
-ChildBuild csr_build_in_child(const std::string& bg_path) {
-  ChildBuild r;
-#if defined(_WIN32)
-  // No fork: measure inline (ratio will overcount; flagged in the row).
-  r.seconds = time_of([&] { (void)csr_from_bgraph(bg_path); });
-  r.ok = true;
-  return r;
-#else
-  int fds[2];
-  if (pipe(fds) != 0) return r;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return r;
-  }
-  if (pid == 0) {
-    close(fds[0]);
-    double payload[2] = {0, 0};
-    try {
-      // Linux reports ru_maxrss in KiB. Subtract the fork's pre-build
-      // baseline (a few MiB of runtime pages) so the delta is the
-      // build's own footprint — without this, tiny smoke files would
-      // report a ratio dominated by the constant process overhead.
-      rusage before{};
-      getrusage(RUSAGE_SELF, &before);
-      const double t0 = now_s();
-      const CsrGraph g = csr_from_bgraph(bg_path);
-      payload[0] = now_s() - t0;
-      rusage ru{};
-      getrusage(RUSAGE_SELF, &ru);
-      payload[1] = double(ru.ru_maxrss - before.ru_maxrss) * 1024.0;
-      payload[1] += double(g.node_count()) * 0;  // keep g alive to here
-    } catch (...) {
-      payload[0] = -1;
-    }
-    ssize_t ignored = write(fds[1], payload, sizeof payload);
-    (void)ignored;
-    _exit(0);
-  }
-  close(fds[1]);
-  double payload[2] = {0, 0};
-  const ssize_t got = read(fds[0], payload, sizeof payload);
-  close(fds[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (got == sizeof payload && payload[0] >= 0) {
-    r.seconds = payload[0];
-    r.peak_rss_bytes = payload[1];
-    r.ok = true;
-  }
-  return r;
-#endif
-}
-
-// Generic forked-child measurement: runs `fn` with a pristine RSS
-// baseline, reports {seconds, peak-RSS delta in bytes, fn's scalar
-// result} back through a pipe. The external-sort and service-residency
-// rows below both need it — their whole point is the child's own
-// footprint, not whatever the bench parent has resident.
+// ru_maxrss is a process-lifetime high-water mark, so measuring a phase
+// inside the bench process would report whatever earlier phase happened
+// to be fattest. Forking gives the phase a pristine RSS baseline; the
+// child runs it, reports its own getrusage high-water mark (bytes)
+// through a pipe, and exits without running destructors that could
+// touch the parent's state. run_in_child reports {seconds, peak-RSS
+// delta in bytes, fn's scalar result}; the streaming CSR build,
+// external-sort and service-residency rows all need it, as their whole
+// point is the child's own footprint.
 struct ChildRun {
   double seconds = 0;
   double peak_rss_bytes = 0;
@@ -156,7 +78,7 @@ ChildRun run_in_child(const std::function<double()>& fn) {
   ChildRun r;
 #if defined(_WIN32)
   // No fork: measure inline (RSS will overcount; flagged in the row).
-  r.seconds = time_of([&] { r.value = fn(); });
+  r.seconds = wall_seconds([&] { r.value = fn(); });
   r.ok = true;
   return r;
 #else
@@ -172,11 +94,15 @@ ChildRun run_in_child(const std::function<double()>& fn) {
     close(fds[0]);
     double payload[3] = {0, 0, 0};
     try {
+      // Linux reports ru_maxrss in KiB. Subtract the fork's pre-run
+      // baseline (a few MiB of runtime pages) so the delta is the
+      // phase's own footprint — without this, tiny smoke files would
+      // report a ratio dominated by the constant process overhead.
       rusage before{};
       getrusage(RUSAGE_SELF, &before);
-      const double t0 = now_s();
+      const bench::Stopwatch sw;
       payload[2] = fn();
-      payload[0] = now_s() - t0;
+      payload[0] = sw.seconds();
       rusage ru{};
       getrusage(RUSAGE_SELF, &ru);
       payload[1] = double(ru.ru_maxrss - before.ru_maxrss) * 1024.0;
@@ -219,92 +145,6 @@ bool files_byte_equal(const std::string& a, const std::string& b) {
   return same;
 }
 
-// --- BFS flood program (the simulator workload) -----------------------
-
-class BfsFloodProgram final : public congest::NodeProgram {
- public:
-  explicit BfsFloodProgram(NodeId root, std::uint32_t bits)
-      : root_(root), bits_(bits) {}
-  void on_start(congest::NodeContext& ctx) override {
-    if (ctx.id() == root_) {
-      level_ = 0;
-      congest::Message m;
-      m.push(0, bits_);
-      ctx.broadcast(m);
-      sent_ = true;
-    }
-  }
-  void on_round(congest::NodeContext& ctx,
-                std::span<const congest::Incoming> inbox) override {
-    if (level_ != kInfDist || inbox.empty()) return;
-    Dist best = kInfDist;
-    for (const congest::Incoming& in : inbox) {
-      best = std::min(best, static_cast<Dist>(in.msg.field(0)) + 1);
-    }
-    level_ = best;
-    congest::Message m;
-    m.push(level_, bits_);
-    ctx.broadcast(m);
-    sent_ = true;
-  }
-  bool done() const override { return sent_; }
-  Dist level() const { return level_; }
-
- private:
-  NodeId root_ = 0;
-  std::uint32_t bits_ = 32;
-  Dist level_ = kInfDist;
-  bool sent_ = false;
-};
-
-struct FloodOutcome {
-  congest::RunStats stats;
-  std::vector<Dist> levels;
-  friend bool operator==(const FloodOutcome&, const FloodOutcome&) = default;
-};
-
-FloodOutcome run_flood(const WeightedGraph& g, unsigned workers) {
-  congest::Config cfg;
-  cfg.execution.workers = workers;
-  cfg.execution.pooled_round_min_work = 0;  // the sharded-merge row
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  programs.reserve(g.node_count());
-  const std::uint32_t bits = 32;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    programs.push_back(std::make_unique<BfsFloodProgram>(0, bits));
-  }
-  congest::Simulator sim(g, cfg);
-  FloodOutcome out;
-  out.stats = sim.run(programs);
-  out.levels.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    out.levels.push_back(
-        static_cast<const BfsFloodProgram&>(*programs[v]).level());
-  }
-  return out;
-}
-
-// --- rows and JSON ----------------------------------------------------
-
-struct Row {
-  std::string workload;
-  std::string variant;
-  std::uint64_t n = 0;
-  unsigned workers = 1;
-  double seconds = 0;
-  double speedup = 1.0;
-  bool identical = true;
-  double build_seconds = -1;   ///< < 0: column absent
-  double peak_rss_ratio = -1;  ///< < 0: column absent
-};
-
-struct Spec {
-  unsigned hardware_workers = 0;
-  std::vector<unsigned> benched_workers;
-  bool smoke = false;
-  bool huge = false;
-};
-
 /// Acceptance verdicts for the out-of-core rows (ISSUE 10): the
 /// external sort's child peak RSS must stay flat as the edge payload
 /// grows 8x past the memory budget, and a service holding two mapped
@@ -317,45 +157,6 @@ struct OutOfCore {
   double mapped_over_owned_rss = -1;  ///< < 0: not measured
 };
 
-std::string to_json(const Spec& spec, const std::vector<Row>& rows,
-                    bool deterministic, bool rss_ok, double worst_ratio,
-                    const OutOfCore& ooc) {
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"hardware_workers\": " << spec.hardware_workers
-     << ", \"benched_workers\": [";
-  for (std::size_t i = 0; i < spec.benched_workers.size(); ++i) {
-    os << (i ? ", " : "") << spec.benched_workers[i];
-  }
-  os << "], \"smoke\": " << (spec.smoke ? "true" : "false")
-     << ", \"huge\": " << (spec.huge ? "true" : "false")
-     << "},\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\"workload\": \"" << r.workload << "\", \"variant\": \""
-       << r.variant << "\", \"n\": " << r.n << ", \"workers\": " << r.workers
-       << ", \"seconds\": " << r.seconds
-       << ", \"speedup_vs_baseline\": " << r.speedup
-       << ", \"identical\": " << (r.identical ? "true" : "false");
-    if (r.build_seconds >= 0) os << ", \"build_seconds\": " << r.build_seconds;
-    if (r.peak_rss_ratio >= 0) {
-      os << ", \"peak_rss_ratio\": " << r.peak_rss_ratio;
-    }
-    os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"acceptance\": {"
-     << "\"byte_identical_at_all_worker_counts\": "
-     << (deterministic ? "true" : "false")
-     << ", \"rss_ratio_ok\": " << (rss_ok ? "true" : "false")
-     << ", \"worst_peak_rss_ratio\": " << worst_ratio
-     << ", \"external_sort_rss_flat\": "
-     << (ooc.sort_rss_flat ? "true" : "false")
-     << ", \"mapped_residency_ok\": "
-     << (ooc.mapped_residency_ok ? "true" : "false")
-     << ", \"mapped_over_owned_rss\": " << ooc.mapped_over_owned_rss
-     << "}\n}\n";
-  return os.str();
-}
-
 struct Tier {
   std::string label;    ///< "rmat-s12", "chunglu-1e5", "rmat-s20"
   std::uint64_t n = 0;
@@ -367,35 +168,20 @@ struct Tier {
 
 int main(int argc, char** argv) {
   using namespace qc;
-  bool smoke = false;
-  bool huge = false;
-  std::string out_path = "BENCH_datasets.json";
-  std::string dir = "/tmp";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--huge") == 0) {
-      huge = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      dir = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv,
+                           {"--smoke", "--huge", "--out FILE", "--dir DIR"});
+  const bool smoke = flags.has("--smoke");
+  const bool huge = flags.has("--huge");
+  const std::string out_path = flags.str("--out", "BENCH_datasets.json");
+  const std::string dir = flags.str("--dir", "/tmp");
 
-  const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<unsigned> benched_workers = {1, 2, 8};
   std::printf("dataset layer bench: %u hardware worker(s), scratch %s\n\n",
-              hw, dir.c_str());
+              bench::hardware_workers(), dir.c_str());
 
-  std::vector<Row> rows;
-  TextTable table({"workload", "variant", "n", "w", "wall s", "speedup",
-                   "identical"});
-  const auto push = [&](Row r) {
-    table.add(r.workload, r.variant, r.n, r.workers, r.seconds, r.speedup,
-              r.identical ? "yes" : "NO");
-    rows.push_back(std::move(r));
-  };
+  // Ingest rows carry build_seconds / peak_rss_ratio columns, which
+  // tools/check_bench_regression.py gates alongside the speedups.
+  bench::Report report;
 
   bool all_identical = true;
   bool rss_ok = true;
@@ -423,15 +209,15 @@ int main(int argc, char** argv) {
     BGraphInfo info;
     double t_gen = 0;
     if (tier.label == "chunglu-1e5") {
-      t_gen = time_of([&] {
+      t_gen = wall_seconds([&] {
         info = gen::chung_lu_bgraph(bg, 100000, 400000, 2.5, 100, 20260808);
       });
     } else if (tier.label == "rmat-s20") {
-      t_gen = time_of([&] {
+      t_gen = wall_seconds([&] {
         info = gen::rmat_bgraph(bg, 20, 8000000, 100, 20260808);
       });
     } else {
-      t_gen = time_of([&] {
+      t_gen = wall_seconds([&] {
         info = gen::rmat_bgraph(bg, 12, 16384, 100, 20260808);
       });
     }
@@ -440,30 +226,29 @@ int main(int argc, char** argv) {
     std::printf("[%s] n=%llu m=%llu (%.1f MB raw edges)\n",
                 tier.label.c_str(), (unsigned long long)n,
                 (unsigned long long)info.m, raw_edge_bytes / 1048576.0);
-    push({"dataset_pipeline", "generate " + tier.label, n, 1, t_gen, 1.0,
-          true, -1, -1});
+    report.add({"dataset_pipeline", "generate " + tier.label, n, 1, t_gen, 1.0,
+          true});
 
     const double t_shuf =
-        time_of([&] { shuffle_bgraph(bg, bg_shuf, 4242); });
-    push({"dataset_pipeline", "shuffle", n, 1, t_shuf, 1.0, true, -1, -1});
+        wall_seconds([&] { shuffle_bgraph(bg, bg_shuf, 4242); });
+    report.add({"dataset_pipeline", "shuffle", n, 1, t_shuf, 1.0, true});
 
     // Sort the shuffled copy; identity = byte-equality with sorting the
     // pristine file (duplicate-freedom validated on the way).
     BGraphInfo sorted_info;
-    const double t_sort = time_of(
+    const double t_sort = wall_seconds(
         [&] { sorted_info = sort_bgraph(bg_shuf, bg_sorted); });
     const bool sort_same = sorted_info.m == info.m && sorted_info.sorted;
     all_identical &= sort_same;
-    push({"dataset_pipeline", "sort", n, 1, t_sort, 1.0, sort_same, -1, -1});
+    report.add({"dataset_pipeline", "sort", n, 1, t_sort, 1.0, sort_same});
 
     BGraphSummary summary;
     const double t_sum =
-        time_of([&] { summary = summarize_bgraph(bg_sorted); });
+        wall_seconds([&] { summary = summarize_bgraph(bg_sorted); });
     const bool sum_same =
         summary.info.m == info.m && summary.info.n == info.n;
     all_identical &= sum_same;
-    push({"dataset_pipeline", "summarize", n, 1, t_sum, 1.0, sum_same, -1,
-          -1});
+    report.add({"dataset_pipeline", "summarize", n, 1, t_sum, 1.0, sum_same});
     std::printf("[%s] max degree %llu, avg %.2f, isolated %llu\n",
                 tier.label.c_str(), (unsigned long long)summary.max_degree,
                 summary.avg_degree, (unsigned long long)summary.isolated);
@@ -472,7 +257,11 @@ int main(int argc, char** argv) {
     // The < 3x bound is an asymptotic claim about the O(m) arrays; only
     // enforce it when the edge payload dwarfs page-granularity noise
     // (RSS deltas are page-rounded, so sub-MB files can't be judged).
-    const ChildBuild cb = csr_build_in_child(bg_sorted);
+    CsrGraph built;  // the child exits without destroying it, untimed
+    const ChildRun cb = run_in_child([&] {
+      built = csr_from_bgraph(bg_sorted);
+      return 0.0;
+    });
     const double ratio =
         cb.ok && raw_edge_bytes > 0 ? cb.peak_rss_bytes / raw_edge_bytes : -1;
     const bool enforce_rss = raw_edge_bytes >= 4.0 * 1048576.0;
@@ -480,9 +269,11 @@ int main(int argc, char** argv) {
         cb.ok && (!enforce_rss || (ratio > 0 && ratio < 3.0));
     rss_ok &= tier_rss_ok;
     if (enforce_rss) worst_ratio = std::max(worst_ratio, ratio);
-    Row build_row{"csr_build_stream", "two_pass", n, 1, cb.seconds, 1.0,
-                  tier_rss_ok, cb.seconds, enforce_rss ? ratio : -1};
-    push(build_row);
+    bench::Fields build_cols;
+    build_cols.add("build_seconds", cb.seconds);
+    if (enforce_rss) build_cols.add("peak_rss_ratio", ratio);
+    report.add({"csr_build_stream", "two_pass", n, 1, cb.seconds, 1.0,
+                tier_rss_ok, build_cols});
     std::printf(
         "[%s] stream CSR build %.2fs, child peak RSS %.1f MB "
         "(%.2fx raw edge bytes; target < 3x)\n",
@@ -491,23 +282,21 @@ int main(int argc, char** argv) {
 
     // --- pack + mmap ------------------------------------------------
     CsrGraph owned = csr_from_bgraph(bg_sorted);
-    const double t_pack = time_of([&] { write_csr(owned, bcsr); });
-    push({"dataset_pipeline", "pack_csr", n, 1, t_pack, 1.0, true, -1, -1});
+    const double t_pack = wall_seconds([&] { write_csr(owned, bcsr); });
+    report.add({"dataset_pipeline", "pack_csr", n, 1, t_pack, 1.0, true});
 
     CsrGraph mapped;
     const double t_map_validated =
-        time_of([&] { mapped = map_csr(bcsr, /*validate_edges=*/true); });
+        wall_seconds([&] { mapped = map_csr(bcsr, /*validate_edges=*/true); });
     const double t_map_lazy =
-        time_of([&] { mapped = map_csr(bcsr, /*validate_edges=*/false); });
+        wall_seconds([&] { mapped = map_csr(bcsr, /*validate_edges=*/false); });
     // Identity: the mapped view and the streamed build agree on a
     // Dijkstra row (cheap full-array proxy for the whole image).
     const bool map_same = dijkstra(mapped, 0) == dijkstra(owned, 0);
     all_identical &= map_same;
-    push({"map_csr", "validated", n, 1, t_map_validated, 1.0, map_same, -1,
-          -1});
-    push({"map_csr", "lazy", n, 1, t_map_lazy,
-          t_map_lazy > 0 ? t_map_validated / t_map_lazy : 0.0, map_same, -1,
-          -1});
+    report.add({"map_csr", "validated", n, 1, t_map_validated, 1.0, map_same});
+    report.add({"map_csr", "lazy", n, 1, t_map_lazy,
+          t_map_lazy > 0 ? t_map_validated / t_map_lazy : 0.0, map_same});
 
     // --- resident service memory: two mapped specs vs two owned ------
     // Each child brings up a QueryEngine with two graphs named over the
@@ -555,14 +344,17 @@ int main(int argc, char** argv) {
                                  owned_run.value >= 0 &&
                                  owned_run.value == mapped_run.value;
       all_identical &= answers_match;
-      push({"service_residency", "owned_x2", n, 1, owned_run.seconds, 1.0,
-            answers_match, -1,
-            raw_edge_bytes > 0 ? owned_run.peak_rss_bytes / raw_edge_bytes
-                               : -1});
-      push({"service_residency", "mapped_x2", n, 1, mapped_run.seconds, 1.0,
-            answers_match, -1,
-            raw_edge_bytes > 0 ? mapped_run.peak_rss_bytes / raw_edge_bytes
-                               : -1});
+      const auto residency = [&](const ChildRun& run) {
+        bench::Fields cols;
+        if (raw_edge_bytes > 0) {
+          cols.add("peak_rss_ratio", run.peak_rss_bytes / raw_edge_bytes);
+        }
+        return cols;
+      };
+      report.add({"service_residency", "owned_x2", n, 1, owned_run.seconds,
+                  1.0, answers_match, residency(owned_run)});
+      report.add({"service_residency", "mapped_x2", n, 1, mapped_run.seconds,
+                  1.0, answers_match, residency(mapped_run)});
       if (enforce_rss && owned_run.ok && mapped_run.ok &&
           owned_run.peak_rss_bytes > 0) {
         const double over = mapped_run.peak_rss_bytes /
@@ -589,7 +381,7 @@ int main(int argc, char** argv) {
       for (const unsigned w : benched_workers) {
         runtime::ThreadPool pool(w);
         std::vector<Dist> got;
-        const double t = time_of(
+        const double t = wall_seconds(
             [&] { got = eccentricities(mapped, std::span(sources), &pool); });
         const bool same = w == 1 || got == golden;
         if (w == 1) {
@@ -597,27 +389,37 @@ int main(int argc, char** argv) {
           t_base = t;
         }
         all_identical &= same;
-        push({"ecc_sampled", "w=" + std::to_string(w), n, w, t,
-              t > 0 ? t_base / t : 0.0, same, -1, -1});
+        report.add({"ecc_sampled", "w=" + std::to_string(w), n, w, t,
+                    bench::speedup(t_base, t), same});
       }
     }
 
     // --- BFS flood through the sharded merge at w = 1/2/8 -----------
     {
       const WeightedGraph g = load_bgraph(bg_sorted);
-      FloodOutcome golden;
+      bench::SimOutcome golden;
       double t_base = 0;
       for (const unsigned w : benched_workers) {
-        FloodOutcome got;
-        const double t = time_of([&] { got = run_flood(g, w); });
+        congest::Config cfg;
+        cfg.execution.workers = w;
+        cfg.execution.pooled_round_min_work = 0;  // the sharded-merge row
+        bench::SimOutcome got;
+        const double t = wall_seconds([&] {
+          got = bench::run_programs<bench::BfsFloodProgram>(
+              g,
+              [](NodeId) {
+                return std::make_unique<bench::BfsFloodProgram>(0, 32);
+              },
+              cfg);
+        });
         const bool same = w == 1 || got == golden;
         if (w == 1) {
           golden = std::move(got);
           t_base = t;
         }
         all_identical &= same;
-        push({"bfs_flood_sim", "sharded w=" + std::to_string(w), n, w, t,
-              t > 0 ? t_base / t : 0.0, same, -1, -1});
+        report.add({"bfs_flood_sim", "sharded w=" + std::to_string(w), n, w, t,
+                    bench::speedup(t_base, t), same});
       }
 
       // --- Algorithm 4 overlay (skipped at the 10^6 tier) -----------
@@ -646,7 +448,7 @@ int main(int argc, char** argv) {
         double t_base_o = 0;
         for (const unsigned w : benched_workers) {
           paths::OverlayEmbedding got;
-          const double t = time_of([&] { got = run_overlay(w); });
+          const double t = wall_seconds([&] { got = run_overlay(w); });
           const bool same =
               w == 1 || (got.w1 == golden_o.w1 && got.w2 == golden_o.w2 &&
                          got.nearest_k == golden_o.nearest_k &&
@@ -657,8 +459,8 @@ int main(int argc, char** argv) {
             t_base_o = t;
           }
           all_identical &= same;
-          push({"alg4_overlay", "w=" + std::to_string(w), n, w, t,
-                t > 0 ? t_base_o / t : 0.0, same, -1, -1});
+          report.add({"alg4_overlay", "w=" + std::to_string(w), n, w, t,
+                      bench::speedup(t_base_o, t), same});
         }
       }
     }
@@ -708,8 +510,10 @@ int main(int argc, char** argv) {
       all_identical &= same;
       cases_ok &= cr.ok;
       case_rss[ci++] = cr.peak_rss_bytes;
-      push({"external_sort", sc.label, ginfo.n, 1, cr.seconds, 1.0, same,
-            -1, cr.peak_rss_bytes / double(budget)});
+      bench::Fields cols;
+      cols.add("peak_rss_ratio", cr.peak_rss_bytes / double(budget));
+      report.add({"external_sort", sc.label, ginfo.n, 1, cr.seconds, 1.0,
+                  same, cols});
       std::printf(
           "[extsort] %s: m=%llu (%.1f MB), child sort %.2fs, peak RSS "
           "%.1f MB (budget 1 MB)\n",
@@ -727,7 +531,7 @@ int main(int argc, char** argv) {
         cases_ok && case_rss[1] <= case_rss[0] + 8.0 * 1048576.0;
   }
 
-  std::printf("\n%s\n", table.render().c_str());
+  std::printf("\n%s\n", report.table().c_str());
   std::printf("byte-identical at all worker counts: %s; worst peak-RSS "
               "ratio %.2fx (target < 3x): %s\n",
               all_identical ? "yes" : "NO", worst_ratio,
@@ -738,15 +542,16 @@ int main(int argc, char** argv) {
               ooc.mapped_residency_ok ? "ok" : "FAIL",
               ooc.mapped_over_owned_rss);
 
-  Spec spec;
-  spec.hardware_workers = hw;
-  spec.benched_workers = benched_workers;
-  spec.smoke = smoke;
-  spec.huge = huge;
-  runtime::write_file(
-      out_path,
-      to_json(spec, rows, all_identical, rss_ok, worst_ratio, ooc));
-  std::printf("wrote %s\n", out_path.c_str());
+  report.spec.add("benched_workers", benched_workers)
+      .add("smoke", smoke)
+      .add("huge", huge);
+  report.acceptance.add("byte_identical_at_all_worker_counts", all_identical)
+      .add("rss_ratio_ok", rss_ok)
+      .add("worst_peak_rss_ratio", worst_ratio)
+      .add("external_sort_rss_flat", ooc.sort_rss_flat)
+      .add("mapped_residency_ok", ooc.mapped_residency_ok)
+      .add("mapped_over_owned_rss", ooc.mapped_over_owned_rss);
+  report.write(out_path);
 
   return (all_identical && rss_ok && ooc.sort_rss_flat &&
           ooc.mapped_residency_ok)

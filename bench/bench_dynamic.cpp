@@ -43,24 +43,19 @@
 // Usage: bench_dynamic [--smoke] [--out FILE]
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
 //             claims)
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <set>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.h"
-#include "runtime/sweep.h"
+#include "harness.h"
 #include "service/query_engine.h"
 #include "service/wire.h"
 #include "util/rng.h"
-#include "util/table.h"
 
 namespace {
 
@@ -69,8 +64,6 @@ using service::EngineOptions;
 using service::Query;
 using service::QueryEngine;
 using service::QueryResult;
-
-using Clock = std::chrono::steady_clock;
 
 constexpr unsigned kWorkerCounts[] = {1, 2, 8};
 
@@ -366,7 +359,7 @@ RunResult run_config(const Workload& wl, bool incremental, unsigned workers) {
   // (per-op synchronous apply would pay 8 repair passes). Reads stay
   // synchronous. Answers are identical either way (pinned by
   // tests/test_dynamic.cpp); responses keep script order.
-  const auto t0 = Clock::now();
+  const bench::Stopwatch timer;
   for (std::size_t i = 0; i < wl.script.size();) {
     if (wl.script[i].type == "update") {
       std::vector<std::future<QueryResult>> futs;
@@ -386,61 +379,16 @@ RunResult run_config(const Workload& wl, bool incremental, unsigned workers) {
       ++i;
     }
   }
-  out.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  out.seconds = timer.seconds();
   return out;
-}
-
-struct BenchRow {
-  std::string workload;
-  std::string variant;  // "incremental" | "scratch"
-  NodeId n = 0;
-  unsigned workers = 0;
-  double seconds = 0;
-  double speedup = 0;  ///< scratch seconds / incremental seconds (same w)
-  bool identical = false;
-};
-
-std::string to_json(bool smoke, bool byte_identical, bool matches_scratch,
-                    const std::vector<BenchRow>& rows, double speedup_65536,
-                    bool speedup_ok) {
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"smoke\": " << (smoke ? "true" : "false")
-     << ", \"hardware_workers\": " << std::thread::hardware_concurrency()
-     << ", \"benched_workers\": [1, 2, 8], \"updates_per_round\": 8},\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    // "speedup_vs_baseline" is incremental-over-scratch at the same
-    // worker count (scratch rows carry 1.0) — named to match the
-    // tools/check_bench_regression.py row schema.
-    os << "    {\"workload\": \"" << r.workload << "\", \"variant\": \""
-       << r.variant << "\", \"n\": " << r.n << ", \"workers\": " << r.workers
-       << ", \"seconds\": " << r.seconds
-       << ", \"speedup_vs_baseline\": " << r.speedup
-       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"acceptance\": {\"byte_identical_at_all_worker_counts\": "
-     << (byte_identical ? "true" : "false")
-     << ", \"identical_to_scratch\": " << (matches_scratch ? "true" : "false")
-     << ", \"incremental_speedup_at_65536\": " << speedup_65536
-     << ", \"incremental_speedup_ok\": " << (speedup_ok ? "true" : "false")
-     << "}\n}\n";
-  return os.str();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_dynamic.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv, {"--smoke", "--out FILE"});
+  const bool smoke = flags.has("--smoke");
+  const std::string out_path = flags.str("--out", "BENCH_dynamic.json");
 
   std::vector<Workload> workloads;
   if (smoke) {
@@ -459,7 +407,9 @@ int main(int argc, char** argv) {
   bool byte_identical = true;
   bool matches_scratch = true;
   double speedup_65536 = 0;
-  std::vector<BenchRow> rows;
+  // "speedup_vs_baseline" is incremental-over-scratch at the same
+  // worker count; scratch rows carry 1.0.
+  bench::Report report;
 
   for (const Workload& wl : workloads) {
     std::printf("workload %-7s n=%-6u  %zu rounds, %zu updates, %zu reads\n",
@@ -475,23 +425,15 @@ int main(int argc, char** argv) {
       const bool scr_same = scr[i].transcript == ref;
       byte_identical &= inc_same && scr_same;
       matches_scratch &= scr_same;
-      rows.push_back({wl.name, "incremental", wl.n, kWorkerCounts[i],
-                      inc[i].seconds,
-                      inc[i].seconds > 0 ? scr[i].seconds / inc[i].seconds : 0,
-                      inc_same});
-      rows.push_back({wl.name, "scratch", wl.n, kWorkerCounts[i],
-                      scr[i].seconds, 1.0, scr_same});
+      const double speedup = bench::speedup(scr[i].seconds, inc[i].seconds);
+      report.add({wl.name, "incremental", wl.n, kWorkerCounts[i],
+                  inc[i].seconds, speedup, inc_same});
+      report.add({wl.name, "scratch", wl.n, kWorkerCounts[i], scr[i].seconds,
+                  1.0, scr_same});
+      if (wl.n == 65536 && i + 1 == inc.size()) speedup_65536 = speedup;
     }
-    if (wl.n == 65536) speedup_65536 = rows[rows.size() - 2].speedup;
   }
-
-  TextTable table({"workload", "variant", "n", "workers", "seconds",
-                   "speedup", "identical"});
-  for (const BenchRow& r : rows) {
-    table.add(r.workload, r.variant, r.n, r.workers, r.seconds, r.speedup,
-              r.identical ? "yes" : "NO");
-  }
-  std::printf("\n%s\n", table.render().c_str());
+  std::printf("\n%s\n", report.table().c_str());
 
   const bool speedup_ok = smoke || speedup_65536 >= 2.0;
   std::printf("byte-identical across workers 1/2/8: %s; incremental == "
@@ -504,10 +446,14 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  runtime::write_file(out_path,
-                      to_json(smoke, byte_identical, matches_scratch, rows,
-                              speedup_65536, smoke ? true : speedup_ok));
-  std::printf("wrote %s\n", out_path.c_str());
+  report.spec.add("smoke", smoke)
+      .add("benched_workers", kWorkerCounts)
+      .add("updates_per_round", 8);
+  report.acceptance.add("byte_identical_at_all_worker_counts", byte_identical)
+      .add("identical_to_scratch", matches_scratch)
+      .add("incremental_speedup_at_65536", speedup_65536)
+      .add("incremental_speedup_ok", speedup_ok);
+  report.write(out_path);
 
   if (!byte_identical || !matches_scratch) return 1;
   if (!smoke && !speedup_ok) return 2;

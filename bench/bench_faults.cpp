@@ -13,23 +13,17 @@
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
 //             claims)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "congest/faults.h"
 #include "congest/simulator.h"
 #include "graph/generators.h"
-#include "runtime/metrics.h"
-#include "runtime/sweep.h"
+#include "harness.h"
 #include "util/rng.h"
-#include "util/table.h"
 
 namespace {
 
@@ -98,61 +92,13 @@ Outcome run_flood(const WeightedGraph& g, const FaultPlan& plan,
   return out;
 }
 
-double time_runs(const WeightedGraph& g, const FaultPlan& plan, int reps) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) run_flood(g, plan, 1, /*trace=*/false);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-             .count() /
-         reps;
-}
-
-struct Row {
-  std::string variant;
-  double seconds;
-  double overhead;  ///< seconds / baseline seconds
-  bool identical;
-};
-
-std::string to_json(NodeId n, std::size_t m, const std::vector<Row>& rows,
-                    const FaultCounters& counters, bool deterministic) {
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"n\": " << n << ", \"m\": " << m << "},\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\"variant\": \"" << r.variant
-       << "\", \"seconds\": " << r.seconds
-       << ", \"overhead_vs_baseline\": " << r.overhead
-       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"fault_counters\": {\"dropped\": " << counters.dropped
-     << ", \"duplicated\": " << counters.duplicated
-     << ", \"delayed\": " << counters.delayed
-     << ", \"corrupted\": " << counters.corrupted << "},\n"
-     << "  \"acceptance\": {\"empty_plan_byte_identical\": "
-     << (rows.size() > 1 && rows[1].identical ? "true" : "false")
-     << ", \"outcome_identical_at_all_worker_counts\": "
-     << (deterministic ? "true" : "false") << "}\n}\n";
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 4096;
-  bool smoke = false;
-  std::string out_path = "BENCH_faults.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      n = 128;
-    } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<NodeId>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv, {"--smoke", "--n N", "--out FILE"});
+  const bool smoke = flags.has("--smoke");
+  const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 4096);
+  const std::string out_path = flags.str("--out", "BENCH_faults.json");
 
   Rng rng(2022);
   auto g = gen::erdos_renyi_connected(n, 8.0 / double(n), rng);
@@ -178,34 +124,48 @@ int main(int argc, char** argv) {
   }
 
   const int reps = smoke ? 2 : 10;
-  const double t_base = time_runs(g, FaultPlan{}, reps);
-  const double t_empty = time_runs(g, empty_plan, reps);
-  const double t_active = time_runs(g, active_plan, reps);
-
-  std::vector<Row> rows = {
-      {"no plan (baseline)", t_base, 1.0, true},
-      {"empty plan", t_empty, t_base > 0 ? t_empty / t_base : 0.0,
-       empty_identical},
-      {"active plan (10% fault mass)", t_active,
-       t_base > 0 ? t_active / t_base : 0.0, deterministic},
+  const auto per_run = [&](const FaultPlan& plan) {
+    return bench::wall_seconds([&] {
+             for (int r = 0; r < reps; ++r) run_flood(g, plan, 1, false);
+           }) /
+           reps;
   };
+  const double t_base = per_run(FaultPlan{});
+  const double t_empty = per_run(empty_plan);
+  const double t_active = per_run(active_plan);
 
-  TextTable table({"variant", "wall s", "overhead", "identical"});
-  for (const Row& r : rows) {
-    table.add(r.variant, r.seconds, r.overhead, r.identical);
-  }
+  // "speedup_vs_baseline" is baseline seconds over the row's, and
+  // "overhead_vs_baseline" its inverse.
+  bench::Report report;
+  const auto add = [&](const char* variant, double seconds, bool identical) {
+    bench::Fields cols;
+    cols.add("overhead_vs_baseline", t_base > 0 ? seconds / t_base : 0.0);
+    report.add({"min_flood", variant, n, 1, seconds,
+                bench::speedup(t_base, seconds), identical, cols});
+  };
+  add("no plan (baseline)", t_base, true);
+  add("empty plan", t_empty, empty_identical);
+  add("active plan (10% fault mass)", t_active, deterministic);
+
   std::printf("fault subsystem overhead: %s\n\n%s\n", g.summary().c_str(),
-              table.render().c_str());
+              report.table().c_str());
+  const FaultCounters& fired = faulted.outcome.faults;
   std::printf("faults fired: drop=%llu dup=%llu delay=%llu corrupt=%llu\n",
-              (unsigned long long)faulted.outcome.faults.dropped,
-              (unsigned long long)faulted.outcome.faults.duplicated,
-              (unsigned long long)faulted.outcome.faults.delayed,
-              (unsigned long long)faulted.outcome.faults.corrupted);
+              (unsigned long long)fired.dropped,
+              (unsigned long long)fired.duplicated,
+              (unsigned long long)fired.delayed,
+              (unsigned long long)fired.corrupted);
 
-  runtime::write_file(
-      out_path, to_json(n, g.edge_count(), rows, faulted.outcome.faults,
-                        deterministic));
-  std::printf("wrote %s\n", out_path.c_str());
+  report.spec.add("n", n).add("m", g.edge_count());
+  bench::Fields counters;
+  counters.add("dropped", fired.dropped)
+      .add("duplicated", fired.duplicated)
+      .add("delayed", fired.delayed)
+      .add("corrupted", fired.corrupted);
+  report.section("fault_counters", counters);
+  report.acceptance.add("empty_plan_byte_identical", empty_identical)
+      .add("outcome_identical_at_all_worker_counts", deterministic);
+  report.write(out_path);
 
   if (!empty_identical || !deterministic) {
     std::fprintf(stderr, "FAIL: empty_identical=%d deterministic=%d\n",

@@ -1,7 +1,8 @@
 // Wall-clock benchmark of the CSR shortest-path kernels against the
 // seed implementations they replaced.
 //
-// The seed kernels (reproduced verbatim below) walk the per-node
+// The seed kernels (short, and reproduced verbatim below, so the
+// identity check reads them as independent references) walk the per-node
 // `vector<vector<HalfEdge>>` adjacency, allocate fresh dist/heap buffers
 // for every source, and run strictly serially. The ported kernels run on
 // the flat CSR view with a reusable DijkstraWorkspace (bucket queue for
@@ -15,25 +16,18 @@
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
 //             claims)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <queue>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
-#include "runtime/sweep.h"
+#include "harness.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
-#include "util/table.h"
 
 namespace {
 
@@ -138,60 +132,13 @@ Dist seed_hop_diameter(const WeightedGraph& g) {
   return h;
 }
 
-// --- harness ----------------------------------------------------------
-
-double time_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-struct Row {
-  std::string kernel;
-  std::string variant;
-  double seconds = 0;
-  double speedup = 1.0;  ///< vs the kernel's seed serial variant
-  bool identical = true; ///< output equals the seed output
-};
-
-std::string to_json(NodeId n, std::size_t m, Weight max_w, unsigned hw,
-                    const std::vector<Row>& rows, double ecc_pool_speedup,
-                    bool deterministic) {
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"n\": " << n << ", \"m\": " << m
-     << ", \"max_weight\": " << max_w << ", \"hardware_workers\": " << hw
-     << "},\n  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\"kernel\": \"" << r.kernel
-       << "\", \"variant\": \"" << r.variant
-       << "\", \"seconds\": " << r.seconds << ", \"speedup_vs_seed\": "
-       << r.speedup << ", \"identical\": " << (r.identical ? "true" : "false")
-       << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"acceptance\": {\"eccentricities_csr_pool_speedup\": "
-     << ecc_pool_speedup << ", \"byte_identical_at_all_worker_counts\": "
-     << (deterministic ? "true" : "false") << "}\n}\n";
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 2048;
-  bool smoke = false;
-  std::string out_path = "BENCH_graph_kernels.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      n = 128;
-    } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<NodeId>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv, {"--smoke", "--n N", "--out FILE"});
+  const bool smoke = flags.has("--smoke");
+  const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 2048);
+  const std::string out_path = flags.str("--out", "BENCH_graph_kernels.json");
 
   // Random connected graph, avg degree ~8, weights small enough for the
   // bucket engine (the regime the Theorem 1.1 pipeline runs in; gadget
@@ -201,48 +148,47 @@ int main(int argc, char** argv) {
   auto g = gen::erdos_renyi_connected(n, 8.0 / double(n), rng);
   g = gen::randomize_weights(g, max_w, rng);
   const CsrGraph& csr = g.csr();
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned hw = std::max(1u, bench::hardware_workers());
 
   std::printf("graph kernels: %s, avg deg %.1f\n\n", g.summary().c_str(),
               2.0 * double(g.edge_count()) / double(n));
 
-  std::vector<Row> rows;
-  TextTable table({"kernel", "variant", "wall s", "speedup", "identical"});
-  const auto push = [&](const std::string& kernel,
-                        const std::string& variant, double secs,
-                        double base_secs, bool identical) {
-    const double speedup = secs > 0 ? base_secs / secs : 0.0;
-    rows.push_back({kernel, variant, secs, speedup, identical});
-    table.add(kernel, variant, secs, speedup, identical ? "yes" : "NO");
+  // Each kernel's baseline row is its seed serial run.
+  bench::Report report;
+  const auto push = [&](const std::string& kernel, const std::string& variant,
+                        unsigned workers, double secs, double base_secs,
+                        bool identical) {
+    report.add({kernel, variant, n, workers, secs,
+                bench::speedup(base_secs, secs), identical});
   };
+  using bench::wall_seconds;
 
   bool all_identical = true;
   double ecc_pool_speedup = 0;
-  bool deterministic = true;
 
   // eccentricities — the acceptance kernel.
   {
     std::vector<Dist> golden;
-    const double t_seed = time_of([&] { golden = seed_eccentricities(g); });
-    push("eccentricities", "seed serial", t_seed, t_seed, true);
+    const double t_seed =
+        wall_seconds([&] { golden = seed_eccentricities(g); });
+    push("eccentricities", "seed serial", 1, t_seed, t_seed, true);
 
     std::vector<Dist> got;
     runtime::ThreadPool one(1);
     const double t_csr =
-        time_of([&] { got = eccentricities(csr, &one); });
+        wall_seconds([&] { got = eccentricities(csr, &one); });
     all_identical &= got == golden;
-    push("eccentricities", "csr serial", t_csr, t_seed, got == golden);
+    push("eccentricities", "csr serial", 1, t_csr, t_seed, got == golden);
 
     for (const unsigned workers : {2u, hw}) {
       runtime::ThreadPool pool(workers);
       const double t_pool =
-          time_of([&] { got = eccentricities(csr, &pool); });
-      deterministic &= got == golden;
+          wall_seconds([&] { got = eccentricities(csr, &pool); });
       all_identical &= got == golden;
-      push("eccentricities", "csr+pool w=" + std::to_string(workers),
+      push("eccentricities", "csr+pool w=" + std::to_string(workers), workers,
            t_pool, t_seed, got == golden);
-      ecc_pool_speedup = std::max(
-          ecc_pool_speedup, t_pool > 0 ? t_seed / t_pool : 0.0);
+      ecc_pool_speedup =
+          std::max(ecc_pool_speedup, bench::speedup(t_seed, t_pool));
       if (workers == hw) break;  // avoid double-run when hw == 2
     }
   }
@@ -250,57 +196,55 @@ int main(int argc, char** argv) {
   // all-pairs distances.
   {
     std::vector<std::vector<Dist>> golden;
-    const double t_seed = time_of([&] { golden = seed_apsp(g); });
-    push("all_pairs_distances", "seed serial", t_seed, t_seed, true);
+    const double t_seed = wall_seconds([&] { golden = seed_apsp(g); });
+    push("all_pairs_distances", "seed serial", 1, t_seed, t_seed, true);
     std::vector<std::vector<Dist>> got;
     runtime::ThreadPool pool(hw);
     const double t_pool =
-        time_of([&] { got = all_pairs_distances(csr, &pool); });
+        wall_seconds([&] { got = all_pairs_distances(csr, &pool); });
     all_identical &= got == golden;
-    push("all_pairs_distances", "csr+pool w=" + std::to_string(hw), t_pool,
-         t_seed, got == golden);
+    push("all_pairs_distances", "csr+pool w=" + std::to_string(hw), hw,
+         t_pool, t_seed, got == golden);
   }
 
   // unweighted diameter (BFS sweep).
   {
     Dist golden = 0;
     const double t_seed =
-        time_of([&] { golden = seed_unweighted_diameter(g); });
-    push("unweighted_diameter", "seed serial", t_seed, t_seed, true);
+        wall_seconds([&] { golden = seed_unweighted_diameter(g); });
+    push("unweighted_diameter", "seed serial", 1, t_seed, t_seed, true);
     Dist got = 0;
     runtime::ThreadPool pool(hw);
     const double t_pool =
-        time_of([&] { got = unweighted_diameter(csr, &pool); });
+        wall_seconds([&] { got = unweighted_diameter(csr, &pool); });
     all_identical &= got == golden;
-    push("unweighted_diameter", "csr+pool w=" + std::to_string(hw), t_pool,
-         t_seed, got == golden);
+    push("unweighted_diameter", "csr+pool w=" + std::to_string(hw), hw,
+         t_pool, t_seed, got == golden);
   }
 
   // hop diameter (lexicographic Dijkstra sweep).
   {
     Dist golden = 0;
-    const double t_seed = time_of([&] { golden = seed_hop_diameter(g); });
-    push("hop_diameter", "seed serial", t_seed, t_seed, true);
+    const double t_seed = wall_seconds([&] { golden = seed_hop_diameter(g); });
+    push("hop_diameter", "seed serial", 1, t_seed, t_seed, true);
     Dist got = 0;
     runtime::ThreadPool pool(hw);
     const double t_pool =
-        time_of([&] { got = hop_diameter(csr, &pool); });
+        wall_seconds([&] { got = hop_diameter(csr, &pool); });
     all_identical &= got == golden;
-    push("hop_diameter", "csr+pool w=" + std::to_string(hw), t_pool, t_seed,
-         got == golden);
+    push("hop_diameter", "csr+pool w=" + std::to_string(hw), hw, t_pool,
+         t_seed, got == golden);
   }
 
-  std::printf("%s\n", table.render().c_str());
+  std::printf("%s\n", report.table().c_str());
   std::printf("eccentricities csr+pool speedup vs seed: %.2fx "
               "(acceptance target >= 3x on multi-core; byte-identical "
               "outputs %s)\n",
               ecc_pool_speedup, all_identical ? "hold" : "FAIL");
 
-  runtime::write_file(
-      out_path, to_json(n, g.edge_count(), max_w, hw, rows,
-                        ecc_pool_speedup, deterministic && all_identical));
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (smoke) return all_identical ? 0 : 1;
+  report.spec.add("n", n).add("m", g.edge_count()).add("max_weight", max_w);
+  report.acceptance.add("eccentricities_csr_pool_speedup", ecc_pool_speedup)
+      .add("byte_identical_at_all_worker_counts", all_identical);
+  report.write(out_path);
   return all_identical ? 0 : 1;
 }

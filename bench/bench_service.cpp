@@ -14,28 +14,29 @@
 //    resident engine vs per-query cold construction (fresh engine +
 //    graph copy per query, the old drivers' shape), reporting
 //    throughput and p50/p95 latency per configuration;
-//  * writes BENCH_service.json; in full mode exits nonzero unless the
-//    1-client warm/cold throughput ratio clears 2x (the acceptance
-//    floor — measured ratios are far higher).
+//  * writes BENCH_service.json in the harness's row schema: workload
+//    serve_warm or serve_cold, variant clients=K, seconds = wall time,
+//    speedup_vs_baseline = throughput over the 1-client cold row, and
+//    identical = all three determinism checks held; qps, p50_ms and
+//    p95_ms ride as extra columns. In full mode the bench exits nonzero
+//    unless the 1-client warm/cold throughput ratio clears 2x (the
+//    acceptance floor — measured ratios are far higher).
 //
 // Usage: bench_service [--smoke] [--n N] [--queries Q] [--out FILE]
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
 //             claims)
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/generators.h"
+#include "harness.h"
 #include "runtime/sweep.h"
 #include "service/query_engine.h"
 #include "util/rng.h"
-#include "util/table.h"
 
 namespace {
 
@@ -44,8 +45,6 @@ using service::EngineOptions;
 using service::Query;
 using service::QueryEngine;
 using service::QueryResult;
-
-using Clock = std::chrono::steady_clock;
 
 /// Deterministic mixed workload over every built-in plus the unweighted
 /// extension — a pure function of (count, n), so every engine shape
@@ -144,131 +143,53 @@ bool check_batch_invariance(const WeightedGraph& g,
   return ok;
 }
 
-struct TimedRow {
-  std::string mode;
-  std::size_t clients = 0;
+/// One closed-loop measurement: wall time and per-query latencies.
+struct Timed {
   std::size_t queries = 0;
   double wall_s = 0;
-  double qps = 0;
-  double p50_ms = 0;
-  double p95_ms = 0;
+  runtime::Aggregate latency;  ///< seconds per query
+
+  double qps() const { return wall_s > 0 ? double(queries) / wall_s : 0.0; }
 };
 
-TimedRow aggregate_row(std::string mode, std::size_t clients,
-                       std::size_t queries, double wall,
-                       std::vector<double> latencies) {
-  const auto agg = runtime::Aggregate::of(std::move(latencies));
-  TimedRow row;
-  row.mode = std::move(mode);
-  row.clients = clients;
-  row.queries = queries;
-  row.wall_s = wall;
-  row.qps = wall > 0 ? double(queries) / wall : 0.0;
-  row.p50_ms = agg.p50 * 1e3;
-  row.p95_ms = agg.p95 * 1e3;
-  return row;
-}
-
-/// Closed-loop clients against the shared warm engine: each submits its
-/// slice one query at a time and waits for the answer.
-TimedRow run_warm(QueryEngine& engine, const std::vector<Query>& qs,
-                  std::size_t clients) {
+/// Runs `clients` closed-loop clients over `qs`: each answers its slice
+/// one query at a time through `answer` and waits for it.
+template <typename Answer>
+Timed closed_loop(const std::vector<Query>& qs, std::size_t clients,
+                  const Answer& answer) {
   std::vector<std::vector<double>> lat(clients);
-  const auto t0 = Clock::now();
+  const bench::Stopwatch wall;
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       for (std::size_t i = c; i < qs.size(); i += clients) {
-        const auto q0 = Clock::now();
-        engine.submit(qs[i]).get();
-        lat[c].push_back(
-            std::chrono::duration<double>(Clock::now() - q0).count());
+        const bench::Stopwatch one;
+        answer(qs[i]);
+        lat[c].push_back(one.seconds());
       }
     });
   }
   for (auto& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+  Timed out;
+  out.queries = qs.size();
+  out.wall_s = wall.seconds();
   std::vector<double> merged;
   for (auto& per_client : lat) {
     merged.insert(merged.end(), per_client.begin(), per_client.end());
   }
-  return aggregate_row("warm", clients, qs.size(), wall, std::move(merged));
-}
-
-/// The same closed loop, but every query pays full construction.
-TimedRow run_cold(const WeightedGraph& g, const std::vector<Query>& qs,
-                  std::size_t clients, unsigned workers) {
-  std::vector<std::vector<double>> lat(clients);
-  const auto t0 = Clock::now();
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      for (std::size_t i = c; i < qs.size(); i += clients) {
-        const auto q0 = Clock::now();
-        cold_query(g, qs[i], workers);
-        lat[c].push_back(
-            std::chrono::duration<double>(Clock::now() - q0).count());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  std::vector<double> merged;
-  for (auto& per_client : lat) {
-    merged.insert(merged.end(), per_client.begin(), per_client.end());
-  }
-  return aggregate_row("cold", clients, qs.size(), wall, std::move(merged));
-}
-
-std::string to_json(const WeightedGraph& g, std::size_t queries, bool smoke,
-                    bool det_workers, bool det_batch, bool det_cold,
-                    const std::vector<TimedRow>& rows, double speedup,
-                    bool meets_2x) {
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"n\": " << g.node_count()
-     << ", \"m\": " << g.edge_count() << ", \"queries\": " << queries
-     << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n"
-     << "  \"determinism\": {\"workers_1_2_8_with_4_clients\": "
-     << (det_workers ? "true" : "false")
-     << ", \"batch_1_vs_max\": " << (det_batch ? "true" : "false")
-     << ", \"cold_matches_warm\": " << (det_cold ? "true" : "false")
-     << "},\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const TimedRow& r = rows[i];
-    os << "    {\"mode\": \"" << r.mode << "\", \"clients\": " << r.clients
-       << ", \"queries\": " << r.queries << ", \"wall_s\": " << r.wall_s
-       << ", \"qps\": " << r.qps << ", \"p50_ms\": " << r.p50_ms
-       << ", \"p95_ms\": " << r.p95_ms << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"acceptance\": {\"warm_over_cold_speedup_1client\": "
-     << speedup << ", \"meets_2x\": " << (meets_2x ? "true" : "false")
-     << "}\n}\n";
-  return os.str();
+  out.latency = runtime::Aggregate::of(std::move(merged));
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  NodeId n = 512;
-  std::size_t queries = 384;
-  bool smoke = false;
-  std::string out_path = "BENCH_service.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      n = 64;
-      queries = 48;
-    } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<NodeId>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--queries") == 0 && i + 1 < argc) {
-      queries = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv,
+                           {"--smoke", "--n N", "--queries N", "--out FILE"});
+  const bool smoke = flags.has("--smoke");
+  const NodeId n = flags.num<NodeId>("--n", smoke ? 64 : 512);
+  const auto queries = flags.num<std::size_t>("--queries", smoke ? 48 : 384);
+  const std::string out_path = flags.str("--out", "BENCH_service.json");
 
   Rng rng(2022);
   auto g = gen::randomize_weights(
@@ -291,41 +212,66 @@ int main(int argc, char** argv) {
   const bool deterministic = det_workers && det_batch && det_cold;
 
   // --- timing: one warm resident engine vs per-query cold builds ---
+  // The warm engine runs on every hardware worker (workers = 0); each
+  // cold query builds a fresh engine the same way.
   const auto warm_engine = make_engine(g, 0, /*auto_dispatch=*/true);
   warm_engine->warm_all();
   const std::vector<std::size_t> client_counts =
       smoke ? std::vector<std::size_t>{1, 4}
             : std::vector<std::size_t>{1, 4, 16};
-  std::vector<TimedRow> rows;
+  std::vector<std::pair<std::string, std::vector<Timed>>> modes = {
+      {"serve_warm", {}}, {"serve_cold", {}}};
   for (const std::size_t clients : client_counts) {
-    rows.push_back(run_warm(*warm_engine, qs, clients));
+    modes[0].second.push_back(closed_loop(qs, clients, [&](const Query& q) {
+      warm_engine->submit(q).get();
+    }));
   }
   for (const std::size_t clients : client_counts) {
-    rows.push_back(run_cold(g, cold_qs, clients, 0));
+    modes[1].second.push_back(closed_loop(
+        cold_qs, clients, [&](const Query& q) { cold_query(g, q, 0); }));
   }
 
-  const double warm_qps = rows.front().qps;
-  const double cold_qps = rows[client_counts.size()].qps;
-  const double speedup = cold_qps > 0 ? warm_qps / cold_qps : 0.0;
+  // The baseline row is the 1-client cold one; speedups are throughput
+  // ratios, as the modes answer different query counts.
+  const double cold_qps = modes[1].second.front().qps();
+  bench::Report report;
+  for (const auto& [mode, timed] : modes) {
+    for (std::size_t i = 0; i < timed.size(); ++i) {
+      const Timed& t = timed[i];
+      bench::Fields cols;
+      cols.add("queries", t.queries)
+          .add("qps", t.qps())
+          .add("p50_ms", t.latency.p50 * 1e3)
+          .add("p95_ms", t.latency.p95 * 1e3);
+      report.add({mode, "clients=" + std::to_string(client_counts[i]), n,
+                  bench::hardware_workers(), t.wall_s,
+                  cold_qps > 0 ? t.qps() / cold_qps : 0.0, deterministic,
+                  cols});
+    }
+  }
+  const double speedup = report.rows().front().speedup;
   const bool meets_2x = speedup >= 2.0;
 
-  TextTable table({"mode", "clients", "queries", "wall s", "qps", "p50 ms",
-                   "p95 ms"});
-  for (const TimedRow& r : rows) {
-    table.add(r.mode, r.clients, r.queries, r.wall_s, r.qps, r.p50_ms,
-              r.p95_ms);
-  }
   std::printf("service warm-vs-cold: %s, %zu queries\n\n%s\n",
-              g.summary().c_str(), queries, table.render().c_str());
+              g.summary().c_str(), queries, report.table().c_str());
   std::printf("determinism: workers=%s batch=%s cold=%s; warm/cold speedup "
               "(1 client) = %.1fx\n",
               det_workers ? "ok" : "FAIL", det_batch ? "ok" : "FAIL",
               det_cold ? "ok" : "FAIL", speedup);
 
-  runtime::write_file(out_path,
-                      to_json(g, queries, smoke, det_workers, det_batch,
-                              det_cold, rows, speedup, meets_2x));
-  std::printf("wrote %s\n", out_path.c_str());
+  report.spec.add("n", n)
+      .add("m", g.edge_count())
+      .add("queries", queries)
+      .add("smoke", smoke);
+  bench::Fields determinism;
+  determinism.add("workers_1_2_8_with_4_clients", det_workers)
+      .add("batch_1_vs_max", det_batch)
+      .add("cold_matches_warm", det_cold);
+  report.section("determinism", determinism);
+  report.acceptance.add("warm_over_cold_speedup_1client", speedup)
+      .add("meets_2x", meets_2x)
+      .add("byte_identical_at_all_worker_counts", deterministic);
+  report.write(out_path);
 
   if (!deterministic) return 1;
   if (!smoke && !meets_2x) return 2;

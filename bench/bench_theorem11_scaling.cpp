@@ -26,21 +26,16 @@
 // Usage: bench_theorem11_scaling [--smoke] [--large] [--n N] [--out FILE]
 //   --smoke   tiny instances for ctest (correctness + JSON, no timing
 //             claims); skips the scaling sweeps
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/baselines.h"
 #include "core/theorem11.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "runtime/metrics.h"
-#include "runtime/sweep.h"
+#include "harness.h"
 #include "util/mathx.h"
 #include "util/table.h"
 
@@ -52,77 +47,24 @@ using namespace qc;
 // Oracle worker scaling
 // ---------------------------------------------------------------------
 
-struct WorkerRow {
-  unsigned workers = 1;
-  double seconds = 0;
-  double speedup = 1.0;  ///< oracle_workers = 1 seconds / this row's
-  std::uint64_t value_evaluations = 0;
-  std::uint64_t memo_hits = 0;
-  bool identical = true;  ///< semantically_equal to the one-worker run
-};
+constexpr unsigned kOracleWorkers[] = {1, 2, 8};
 
-core::Theorem11Result timed_run(const WeightedGraph& g,
-                                const core::Theorem11Options& opt,
-                                double& seconds) {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto res = core::quantum_weighted_diameter(g, opt);
-  seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+/// Theorem 1.1's diameter on `g`, timed in wall seconds.
+core::Theorem11Result timed_diameter(const WeightedGraph& g,
+                                     const core::Theorem11Options& opt,
+                                     double& seconds) {
+  core::Theorem11Result res;
+  seconds = bench::wall_seconds(
+      [&] { res = core::quantum_weighted_diameter(g, opt); });
   return res;
 }
 
-struct E2eRow {
-  NodeId n = 0;
-  double seconds = 0;
-  double measure_seconds = 0;  ///< PhaseSeconds::measure
-  std::uint64_t charged_rounds = 0;
-  bool identical = true;  ///< charged_rounds equals the pinned literal
-};
-
-std::string report_json(bool smoke, NodeId n, std::size_t m,
-                        const std::vector<WorkerRow>& rows,
-                        const std::vector<E2eRow>& e2e) {
-  bool all_identical = true;
-  for (const WorkerRow& r : rows) all_identical &= r.identical;
-  std::ostringstream os;
-  os << "{\n  \"spec\": {\"smoke\": " << (smoke ? "true" : "false")
-     << ", \"hardware_workers\": " << std::thread::hardware_concurrency()
-     << ", \"benched_workers\": [1, 2, 8], \"n\": " << n
-     << ", \"m\": " << m << "},\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const WorkerRow& r = rows[i];
-    os << "    {\"workload\": \"t11_oracle\", \"variant\": \"diameter\", "
-       << "\"n\": " << n << ", \"workers\": " << r.workers
-       << ", \"seconds\": " << runtime::json_number(r.seconds)
-       << ", \"speedup_vs_baseline\": " << runtime::json_number(r.speedup)
-       << ", \"value_evaluations\": " << r.value_evaluations
-       << ", \"memo_hits\": " << r.memo_hits
-       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < rows.size() || !e2e.empty() ? "," : "") << "\n";
-  }
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    const E2eRow& r = e2e[i];
-    os << "    {\"workload\": \"t11_e2e\", \"variant\": \"diameter\", "
-       << "\"n\": " << r.n << ", \"workers\": 1"
-       << ", \"seconds\": " << runtime::json_number(r.seconds)
-       << ", \"measure_seconds\": " << runtime::json_number(r.measure_seconds)
-       << ", \"charged_rounds\": " << r.charged_rounds
-       << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-       << (i + 1 < e2e.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"acceptance\": {\"byte_identical_at_all_worker_counts\": "
-     << (all_identical ? "true" : "false") << "}\n}\n";
-  return os.str();
-}
-
 /// Runs Theorem 1.1 at oracle_workers 1/2/8 on one instance and checks
-/// every result against the one-worker run. Returns false if any worker
+/// every result against the one-worker run (`t11_oracle` rows, with
+/// value_evaluations and memo_hits columns). Returns false if any worker
 /// count diverged (timing never fails the run; the numbers are in the
 /// JSON).
-bool run_worker_scaling(NodeId n, std::size_t& m,
-                        std::vector<WorkerRow>& rows) {
+bool run_worker_scaling(NodeId n, bench::Report& report) {
   Rng rng(n);
   // Sparse low-diameter ER with near-unit weights: the regime where the
   // oracle pass is as large as the measure phase (the trend at large n,
@@ -131,7 +73,7 @@ bool run_worker_scaling(NodeId n, std::size_t& m,
   auto g = gen::erdos_renyi_connected(n, 1.2 * std::log2(double(n)) / n,
                                       rng);
   g = gen::randomize_weights(g, 2, rng);
-  m = g.edge_count();
+  report.spec.add("n", n).add("m", g.edge_count());
   std::printf("-- oracle worker scaling: %s --\n", g.summary().c_str());
 
   core::Theorem11Options opt;
@@ -149,30 +91,24 @@ bool run_worker_scaling(NodeId n, std::size_t& m,
   if (n >= 512) opt.r_override = 64;
 
   core::Theorem11Result one;
-  for (const unsigned w : {1u, 2u, 8u}) {
-    opt.oracle_workers = w;
-    WorkerRow row;
-    row.workers = w;
-    const auto res = timed_run(g, opt, row.seconds);
-    if (w == 1) one = res;
-    const double base = rows.empty() ? row.seconds : rows.front().seconds;
-    row.speedup = row.seconds > 0 ? base / row.seconds : 0.0;
-    row.value_evaluations = res.oracle.value_evaluations;
-    row.memo_hits = res.oracle.memo_hits;
-    row.identical = core::semantically_equal(one, res);
-    rows.push_back(row);
-  }
-
-  TextTable t({"workers", "wall s", "speedup", "value evals", "f(i) reads",
-               "identical"});
-  for (const WorkerRow& r : rows) {
-    t.add(r.workers, r.seconds, r.speedup, r.value_evaluations, r.memo_hits,
-          r.identical);
-  }
-  std::printf("%s\n", t.render().c_str());
-
+  double base = 0;
   bool ok = true;
-  for (const WorkerRow& r : rows) ok &= r.identical;
+  for (const unsigned w : kOracleWorkers) {
+    opt.oracle_workers = w;
+    double seconds = 0;
+    const auto res = timed_diameter(g, opt, seconds);
+    if (w == 1) {
+      one = res;
+      base = seconds;
+    }
+    const bool identical = core::semantically_equal(one, res);
+    ok &= identical;
+    bench::Fields cols;
+    cols.add("value_evaluations", res.oracle.value_evaluations)
+        .add("memo_hits", res.oracle.memo_hits);
+    report.add({"t11_oracle", "diameter", n, w, seconds,
+                bench::speedup(base, seconds), identical, cols});
+  }
   return ok;
 }
 
@@ -191,11 +127,12 @@ constexpr E2eCase kE2eCases[] = {{256, 503415180}, {512, 1257516175}};
 constexpr E2eCase kE2eSmokeCase = {64, 126233515};
 
 /// Times each case at one oracle worker (the measure phase is serial at
-/// any count). Returns false if a case's charged rounds moved.
-bool run_e2e(bool smoke, std::vector<E2eRow>& rows) {
+/// any count) into `t11_e2e` rows, with measure_seconds (the run's
+/// PhaseSeconds::measure) and charged_rounds columns. Returns false if
+/// a case's charged rounds moved.
+bool run_e2e(bool smoke, bench::Report& report) {
   std::vector<E2eCase> cases(std::begin(kE2eCases), std::end(kE2eCases));
   if (smoke) cases = {kE2eSmokeCase};
-  TextTable t({"n", "wall s", "measure s", "charged rounds", "identical"});
   bool ok = true;
   for (const E2eCase& c : cases) {
     Rng rng(3);
@@ -204,19 +141,15 @@ bool run_e2e(bool smoke, std::vector<E2eRow>& rows) {
     opt.seed = 3;
     opt.census = true;  // as the CLI runs it
     opt.oracle_workers = 1;
-    E2eRow row;
-    row.n = c.n;
-    const auto res = timed_run(g, opt, row.seconds);
-    row.measure_seconds = res.phase_seconds.measure;
-    row.charged_rounds = res.rounds;
-    row.identical = res.rounds == c.charged_rounds;
-    ok &= row.identical;
-    t.add(row.n, row.seconds, row.measure_seconds, row.charged_rounds,
-          row.identical);
-    rows.push_back(row);
+    double seconds = 0;
+    const auto res = timed_diameter(g, opt, seconds);
+    const bool identical = res.rounds == c.charged_rounds;
+    ok &= identical;
+    bench::Fields cols;
+    cols.add("measure_seconds", res.phase_seconds.measure)
+        .add("charged_rounds", res.rounds);
+    report.add({"t11_e2e", "diameter", c.n, 1, seconds, 1.0, identical, cols});
   }
-  std::printf("-- end to end: Theorem 1.1 diameter, ER W=10 seed 3 --\n%s\n",
-              t.render().c_str());
   return ok;
 }
 
@@ -296,41 +229,35 @@ void run_family(const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool large = false;
-  bool smoke = false;
-  NodeId oracle_n = 2048;
-  std::string out_path = "BENCH_theorem11.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--large") == 0) {
-      large = true;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-      oracle_n = 64;
-    } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      oracle_n = static_cast<NodeId>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const bench::Flags flags(argc, argv,
+                           {"--smoke", "--large", "--n N", "--out FILE"});
+  const bool smoke = flags.has("--smoke");
+  const bool large = flags.has("--large");
+  const NodeId oracle_n = flags.num<NodeId>("--n", smoke ? 64 : 2048);
+  const std::string out_path = flags.str("--out", "BENCH_theorem11.json");
 
   std::printf("Theorem 1.1 scaling — measured CONGEST rounds of the quantum "
               "weighted diameter\n\n");
 
-  std::size_t oracle_m = 0;
-  std::vector<WorkerRow> worker_rows;
-  bool ok = run_worker_scaling(oracle_n, oracle_m, worker_rows);
+  bench::Report report;
+  report.spec.add("smoke", smoke).add("benched_workers", kOracleWorkers);
+  bool ok = run_worker_scaling(oracle_n, report);
   if (!ok) {
     std::fprintf(stderr, "FAIL: oracle worker counts gave different "
                          "results\n");
   }
-  std::vector<E2eRow> e2e_rows;
-  if (!run_e2e(smoke, e2e_rows)) {
+  const bool worker_identity = ok;
+  if (!run_e2e(smoke, report)) {
     std::fprintf(stderr, "FAIL: end-to-end charged rounds moved\n");
     ok = false;
   }
-  runtime::write_file(out_path, report_json(smoke, oracle_n, oracle_m,
-                                            worker_rows, e2e_rows));
-  std::printf("wrote %s\n\n", out_path.c_str());
+  std::printf("-- oracle worker scaling (t11_oracle) and end to end "
+              "(t11_e2e: Theorem 1.1 diameter, ER W=10 seed 3) --\n%s\n",
+              report.table().c_str());
+  report.acceptance.add("byte_identical_at_all_worker_counts",
+                        worker_identity);
+  report.write(out_path);
+  std::printf("\n");
   if (smoke) return ok ? 0 : 1;
 
   std::vector<WeightedGraph> low_d;

@@ -73,20 +73,29 @@ class BfsTreeProgram final : public NodeProgram {
 // ---------------------------------------------------------------------
 
 // Wire format: {type:2}{payload}. type 0 = announce(depth), type 1 =
-// adopt, type 2 = up(partial), type 3 = down(final).
+// adopt, type 2 = up(partial), type 3 = down(final). A node reports up
+// once its children are known (two rounds after its adoption round)
+// and all of them have reported. An adopt that reaches a node after it
+// reported up means that child's input is missing from the value, so
+// the node marks itself failed. `horizon` is the liveness check, read
+// from ctx.round(): a node still without a value then gives up, so a
+// run that lost messages ends instead of spinning to max_rounds.
+// Fault-free neither fires. The program never sleeps.
 class AggregateProgram final : public NodeProgram {
  public:
   AggregateProgram(NodeId root, std::uint64_t input, AggregateOp op,
-                   std::uint32_t depth_bits, std::uint32_t value_bits)
+                   std::uint32_t depth_bits, std::uint32_t value_bits,
+                   std::uint64_t horizon)
       : root_(root),
         op_(op),
         depth_bits_(depth_bits),
         value_bits_(value_bits),
+        horizon_(horizon),
         partial_(input) {}
 
   void on_start(NodeContext& ctx) override {
     if (ctx.id() == root_) {
-      adopted_ = true;
+      adopt_round_ = ctx.round();
       Message announce;
       announce.push(0, 2).push(0, depth_bits_);
       ctx.broadcast(announce);
@@ -97,8 +106,8 @@ class AggregateProgram final : public NodeProgram {
     for (const Incoming& in : inbox) {
       switch (in.msg.field(0)) {
         case 0:  // announce(depth)
-          if (!adopted_) {
-            adopted_ = true;
+          if (adopt_round_ == kNotAdopted) {
+            adopt_round_ = ctx.round();
             parent_ = in.from;
             Message announce;
             announce.push(0, 2).push(in.msg.field(1) + 1, depth_bits_);
@@ -109,6 +118,7 @@ class AggregateProgram final : public NodeProgram {
           }
           break;
         case 1:  // adopt
+          failed_ = failed_ || sent_up_;
           children_.push_back(in.from);
           break;
         case 2:  // up(partial)
@@ -126,15 +136,12 @@ class AggregateProgram final : public NodeProgram {
       }
     }
 
-    if (adopted_) ++rounds_since_adopt_;
-
-    // Children membership is final three local rounds after adoption:
-    // we adopt in round t, our announce is delivered in t+1, children
-    // adopt in t+1, and their adopt messages land in round t+2 — which
-    // is the round where rounds_since_adopt_ reaches 3 (inbox is
+    // Children membership is final two rounds after adoption: we adopt
+    // in round t, our announce is delivered in t+1, children adopt in
+    // t+1, and their adopt messages land in round t+2 (the inbox is
     // processed before this check).
-    if (adopted_ && !sent_up_ && rounds_since_adopt_ >= 3 &&
-        reports_ == children_.size()) {
+    if (adopt_round_ != kNotAdopted && !sent_up_ &&
+        ctx.round() >= adopt_round_ + 2 && reports_ == children_.size()) {
       sent_up_ = true;
       if (ctx.id() == root_ || parent_ == kNoParent) {
         final_ = partial_;
@@ -145,16 +152,20 @@ class AggregateProgram final : public NodeProgram {
         ctx.send(parent_, up);
       }
     }
+    gave_up_ = gave_up_ || (!final_.has_value() && ctx.round() >= horizon_);
   }
 
-  bool done() const override { return final_.has_value(); }
+  bool done() const override { return final_.has_value() || gave_up_; }
 
-  std::uint64_t value() const {
-    QC_CHECK(final_.has_value(), "aggregate not finished");
-    return *final_;
+  /// The aggregate this node learned, or nothing when it gave up or
+  /// knows a child's input is missing.
+  std::optional<std::uint64_t> value() const {
+    return failed_ ? std::nullopt : final_;
   }
 
  private:
+  static constexpr std::uint64_t kNotAdopted = ~std::uint64_t{0};
+
   std::uint64_t fold(std::uint64_t a, std::uint64_t b) const {
     switch (op_) {
       case AggregateOp::kMin: return std::min(a, b);
@@ -174,11 +185,13 @@ class AggregateProgram final : public NodeProgram {
   AggregateOp op_;
   std::uint32_t depth_bits_;
   std::uint32_t value_bits_;
+  std::uint64_t horizon_;
   NodeId parent_ = kNoParent;
-  std::vector<NodeId> children_;
-  bool adopted_ = false;
   bool sent_up_ = false;
-  std::uint64_t rounds_since_adopt_ = 0;
+  bool failed_ = false;
+  bool gave_up_ = false;
+  std::vector<NodeId> children_;
+  std::uint64_t adopt_round_ = kNotAdopted;
   std::size_t reports_ = 0;
   std::uint64_t partial_;
   std::optional<std::uint64_t> final_;
@@ -511,16 +524,37 @@ AggregateResult global_aggregate(const WeightedGraph& g, NodeId root,
   QC_REQUIRE(inputs.size() == g.node_count(), "one input per node");
   QC_REQUIRE(g.is_connected(), "aggregate needs a connected network");
   const std::uint32_t depth_bits = bits_for(g.node_count());
+  // Liveness horizon: fault-free the downcast ends by round 3D + 1 <
+  // 3n, so 4n + 8 never fires then but bounds a run that lost an
+  // announce, an adopt, a report or a downcast.
+  const std::uint64_t horizon = 4 * std::uint64_t{g.node_count()} + 8;
   auto run = run_on_all<AggregateProgram>(
       g,
       [&](NodeId v) {
         return std::make_unique<AggregateProgram>(root, inputs[v], op,
-                                                  depth_bits, value_bits);
+                                                  depth_bits, value_bits,
+                                                  horizon);
       },
       config);
+  std::vector<NodeId> missing;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (!run.at(v).value()) missing.push_back(v);
+  }
+  if (!missing.empty()) {
+    std::string names;
+    for (std::size_t i = 0; i < missing.size() && i < 16; ++i) {
+      names += (i ? ", " : "") + std::to_string(missing[i]);
+    }
+    if (missing.size() > 16) names += ", ...";
+    throw AlgorithmFailure(
+        "global aggregate failed: " + std::to_string(missing.size()) +
+        " of " + std::to_string(g.node_count()) +
+        " nodes without a value (" + names + ") after " +
+        std::to_string(run.stats.rounds) + " rounds");
+  }
   AggregateResult out;
   out.stats = run.stats;
-  out.value = run.at(root).value();
+  out.value = *run.at(root).value();
   // Sanity: every node must have learned the same value.
   for (NodeId v = 0; v < g.node_count(); ++v) {
     QC_CHECK(run.at(v).value() == out.value,

@@ -75,7 +75,12 @@ struct AggregateResult {
 /// Computes op over each node's `inputs[v]` and disseminates the result
 /// to all nodes via convergecast + downcast on a BFS tree rooted at
 /// `root`. `value_bits` is the encoded width of any partial aggregate
-/// (caller guarantees all partials fit). O(D) rounds.
+/// (caller guarantees all partials fit). O(D) rounds. Under drop and
+/// delay faults it either returns the true aggregate, known to every
+/// node, or throws `AlgorithmFailure` naming the nodes left without a
+/// value: a node gives up after an internal horizon of ~4n rounds, and
+/// one that hears from a child after reporting up counts as without a
+/// value. Duplicated and corrupted messages are not handled.
 AggregateResult global_aggregate(const WeightedGraph& g, NodeId root,
                                  const std::vector<std::uint64_t>& inputs,
                                  AggregateOp op, std::uint32_t value_bits,

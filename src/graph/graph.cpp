@@ -8,6 +8,13 @@
 
 namespace qc {
 
+void require_edge_weight(Weight w, std::string_view where) {
+  if (is_edge_weight(w)) return;
+  throw ArgumentError((where.empty() ? "" : std::string(where) + ": ") +
+                      "edge weight " + std::to_string(w) +
+                      " is outside [1, " + std::to_string(kInfDist) + ")");
+}
+
 // add_edge / remove_edge / set_edge_weight are sugar for one-op
 // batches: apply() is the single sanctioned mutation surface, so the
 // validation messages, cache invalidation, and connectivity rules live
@@ -26,7 +33,7 @@ WeightedGraph WeightedGraph::from_edges(NodeId n, std::vector<Edge> edges) {
   std::vector<std::size_t> deg(n, 0);
   for (const Edge& e : edges) {
     QC_REQUIRE(e.u < e.v && e.v < n, "from_edges: edge not canonical");
-    QC_REQUIRE(e.weight >= 1, "weights must be positive integers");
+    require_edge_weight(e.weight, "from_edges");
     ++deg[e.u];
     ++deg[e.v];
   }
@@ -55,7 +62,6 @@ Weight WeightedGraph::edge_weight(NodeId u, NodeId v) const {
 }
 
 void WeightedGraph::set_edge_weight(NodeId u, NodeId v, Weight w) {
-  QC_REQUIRE(w >= 1, "weights must be positive integers");
   apply(GraphUpdate{}.reweight(u, v, w));
 }
 

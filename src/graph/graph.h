@@ -12,6 +12,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,16 @@ class GraphUpdate;    // graph/update.h
 
 using NodeId = std::uint32_t;
 using Weight = std::uint64_t;
+
+/// The one edge-weight rule of every input surface: 1 <= w < kInfDist.
+/// The paper's weights are positive integers, and every distance kernel
+/// reads a weight at or past kInfDist as a missing edge.
+constexpr bool is_edge_weight(Weight w) { return w >= 1 && w < kInfDist; }
+
+/// Throws ArgumentError naming `w` and the rule unless is_edge_weight(w).
+/// `where` prefixes the message (a line, a file and byte); a hot loop
+/// tests is_edge_weight first so it builds `where` only for a bad one.
+void require_edge_weight(Weight w, std::string_view where = {});
 
 /// What WeightedGraph::apply did. Counts are *net* effects (an edge
 /// inserted and removed in the same batch cancels).
@@ -64,7 +75,7 @@ struct Edge {
 ///
 /// Invariants (checked in debug paths / on demand via `validate()`):
 ///  * no self loops, no parallel edges;
-///  * every weight >= 1.
+///  * every weight in [1, kInfDist) (require_edge_weight).
 class WeightedGraph {
  public:
   WeightedGraph() = default;

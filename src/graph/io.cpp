@@ -18,6 +18,7 @@
 #endif
 
 #include "runtime/thread_pool.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace qc {
@@ -91,9 +92,59 @@ void write_all(std::FILE* f, const void* data, std::size_t bytes,
              path + ": write failed");
 }
 
-}  // namespace
-
 // --- wgraph v1 (text) -------------------------------------------------
+
+// Reads wgraph v1 text: the `wgraph <n> <m>` header, then one `u v w`
+// edge per line; blank and '#' lines are skipped. Every number goes
+// through the strict parser and every edge through the one weight
+// rule, and each error names its line (after `source`, when given).
+// Calls on_header(n) once, then on_edge(u, v, w) per edge.
+template <typename OnHeader, typename OnEdge>
+void read_wgraph_text(std::istream& in, const std::string& source,
+                      OnHeader on_header, OnEdge on_edge) {
+  const std::string prefix = source.empty() ? "" : source + ": ";
+  std::string line;
+  std::size_t line_no = 0;
+  bool have_header = false;
+  std::uint64_t n = 0;
+  std::uint64_t m = 0;
+  std::uint64_t edges_seen = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') continue;
+    const std::string where = prefix + "line " + std::to_string(line_no);
+    std::istringstream ls(line);
+    std::string tok[4];
+    int count = 0;
+    while (count < 4 && ls >> tok[count]) ++count;
+    if (!have_header) {
+      QC_REQUIRE(count == 3 && tok[0] == "wgraph",
+                 where + ": expected 'wgraph <n> <m>' header");
+      n = parse_unsigned<std::uint64_t>(where, tok[1]);
+      m = parse_unsigned<std::uint64_t>(where, tok[2]);
+      on_header(n);
+      have_header = true;
+      continue;
+    }
+    QC_REQUIRE(count >= 3, where + ": expected 'u v w'");
+    QC_REQUIRE(count == 3, where + ": trailing tokens");
+    const auto u = parse_unsigned<std::uint64_t>(where, tok[0]);
+    const auto v = parse_unsigned<std::uint64_t>(where, tok[1]);
+    const auto w = parse_unsigned<Weight>(where, tok[2]);
+    QC_REQUIRE(u < n && v < n, where + ": node id out of range");
+    QC_REQUIRE(u != v, where + ": self loop");
+    require_edge_weight(w, where);
+    on_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
+    ++edges_seen;
+  }
+  QC_REQUIRE(have_header, prefix + "missing wgraph header");
+  QC_REQUIRE(edges_seen == m, prefix + "edge count mismatch: header says " +
+                                  std::to_string(m) + ", file has " +
+                                  std::to_string(edges_seen));
+}
+
+}  // namespace
 
 std::string to_edge_list(const WeightedGraph& g) {
   std::ostringstream os;
@@ -106,48 +157,14 @@ std::string to_edge_list(const WeightedGraph& g) {
 
 WeightedGraph parse_edge_list(const std::string& text) {
   std::istringstream is(text);
-  std::string line;
-  bool have_header = false;
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
   WeightedGraph g;
-  std::uint64_t edges_seen = 0;
-
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    if (!have_header) {
-      std::string magic;
-      ls >> magic >> n >> m;
-      QC_REQUIRE(!ls.fail() && magic == "wgraph",
-                 "line " + std::to_string(line_no) +
-                     ": expected 'wgraph <n> <m>' header");
-      QC_REQUIRE(n <= (std::uint64_t{1} << 31), "node count too large");
-      g = WeightedGraph(static_cast<NodeId>(n));
-      have_header = true;
-      continue;
-    }
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    std::uint64_t w = 0;
-    ls >> u >> v >> w;
-    QC_REQUIRE(!ls.fail(),
-               "line " + std::to_string(line_no) + ": expected 'u v w'");
-    std::string extra;
-    QC_REQUIRE(!(ls >> extra),
-               "line " + std::to_string(line_no) + ": trailing tokens");
-    QC_REQUIRE(u < n && v < n,
-               "line " + std::to_string(line_no) + ": node id out of range");
-    g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
-    ++edges_seen;
-  }
-  QC_REQUIRE(have_header, "missing wgraph header");
-  QC_REQUIRE(edges_seen == m, "edge count mismatch: header says " +
-                                  std::to_string(m) + ", file has " +
-                                  std::to_string(edges_seen));
+  read_wgraph_text(
+      is, "",
+      [&](std::uint64_t n) {
+        QC_REQUIRE(n <= (std::uint64_t{1} << 31), "node count too large");
+        g = WeightedGraph(static_cast<NodeId>(n));
+      },
+      [&](NodeId u, NodeId v, Weight w) { g.add_edge(u, v, w); });
   return g;
 }
 
@@ -194,8 +211,9 @@ void BGraphWriter::add(NodeId u, NodeId v, Weight w) {
              path_ + ": record " + std::to_string(m_) + ": node id " +
                  std::to_string(v) + " out of range (n=" +
                  std::to_string(n_) + ")");
-  QC_REQUIRE(w >= 1, path_ + ": record " + std::to_string(m_) +
-                         ": weights must be positive");
+  if (!is_edge_weight(w)) {
+    require_edge_weight(w, path_ + ": record " + std::to_string(m_));
+  }
   const std::uint64_t key = edge_key(u, v);
   if (m_ > 0 && key <= last_key_) sorted_ = false;
   last_key_ = key;
@@ -271,8 +289,7 @@ BGraphReader::BGraphReader(const std::string& path) : path_(path) {
   QC_REQUIRE(info_.n <= (std::uint64_t{1} << 32),
              path + ": node count " + std::to_string(info_.n) +
                  " at byte 16 exceeds the 2^32 NodeId range");
-  QC_REQUIRE(info_.max_weight >= 1,
-             path + ": max_weight 0 at byte 32 (weights are positive)");
+  require_edge_weight(info_.max_weight, path + ": max_weight at byte 32");
   // Overflow-safe size check: reject counts the file cannot possibly
   // hold before computing header + m * record.
   const std::uint64_t payload = size - kBGraphHeaderBytes;
@@ -389,52 +406,16 @@ BGraphInfo convert_text_to_bgraph(const std::string& text_path,
                                   const std::string& bgraph_path) {
   std::ifstream in(text_path);
   QC_REQUIRE(in.good(), "cannot open: " + text_path);
-  std::string line;
-  std::size_t line_no = 0;
-  bool have_header = false;
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
-  std::uint64_t edges_seen = 0;
   std::unique_ptr<BGraphWriter> out;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    if (!have_header) {
-      std::string magic;
-      ls >> magic >> n >> m;
-      QC_REQUIRE(!ls.fail() && magic == "wgraph",
-                 text_path + ": line " + std::to_string(line_no) +
-                     ": expected 'wgraph <n> <m>' header");
-      out = std::make_unique<BGraphWriter>(bgraph_path, n);
-      have_header = true;
-      continue;
-    }
-    std::uint64_t u = 0;
-    std::uint64_t v = 0;
-    std::uint64_t w = 0;
-    ls >> u >> v >> w;
-    QC_REQUIRE(!ls.fail(), text_path + ": line " + std::to_string(line_no) +
-                               ": expected 'u v w'");
-    std::string extra;
-    QC_REQUIRE(!(ls >> extra), text_path + ": line " +
-                                   std::to_string(line_no) +
-                                   ": trailing tokens");
-    QC_REQUIRE(u < n && v < n, text_path + ": line " +
-                                   std::to_string(line_no) +
-                                   ": node id out of range");
-    QC_REQUIRE(u != v, text_path + ": line " + std::to_string(line_no) +
-                           ": self loop");
-    if (u > v) std::swap(u, v);
-    out->add(static_cast<NodeId>(u), static_cast<NodeId>(v), w);
-    ++edges_seen;
-  }
-  QC_REQUIRE(have_header, text_path + ": missing wgraph header");
-  QC_REQUIRE(edges_seen == m,
-             text_path + ": edge count mismatch: header says " +
-                 std::to_string(m) + ", file has " +
-                 std::to_string(edges_seen));
+  read_wgraph_text(
+      in, text_path,
+      [&](std::uint64_t n) {
+        out = std::make_unique<BGraphWriter>(bgraph_path, n);
+      },
+      [&](NodeId u, NodeId v, Weight w) {
+        if (u > v) std::swap(u, v);
+        out->add(u, v, w);
+      });
   return out->close();
 }
 
@@ -1001,8 +982,7 @@ BcsrLayout decode_bcsr_header(const unsigned char* h, std::uint64_t size,
   QC_REQUIRE(lay.n < (std::uint64_t{1} << 32),
              path + ": node count " + std::to_string(lay.n) +
                  " at byte 16 exceeds the NodeId range");
-  QC_REQUIRE(lay.max_weight >= 1,
-             path + ": max_weight 0 at byte 32 (weights are positive)");
+  require_edge_weight(lay.max_weight, path + ": max_weight at byte 32");
   const std::uint64_t payload = size - kBcsrHeaderBytes;
   QC_REQUIRE(lay.offsets_bytes() <= payload &&
                  lay.halves <= (payload - lay.offsets_bytes()) /

@@ -84,7 +84,7 @@ TouchedEdges simulate_ops(const WeightedGraph& g,
     }
     switch (op.kind) {
       case EdgeOpKind::kInsert:
-        QC_REQUIRE(op.weight >= 1, "weights must be positive integers");
+        require_edge_weight(op.weight);
         QC_REQUIRE(!e.present, "parallel edges are not allowed");
         e.present = true;
         e.weight = op.weight;
@@ -94,7 +94,7 @@ TouchedEdges simulate_ops(const WeightedGraph& g,
         e.present = false;
         break;
       case EdgeOpKind::kReweight:
-        QC_REQUIRE(op.weight >= 1, "weights must be positive integers");
+        require_edge_weight(op.weight);
         if (!e.present) throw ArgumentError("set_edge_weight: no such edge");
         e.weight = op.weight;
         break;

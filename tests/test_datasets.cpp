@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -428,6 +429,25 @@ TEST(BGraph, RejectsCorruptHeaderWithByteOffsets) {
   bad = good;
   for (int i = 0; i < 8; ++i) bad[32 + i] = 0;  // max_weight = 0
   expect_rejected_mentioning(bad, "byte 32");
+}
+
+// A header max_weight of kInfDist promises weights every distance
+// kernel would read as missing edges; the one weight rule rejects it
+// in bgraph and bcsr headers alike.
+TEST(EdgeWeightRule, BGraphHeaderRejectsInfDist) {
+  std::string bad = valid_bytes();
+  std::memcpy(&bad[32], &kInfDist, 8);
+  expect_rejected_mentioning(bad, "byte 32");
+}
+
+TEST(EdgeWeightRule, BcsrHeaderRejectsInfDist) {
+  const std::string path = tmp_path("inf_weight.bcsr");
+  write_csr(small_random(31).csr(), path);
+  std::string bytes = slurp(path);
+  std::memcpy(&bytes[32], &kInfDist, 8);
+  spit(path, bytes);
+  EXPECT_THROW(map_csr(path), ArgumentError);
+  EXPECT_THROW(read_csr(path), ArgumentError);
 }
 
 TEST(BGraph, RejectsTruncatedAndOversizedFiles) {

@@ -565,6 +565,99 @@ TEST(CrashStop, CrashedNodeStopsSendingAndReceiving) {
 }
 
 // ---------------------------------------------------------------------
+// Global aggregate under message faults
+// ---------------------------------------------------------------------
+
+// The pinned aggregate: node v of ER(24, 0.15, Rng(5)) holds 3v + 1,
+// summed at root 0.
+WeightedGraph aggregate_graph() {
+  Rng rng(5);
+  return gen::erdos_renyi_connected(24, 0.15, rng);
+}
+
+std::vector<std::uint64_t> aggregate_inputs() {
+  std::vector<std::uint64_t> inputs(24);
+  for (NodeId v = 0; v < 24; ++v) inputs[v] = 3 * v + 1;
+  return inputs;  // sum 852
+}
+
+// A run gives up at the internal horizon (4n + 8 rounds); the budget
+// adds room for deliveries still delayed past it.
+constexpr std::uint64_t kAggregateBudget = 4 * 24 + 8 + 8;
+
+TEST(AggregateFaults, FaultFreeRunIsPinned) {
+  // Captured before the aggregate had a liveness horizon.
+  const AggregateResult res = global_aggregate(
+      aggregate_graph(), 0, aggregate_inputs(), AggregateOp::kSum, 16);
+  EXPECT_EQ(res.value, 852u);
+  EXPECT_EQ(res.stats, (RunStats{17, 147, 1420}));
+}
+
+TEST(AggregateFaults, LateAdoptUnderDelaysFailsWithinTheHorizon) {
+  // Three-round delays land adopt messages after their parent reported
+  // up, so the late child's input is missing and nobody sends it the
+  // final value: this run used to step until max_rounds.
+  Config cfg;
+  cfg.execution.max_rounds = kAggregateBudget;
+  cfg.faults.seed = 7;
+  cfg.faults.probabilities.delay = 0.2;
+  cfg.faults.probabilities.delay_rounds = 3;
+  try {
+    (void)global_aggregate(aggregate_graph(), 0, aggregate_inputs(),
+                           AggregateOp::kSum, 16, cfg);
+    ADD_FAILURE() << "aggregate returned under a late adopt";
+  } catch (const AlgorithmFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("nodes without a value"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AggregateFaults, DroppedMessagesFailWithinTheHorizon) {
+  Config cfg;
+  cfg.execution.max_rounds = kAggregateBudget;
+  cfg.faults.seed = 1;
+  cfg.faults.probabilities.drop = 0.1;
+  EXPECT_THROW((void)global_aggregate(aggregate_graph(), 0,
+                                      aggregate_inputs(), AggregateOp::kSum,
+                                      16, cfg),
+               AlgorithmFailure);
+}
+
+TEST(AggregateFaults, DropsAndDelaysNeverYieldAWrongValue) {
+  // Under drop and delay faults the aggregate either returns the true
+  // value or throws; it used to return partial sums. Both outcomes
+  // occur over these plans, so neither branch is vacuous.
+  const auto g = aggregate_graph();
+  const auto inputs = aggregate_inputs();
+  int returned = 0;
+  int failed = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    for (const auto& [drop, delay, rounds] :
+         {std::tuple{0.02, 0.0, 1u}, std::tuple{0.0, 0.1, 1u},
+          std::tuple{0.0, 0.2, 3u}, std::tuple{0.02, 0.1, 2u}}) {
+      Config cfg;
+      cfg.execution.max_rounds = kAggregateBudget;
+      cfg.faults.seed = seed;
+      cfg.faults.probabilities.drop = drop;
+      cfg.faults.probabilities.delay = delay;
+      cfg.faults.probabilities.delay_rounds = rounds;
+      try {
+        EXPECT_EQ(global_aggregate(g, 0, inputs, AggregateOp::kSum, 16, cfg)
+                      .value,
+                  852u)
+            << "seed " << seed << " drop " << drop << " delay " << delay;
+        ++returned;
+      } catch (const AlgorithmFailure&) {
+        ++failed;
+      }
+    }
+  }
+  EXPECT_GT(returned, 0);
+  EXPECT_GT(failed, 0);
+}
+
+// ---------------------------------------------------------------------
 // Acked flooding
 // ---------------------------------------------------------------------
 

@@ -4,6 +4,7 @@
 // checks of the quantum search engine and robustness of the gadget
 // lemmas under non-paper parameters.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include "congest/primitives.h"
 #include "core/approx.h"
 #include "graph/algorithms.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "lowerbound/boolfn.h"
@@ -293,6 +295,88 @@ TEST_P(FuzzSweep, WireParserSurvivesByteMutations) {
       }
     }
   }
+  EXPECT_GT(rejected, 0u);
+}
+
+// The wgraph text loader under byte mutation: flip, insert and delete a
+// few bytes of a valid file, drawn half from the characters the parser
+// branches on. Every mutant must load or throw ArgumentError — never
+// crash or throw any other exception type. At most four edits keep a
+// mutated node count small enough to allocate.
+TEST_P(FuzzSweep, WgraphTextSurvivesByteMutations) {
+  Rng rng(GetParam() * 83 + 9);
+  const std::string good = to_edge_list(random_connected(rng, 40, 30));
+  const std::string alphabet = "0123456789 \t\r\n#-+wgraph";
+  std::uint64_t rejected = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string bytes = good;
+    const auto edits = 1 + rng.below(4);
+    for (std::uint64_t k = 0; k < edits; ++k) {
+      const char c = rng.chance(0.5) ? alphabet[rng.below(alphabet.size())]
+                                     : static_cast<char>(rng.below(256));
+      const auto at = static_cast<std::size_t>(rng.below(bytes.size() + 1));
+      switch (rng.below(3)) {
+        case 0:
+          if (at < bytes.size()) bytes[at] = c;
+          break;
+        case 1:
+          bytes.insert(at, 1, c);
+          break;
+        default:
+          if (at < bytes.size()) bytes.erase(at, 1);
+          break;
+      }
+    }
+    if (rng.chance(0.2)) bytes.resize(rng.below(bytes.size() + 1));
+    try {
+      parse_edge_list(bytes).validate();
+    } catch (const ArgumentError&) {
+      ++rejected;  // expected for most mutants
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+// map_csr with edge validation under byte mutation, biased half-and-half
+// between the 48-byte header and the whole file, sometimes truncated or
+// extended. Every mutant must map or throw ArgumentError, and a mapped
+// one must be safe to traverse.
+TEST_P(FuzzSweep, BcsrMapSurvivesByteMutations) {
+  Rng rng(GetParam() * 79 + 13);
+  const auto g = random_connected(rng, 40, 30);
+  const std::string path = ::testing::TempDir() + "qc_fuzz_bcsr_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(GetParam()) + ".bcsr";
+  write_csr(g.csr(), path);
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  std::uint64_t rejected = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string bytes = good;
+    const auto flips = 1 + rng.below(4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const std::size_t at =
+          rng.chance(0.5) ? rng.below(kBGraphHeaderBytes)
+                          : static_cast<std::size_t>(rng.below(bytes.size()));
+      bytes[at] = static_cast<char>(rng.below(256));
+    }
+    if (rng.chance(0.2)) bytes.resize(rng.below(bytes.size() + 9));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      const CsrGraph mapped = map_csr(path, /*validate_edges=*/true);
+      if (mapped.node_count() > 0) (void)dijkstra(mapped, 0);
+    } catch (const ArgumentError&) {
+      ++rejected;  // expected for most mutants
+    }
+  }
+  std::remove(path.c_str());
   EXPECT_GT(rejected, 0u);
 }
 

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/slot_index.h"
+#include "graph/update.h"
 #include "util/rng.h"
 
 namespace qc {
@@ -37,6 +38,25 @@ TEST(WeightedGraph, RejectsBadEdges) {
   EXPECT_THROW(g.add_edge(0, 1, 0), ArgumentError);    // zero weight
   g.add_edge(0, 1);
   EXPECT_THROW(g.add_edge(1, 0), ArgumentError);       // parallel
+}
+
+// Weights are integers in [1, kInfDist): every distance kernel reads a
+// weight at or past kInfDist as a missing edge.
+TEST(EdgeWeightRule, FromEdgesRejectsInfDist) {
+  EXPECT_THROW(WeightedGraph::from_edges(2, {{0, 1, kInfDist}}),
+               ArgumentError);
+  EXPECT_EQ(WeightedGraph::from_edges(2, {{0, 1, kInfDist - 1}}).max_weight(),
+            kInfDist - 1);
+}
+
+TEST(EdgeWeightRule, UpdateRejectsInfDist) {
+  WeightedGraph g = gen::path(3);
+  EXPECT_THROW(g.apply(GraphUpdate{}.insert(0, 2, kInfDist)), ArgumentError);
+  EXPECT_THROW(g.apply(GraphUpdate{}.reweight(0, 1, kInfDist)),
+               ArgumentError);
+  EXPECT_THROW(g.set_edge_weight(0, 1, kInfDist), ArgumentError);
+  EXPECT_EQ(g.edge_count(), 2u);
+  EXPECT_EQ(g.edge_weight(0, 1), 1u);
 }
 
 TEST(WeightedGraph, SetEdgeWeight) {

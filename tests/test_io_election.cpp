@@ -44,6 +44,22 @@ TEST(GraphIo, RejectsMalformedInput) {
                ArgumentError);  // duplicate edge
 }
 
+// Every wgraph number goes through the strict parser: `-1` used to load
+// as weight 2^64 - 1, an edge every distance kernel ignores.
+TEST(EdgeWeightRule, WgraphNegativeWeightNamesItsLine) {
+  try {
+    (void)parse_edge_list("wgraph 3 2\n0 1 -1\n1 2 1\n");
+    ADD_FAILURE() << "a negative weight loaded";
+  } catch (const ArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse_edge_list("wgraph 2 1\n0 1 4611686018427387903\n"),
+               ArgumentError);  // kInfDist
+  EXPECT_THROW(parse_edge_list("wgraph 2 1\n0 1 +3\n"), ArgumentError);
+  EXPECT_THROW(parse_edge_list("wgraph 2 1x\n0 1 3\n"), ArgumentError);
+}
+
 TEST(GraphIo, FileRoundTrip) {
   Rng rng(5);
   auto g = gen::grid(4, 4);

@@ -2,14 +2,17 @@
 """Gate a fresh bench JSON against its committed baseline.
 
 Used by `tools/run_tier1.sh --bench-gate` for BENCH_congest_sim.json,
-BENCH_datasets.json, BENCH_dynamic.json and BENCH_theorem11.json (pass
---baseline to pick the file): the bench binary re-runs the suite into a
-scratch file, and this script diffs it against the baseline committed
-at the repo root. It fails (exit 1) when:
+BENCH_datasets.json, BENCH_dynamic.json, BENCH_theorem11.json and
+BENCH_service.json (pass --baseline to pick the file): the bench binary
+re-runs the suite into a scratch file, and this script diffs it against
+the baseline committed at the repo root. Every bench writes the row
+schema of bench/harness.h: (workload, variant, n, workers) names a row,
+`seconds`, `speedup_vs_baseline` and `identical` measure it. It fails
+(exit 1) when:
 
-  * any fresh row reports `identical: false` — the engines or worker
-    counts disagreed on the ledger/trace/outputs, which is a correctness
-    bug, never noise;
+  * any fresh row reports `identical: false` — a run disagreed with its
+    baseline run, its pinned literals or another worker count on the
+    ledger/trace/outputs, which is a correctness bug, never noise;
   * the fresh acceptance block reports
     `byte_identical_at_all_worker_counts: false`;
   * a baseline row is missing from the fresh run even though its graph

@@ -31,19 +31,16 @@
 // one-shot twin (docs/service.md documents both and the wire format).
 // Every subcommand rejects a flag it does not read.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <system_error>
 #include <type_traits>
 
 #include "congest/primitives.h"
@@ -61,31 +58,12 @@
 #include "runtime/thread_pool.h"
 #include "service/query_engine.h"
 #include "service/wire.h"
+#include "util/parse.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace qc;
-
-// Parses `tok`, the value of --`flag`, as a whole unsigned decimal
-// number that fits T. Anything else — a sign, trailing junk, an empty
-// token, an overflow — is an error that names the flag and the value.
-template <typename T>
-T parse_unsigned(const std::string& flag, const std::string& tok) {
-  T value = 0;
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw ArgumentError("--" + flag + ": " + tok + " is out of range (max " +
-                        std::to_string(std::numeric_limits<T>::max()) + ")");
-  }
-  if (tok.empty() || ec != std::errc{} || ptr != end) {
-    throw ArgumentError("--" + flag +
-                        ": expected an unsigned decimal integer, got '" + tok +
-                        "'");
-  }
-  return value;
-}
 
 struct Args {
   std::map<std::string, std::string> kv;
@@ -94,7 +72,7 @@ struct Args {
   template <typename T = std::uint64_t>
   T num(const std::string& key, std::type_identity_t<T> def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : parse_unsigned<T>(key, it->second);
+    return it == kv.end() ? def : parse_unsigned<T>("--" + key, it->second);
   }
   std::string str(const std::string& key, const std::string& def) const {
     const auto it = kv.find(key);
@@ -302,7 +280,7 @@ std::vector<T> parse_num_list(const Args& a, const std::string& key,
                               const std::string& def) {
   std::vector<T> out;
   for (const auto& tok : split_commas(a.str(key, def))) {
-    out.push_back(parse_unsigned<T>(key, tok));
+    out.push_back(parse_unsigned<T>("--" + key, tok));
   }
   return out;
 }

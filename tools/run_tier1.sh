@@ -16,13 +16,15 @@
 #                                      # mailbox merge
 #   tools/run_tier1.sh --bench-gate    # re-run bench_congest_sim (plus
 #                                      # the bench_datasets,
-#                                      # bench_dynamic and
-#                                      # bench_theorem11_scaling smoke
-#                                      # tiers) and diff against the
-#                                      # committed BENCH_congest_sim.json
-#                                      # / BENCH_datasets.json /
+#                                      # bench_dynamic,
+#                                      # bench_theorem11_scaling and
+#                                      # bench_service smoke tiers) and
+#                                      # diff against the committed
+#                                      # BENCH_congest_sim.json /
+#                                      # BENCH_datasets.json /
 #                                      # BENCH_dynamic.json /
-#                                      # BENCH_theorem11.json via
+#                                      # BENCH_theorem11.json /
+#                                      # BENCH_service.json via
 #                                      # tools/check_bench_regression.py
 #   QC_SANITIZE=thread tools/run_tier1.sh   # sanitized build (own tree):
 #                                           # address | undefined |
@@ -74,10 +76,11 @@ if [ "$BENCH_GATE" -eq 1 ]; then
   # when the next full regeneration overwrote it.
   python3 tools/check_bench_regression.py --require-acceptance \
     BENCH_congest_sim.json BENCH_datasets.json BENCH_dynamic.json \
-    BENCH_theorem11.json
+    BENCH_theorem11.json BENCH_service.json
   cmake -B "$BUILD_DIR" -S .
   cmake --build "$BUILD_DIR" -j --target \
-    bench_congest_sim bench_datasets bench_dynamic bench_theorem11_scaling
+    bench_congest_sim bench_datasets bench_dynamic bench_theorem11_scaling \
+    bench_service
   "$BUILD_DIR/bench/bench_congest_sim" --out "$BUILD_DIR/BENCH_fresh.json"
   python3 tools/check_bench_regression.py \
     --baseline BENCH_congest_sim.json --fresh "$BUILD_DIR/BENCH_fresh.json"
@@ -107,6 +110,15 @@ if [ "$BENCH_GATE" -eq 1 ]; then
   python3 tools/check_bench_regression.py \
     --baseline BENCH_theorem11.json \
     --fresh "$BUILD_DIR/BENCH_theorem11_fresh.json"
+  # Service gate: the smoke tier re-runs the determinism checks (worker
+  # counts with concurrent clients, batch sizes, cold engines) that set
+  # every row's identical flag; the committed n=512 rows are
+  # skipped-not-failed because their n is absent from a smoke run.
+  "$BUILD_DIR/bench/bench_service" --smoke \
+    --out "$BUILD_DIR/BENCH_service_fresh.json"
+  python3 tools/check_bench_regression.py \
+    --baseline BENCH_service.json \
+    --fresh "$BUILD_DIR/BENCH_service_fresh.json"
   exit 0
 fi
 
