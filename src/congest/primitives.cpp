@@ -523,6 +523,19 @@ AggregateResult global_aggregate(const WeightedGraph& g, NodeId root,
   QC_REQUIRE(root < g.node_count(), "root out of range");
   QC_REQUIRE(inputs.size() == g.node_count(), "one input per node");
   QC_REQUIRE(g.is_connected(), "aggregate needs a connected network");
+  if (!config.faults.empty()) {
+    const FaultPlan& plan = config.faults;
+    QC_REQUIRE(!(plan.probabilities.duplicate > 0.0 ||
+                 plan.probabilities.corrupt > 0.0 ||
+                 std::any_of(plan.events.begin(), plan.events.end(),
+                             [](const FaultEvent& e) {
+                               return e.kind == FaultKind::kDuplicate ||
+                                      e.kind == FaultKind::kCorrupt;
+                             })),
+               "global_aggregate: the convergecast has no dedup and no "
+               "checksum, so a fault plan may not duplicate or corrupt "
+               "messages");
+  }
   const std::uint32_t depth_bits = bits_for(g.node_count());
   // Liveness horizon: fault-free the downcast ends by round 3D + 1 <
   // 3n, so 4n + 8 never fires then but bounds a run that lost an

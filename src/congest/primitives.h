@@ -80,7 +80,9 @@ struct AggregateResult {
 /// node, or throws `AlgorithmFailure` naming the nodes left without a
 /// value: a node gives up after an internal horizon of ~4n rounds, and
 /// one that hears from a child after reporting up counts as without a
-/// value. Duplicated and corrupted messages are not handled.
+/// value. A plan that can duplicate or corrupt a message, as a
+/// probability or as an explicit event, is rejected with `ArgumentError`
+/// before the run starts: the convergecast has no dedup and no checksum.
 AggregateResult global_aggregate(const WeightedGraph& g, NodeId root,
                                  const std::vector<std::uint64_t>& inputs,
                                  AggregateOp op, std::uint32_t value_bits,

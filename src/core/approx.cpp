@@ -18,45 +18,6 @@ using congest::Message;
 using congest::NodeContext;
 using congest::NodeProgram;
 
-// Timed-release weighted SSSP with early termination: a node announces
-// exactly in round d(s,v) and is done once it has announced, so the
-// engine halts ecc_w(s)+2 rounds in (instead of a worst-case n·W
-// schedule).
-class WeightedSsspProgram final : public NodeProgram {
- public:
-  WeightedSsspProgram(NodeId source, std::uint32_t dist_bits)
-      : source_(source), dist_bits_(dist_bits) {}
-
-  void on_start(NodeContext& ctx) override {
-    for (const HalfEdge& h : ctx.neighbors()) weights_[h.to] = h.weight;
-    if (ctx.id() == source_) best_ = 0;
-  }
-
-  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
-    for (const Incoming& in : inbox) {
-      best_ = std::min(best_, dist_add(in.msg.field(0), weights_.at(in.from)));
-    }
-    if (!announced_ && best_ == round_) {
-      announced_ = true;
-      Message m;
-      m.push(best_, dist_bits_);
-      ctx.broadcast(m);
-    }
-    ++round_;
-  }
-
-  bool done() const override { return announced_; }
-  Dist dist() const { return best_; }
-
- private:
-  NodeId source_;
-  std::uint32_t dist_bits_;
-  std::map<NodeId, Weight> weights_;
-  Dist best_ = kInfDist;
-  Dist round_ = 0;
-  bool announced_ = false;
-};
-
 // Weighted APSP: every node runs a timed-release-style weighted wave,
 // staggered by a DFS token over a precomputed BFS tree. Unlike the
 // unweighted case the fronts can collide, so each node keeps a FIFO of
@@ -247,32 +208,10 @@ ClassicalWeightedResult classical_weighted_radius(const WeightedGraph& g,
   return classical_weighted_extremum(g, true, config);
 }
 
-WeightedSsspResult distributed_weighted_sssp(const WeightedGraph& g,
-                                             NodeId source, Config config) {
-  QC_REQUIRE(source < g.node_count(), "source out of range");
-  QC_REQUIRE(g.is_connected(), "weighted SSSP needs a connected network");
-  const Dist bound =
-      static_cast<Dist>(g.node_count()) * g.max_weight() + 1;
-  const std::uint32_t dist_bits =
-      std::min<std::uint32_t>(63, bits_for(bound + 1));
-  auto run = congest::run_on_all<WeightedSsspProgram>(
-      g,
-      [&](NodeId) {
-        return std::make_unique<WeightedSsspProgram>(source, dist_bits);
-      },
-      config);
-  WeightedSsspResult out;
-  out.stats = run.stats;
-  out.dist.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    out.dist.push_back(run.at(v).dist());
-  }
-  return out;
-}
-
 TwoApproxResult two_approx_weighted_diameter(const WeightedGraph& g,
                                              Config config) {
-  auto sssp = distributed_weighted_sssp(g, 0, config);
+  auto sssp = paths::distributed_weighted_sssp(
+      g, paths::RunRequest{}.with_source(0).with_config(config));
   const Dist bound = static_cast<Dist>(g.node_count()) * g.max_weight();
   const auto agg = congest::global_aggregate(
       g, 0, sssp.dist, congest::AggregateOp::kMax,

@@ -1,10 +1,15 @@
 // Additional approximation baselines of Table 1, implemented genuinely:
 //
-//  * distributed weighted SSSP (timed-release Bellman–Ford, the
-//    O(weighted-depth) folklore algorithm) and the 2-approximation of
-//    the weighted diameter/radius it yields (any node's eccentricity
-//    2-approximates the diameter; Chechik–Mukhtar [8] reach the same
-//    approximation in Õ(√n·D^{1/4}+D) rounds — cost-modeled, S3);
+//  * the 2-approximation of the weighted diameter/radius (any node's
+//    eccentricity 2-approximates the diameter; Chechik–Mukhtar [8]
+//    reach the same approximation in Õ(√n·D^{1/4}+D) rounds —
+//    cost-modeled, S3), built on the timed-release weighted SSSP
+//    paths::distributed_weighted_sssp: Algorithm 2 with cap n·W, where
+//    a node stops once it announces (the O(weighted-depth) folklore
+//    algorithm);
+//
+//  * distributed exact weighted APSP (timed-release waves staggered by
+//    a DFS token) and the classical exact weighted diameter/radius on it;
 //
 //  * pipelined multi-source BFS with random delays (Õ(|S| + D) rounds,
 //    the unweighted engine behind [15]/[3]) — Algorithm 3's program on
@@ -21,17 +26,6 @@
 #include "util/rng.h"
 
 namespace qc::core {
-
-/// Distributed exact weighted SSSP by timed release: node v announces
-/// its distance in round d(s,v), so positive integer weights make every
-/// announcement final. Takes ecc_w(s) + 2 rounds (<= n·W + 2).
-struct WeightedSsspResult {
-  congest::RunStats stats;
-  std::vector<Dist> dist;
-};
-WeightedSsspResult distributed_weighted_sssp(const WeightedGraph& g,
-                                             NodeId source,
-                                             congest::Config config = {});
 
 /// Distributed exact weighted APSP: timed-release SSSP waves from every
 /// node, staggered by a DFS token over a BFS tree (the weighted

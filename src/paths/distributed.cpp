@@ -43,91 +43,54 @@ Dist next_wake_offset(bool announced, Dist d, Dist cap, Dist next,
   return !announced && d <= cap && d >= next ? d : otherwise;
 }
 
-// ---------------------------------------------------------------------
-// Algorithm 2: Bounded-Distance SSSP ("timed release": a node announces
-// its distance exactly in round d(s,v), so with positive integer
-// weights every announcement is final). A node sleeps until its
-// announcement round, else until round cap+1, where it finishes; mail
-// wakes it in between.
-// ---------------------------------------------------------------------
-class BoundedDistanceProgram final : public NodeProgram {
- public:
-  BoundedDistanceProgram(NodeId source, Dist cap,
-                         const std::function<std::uint64_t(Weight)>& weight_of,
-                         std::uint32_t dist_bits)
-      : source_(source),
-        cap_(cap),
-        weight_of_(&weight_of),
-        dist_bits_(dist_bits) {}
-
-  void on_start(NodeContext& ctx) override {
-    // Rounded weights in slot order, so arrivals index it directly via
-    // ctx.neighbor_slot (senders are always neighbours).
-    rounded_.reserve(ctx.neighbors().size());
-    for (const HalfEdge& h : ctx.neighbors()) {
-      rounded_.push_back((*weight_of_)(h.weight));
-    }
-    if (ctx.id() == source_) best_ = 0;
-    ctx.sleep_until(next_wake_offset(announced_, best_, cap_, 0, cap_ + 1));
-  }
-
-  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
-    for (const Incoming& in : inbox) {
-      const Dist via =
-          dist_add(in.msg.field(0), rounded_[ctx.neighbor_slot(in.from)]);
-      best_ = std::min(best_, via);
-    }
-    const Dist round = ctx.round();
-    if (!announced_ && best_ == round && best_ <= cap_) {
-      announced_ = true;
-      Message m;
-      m.push(best_, dist_bits_);
-      ctx.broadcast(m);
-    }
-    if (round >= cap_ + 1) {
-      finished_ = true;
-      return;
-    }
-    ctx.sleep_until(
-        next_wake_offset(announced_, best_, cap_, round + 1, cap_ + 1));
-  }
-
-  bool done() const override { return finished_; }
-
-  Dist final_dist() const { return best_ <= cap_ ? best_ : kInfDist; }
-
- private:
-  NodeId source_;
-  Dist cap_;
-  const std::function<std::uint64_t(Weight)>* weight_of_;
-  std::uint32_t dist_bits_;
-  std::vector<std::uint64_t> rounded_;  ///< by neighbour slot
-  Dist best_ = kInfDist;
-  bool announced_ = false;
-  bool finished_ = false;
+// What a timed-release run does: `scales` scales of cap+2 offsets, scale
+// j rounding a base weight w to ⌈σ·w/2^j⌉. Algorithms 1 and 3 take these
+// from their HopScale; Algorithm 2 and the weighted SSSP run σ = 1 and
+// one scale; the hop-distance BFS also takes base weight 1 on every edge.
+struct ScaleSchedule {
+  std::uint64_t sigma;
+  std::uint32_t scales;
+  Dist cap;                 ///< per-scale announcement cap
+  std::uint32_t dist_bits;  ///< width of an announced distance
+  bool unit_weights;        ///< base weight 1, not the edge's weight
 };
+
+ScaleSchedule hop_schedule(const HopScale& scale) {
+  const Dist cap = scale.rounded_cap();
+  return {.sigma = scale.sigma(),
+          .scales = scale.scale_count(),
+          .cap = cap,
+          .dist_bits = bits_for(cap + 2),
+          .unit_weights = false};
+}
 
 // ---------------------------------------------------------------------
 // Algorithm 1: Bounded-Hop SSSP — one Algorithm 2 pass per weight scale,
-// on a fixed synchronous schedule of (cap+2) rounds per scale. A node
+// on a fixed synchronous schedule of (cap+2) rounds per scale. In a pass
+// a node announces its distance d exactly at offset d ("timed release"),
+// so with positive integer weights every announcement is final. A node
 // sleeps until its announcement round, else until the scale's last
-// round, where it finalizes the scale.
+// round, where it finalizes the scale; mail wakes it in between. With
+// `stop_at_announce` a node is done once it announces, which ends an
+// uncapped single-scale run at ecc(s) + 2 rounds.
 // ---------------------------------------------------------------------
 class BoundedHopProgram final : public NodeProgram {
  public:
-  BoundedHopProgram(NodeId source, const HopScale& scale,
-                    std::uint32_t dist_bits)
+  BoundedHopProgram(NodeId source, const ScaleSchedule& schedule,
+                    bool stop_at_announce)
       : source_(source),
-        scale_(scale),
-        scales_(scale.scale_count()),
-        cap_(scale.rounded_cap()),
+        sigma_(schedule.sigma),
+        scales_(schedule.scales),
+        cap_(schedule.cap),
         period_(cap_ + 2),
-        dist_bits_(dist_bits) {}
+        dist_bits_(schedule.dist_bits),
+        unit_weights_(schedule.unit_weights),
+        stop_at_announce_(stop_at_announce) {}
 
   void on_start(NodeContext& ctx) override {
     weights_.reserve(ctx.neighbors().size());
     for (const HalfEdge& h : ctx.neighbors()) {
-      weights_.push_back(h.weight);
+      weights_.push_back(unit_weights_ ? 1 : h.weight);
     }
     reset_scale(ctx.id());
     sleep_to_next_event(ctx, 0, 0);
@@ -142,7 +105,8 @@ class BoundedHopProgram final : public NodeProgram {
     const Dist offset = round % period_;
     for (const Incoming& in : inbox) {
       const std::uint64_t w =
-          scale_.rounded_weight(weights_[ctx.neighbor_slot(in.from)], j);
+          ceil_div(sigma_ * weights_[ctx.neighbor_slot(in.from)],
+                   std::uint64_t{1} << j);
       best_ = std::min(best_, dist_add(in.msg.field(0), w));
     }
     if (!announced_ && best_ == offset && best_ <= cap_) {
@@ -150,9 +114,14 @@ class BoundedHopProgram final : public NodeProgram {
       Message m;
       m.push(best_, dist_bits_);
       ctx.broadcast(m);
+      if (stop_at_announce_) {
+        dtilde_ = with_scale(dtilde_);
+        scale_index_ = scales_;
+        return;
+      }
     }
     if (offset == cap_ + 1) {
-      finalize_scale(j);
+      dtilde_ = with_scale(dtilde_);
       scale_index_ = j + 1;
       if (done()) return;
       reset_scale(ctx.id());
@@ -164,22 +133,26 @@ class BoundedHopProgram final : public NodeProgram {
 
   bool done() const override { return scale_index_ >= scales_; }
 
-  Dist approx() const { return dtilde_; }
+  /// d̃ over the finished scales; a node stopped mid-scale by a crash
+  /// also counts the scale in progress.
+  Dist approx() const { return done() ? dtilde_ : with_scale(dtilde_); }
 
  private:
   void reset_scale(NodeId me) {
     best_ = (me == source_) ? 0 : kInfDist;
     announced_ = false;
   }
-  void finalize_scale(std::uint32_t j) {
-    if (best_ <= cap_) {
-      const Dist shifted = best_ << j;
-      QC_CHECK((shifted >> j) == best_ && shifted < kInfDist,
-               "scaled distance overflow");
-      dtilde_ = std::min(dtilde_, shifted);
-    }
+  // `d` folded with the current scale's distance, if that is within the
+  // cap, in σ units.
+  Dist with_scale(Dist d) const {
+    if (best_ > cap_) return d;
+    const Dist shifted = best_ << scale_index_;
+    QC_CHECK((shifted >> scale_index_) == best_ && shifted < kInfDist,
+             "scaled distance overflow");
+    return std::min(d, shifted);
   }
-  // As in Algorithm 2, offsets within the scale starting at `start`.
+  // Offsets within the scale starting at `start`: the pending
+  // announcement from `next_offset` on, else the scale's last offset.
   void sleep_to_next_event(NodeContext& ctx, std::uint64_t start,
                            Dist next_offset) {
     ctx.sleep_until(start + next_wake_offset(announced_, best_, cap_,
@@ -187,17 +160,41 @@ class BoundedHopProgram final : public NodeProgram {
   }
 
   NodeId source_;
-  HopScale scale_;
+  std::uint64_t sigma_;
   std::uint32_t scales_;
   Dist cap_;
   std::uint64_t period_;
   std::uint32_t dist_bits_;
-  std::vector<Weight> weights_;  ///< by neighbour slot
+  bool unit_weights_;
+  bool stop_at_announce_;
+  std::vector<Weight> weights_;  ///< base weights, by neighbour slot
   std::uint32_t scale_index_ = 0;  ///< scales finalized so far
   Dist best_ = kInfDist;
   bool announced_ = false;
   Dist dtilde_ = kInfDist;
 };
+
+// Runs the program above from req.source and reads every node's d̃.
+BoundedDistanceResult run_timed_release(const WeightedGraph& g,
+                                        const RunRequest& req,
+                                        const ScaleSchedule& schedule,
+                                        bool stop_at_announce) {
+  QC_REQUIRE(req.source < g.node_count(), "source out of range");
+  auto run = congest::run_on_all<BoundedHopProgram>(
+      g,
+      [&](NodeId) {
+        return std::make_unique<BoundedHopProgram>(req.source, schedule,
+                                                   stop_at_announce);
+      },
+      req.config);
+  BoundedDistanceResult out;
+  out.stats = run.stats;
+  out.dist.reserve(g.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    out.dist.push_back(run.at(v).approx());
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------
 // Algorithm 3: random-delay multiplexing of b Algorithm-1 executions.
@@ -216,23 +213,11 @@ class BoundedHopProgram final : public NodeProgram {
 // due window in O(1).
 // ---------------------------------------------------------------------
 
-// What every instance runs: `scales` scales of cap+2 offsets, scale j
-// rounding a base weight w to ⌈σ·w/2^j⌉. Algorithm 3 takes these from
-// its HopScale; the hop-distance BFS runs σ = 1, one scale and base
-// weight 1 on every edge.
-struct MultiSourceSchedule {
-  std::uint64_t sigma;
-  std::uint32_t scales;
-  Dist cap;                 ///< per-scale announcement cap
-  std::uint32_t dist_bits;  ///< width of an announced distance
-  bool unit_weights;        ///< base weight 1, not the edge's weight
-};
-
 class MultiSourceProgram final : public NodeProgram {
  public:
   MultiSourceProgram(const std::vector<NodeId>& sources,
                      const std::vector<std::uint64_t>& delays,
-                     const MultiSourceSchedule& schedule,
+                     const ScaleSchedule& schedule,
                      std::uint32_t slot_count)
       : sources_(&sources),
         delays_(&delays),
@@ -394,7 +379,7 @@ class MultiSourceProgram final : public NodeProgram {
 // Algorithm 3's attempt loop, shared by both of its entry points.
 MultiSourceResult run_multi_source(const WeightedGraph& g,
                                    const RunRequest& req,
-                                   const MultiSourceSchedule& schedule) {
+                                   const ScaleSchedule& schedule) {
   QC_REQUIRE(req.rng != nullptr,
              "Algorithm 3 needs RunRequest::rng (with_rng) for its delays");
   const std::vector<NodeId>& sources = req.sources;
@@ -456,61 +441,39 @@ MultiSourceResult run_multi_source(const WeightedGraph& g,
 
 BoundedDistanceResult distributed_bounded_distance_sssp(
     const WeightedGraph& g, const RunRequest& req) {
-  const NodeId source = req.source;
-  const Dist cap = req.cap;
-  const std::function<std::uint64_t(Weight)> weight_of =
-      req.weight_of ? req.weight_of
-                    : [](Weight w) { return static_cast<std::uint64_t>(w); };
-  const Config& config = req.config;
-  QC_REQUIRE(source < g.node_count(), "source out of range");
-  const std::uint32_t dist_bits = bits_for(cap + 2);
-  auto run = congest::run_on_all<BoundedDistanceProgram>(
-      g,
-      [&](NodeId) {
-        return std::make_unique<BoundedDistanceProgram>(source, cap,
-                                                        weight_of, dist_bits);
-      },
-      config);
-  BoundedDistanceResult out;
-  out.stats = run.stats;
-  out.dist.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    out.dist.push_back(run.at(v).final_dist());
-  }
-  return out;
+  return run_timed_release(g, req,
+                           {.sigma = 1,
+                            .scales = 1,
+                            .cap = req.cap,
+                            .dist_bits = bits_for(req.cap + 2),
+                            .unit_weights = false},
+                           /*stop_at_announce=*/false);
+}
+
+BoundedDistanceResult distributed_weighted_sssp(const WeightedGraph& g,
+                                                const RunRequest& req) {
+  QC_REQUIRE(g.is_connected(), "weighted SSSP needs a connected network");
+  const Dist cap = static_cast<Dist>(g.node_count()) * g.max_weight();
+  return run_timed_release(
+      g, req,
+      {.sigma = 1,
+       .scales = 1,
+       .cap = cap,
+       .dist_bits = std::min<std::uint32_t>(63, bits_for(cap + 2)),
+       .unit_weights = false},
+      /*stop_at_announce=*/true);
 }
 
 BoundedHopResult distributed_bounded_hop_sssp(const WeightedGraph& g,
                                               const RunRequest& req) {
-  const NodeId source = req.source;
-  const HopScale& scale = req.scale;
-  const Config& config = req.config;
-  QC_REQUIRE(source < g.node_count(), "source out of range");
-  const std::uint32_t dist_bits = bits_for(scale.rounded_cap() + 2);
-  auto run = congest::run_on_all<BoundedHopProgram>(
-      g,
-      [&](NodeId) {
-        return std::make_unique<BoundedHopProgram>(source, scale, dist_bits);
-      },
-      config);
-  BoundedHopResult out;
-  out.stats = run.stats;
-  out.approx.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    out.approx.push_back(run.at(v).approx());
-  }
-  return out;
+  auto run = run_timed_release(g, req, hop_schedule(req.scale),
+                               /*stop_at_announce=*/false);
+  return {run.stats, std::move(run.dist)};
 }
 
 MultiSourceResult distributed_multi_source_bhs(const WeightedGraph& g,
                                                const RunRequest& req) {
-  const Dist cap = req.scale.rounded_cap();
-  return run_multi_source(g, req,
-                          {.sigma = req.scale.sigma(),
-                           .scales = req.scale.scale_count(),
-                           .cap = cap,
-                           .dist_bits = bits_for(cap + 2),
-                           .unit_weights = false});
+  return run_multi_source(g, req, hop_schedule(req.scale));
 }
 
 MultiSourceResult distributed_multi_source_hop_bfs(const WeightedGraph& g,

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -36,8 +35,8 @@ namespace qc::paths {
 using AlgorithmFailure = congest::AlgorithmFailure;
 
 /// One request object for every `distributed_*` entry point, replacing
-/// their historically repeated (source, cap, weight_of, scale, sources,
-/// rng, params, config) parameter lists. Every field is defaulted;
+/// their historically repeated (source, cap, scale, sources, rng,
+/// params, config) parameter lists. Every field is defaulted;
 /// populate the ones your algorithm reads — each entry point documents
 /// which — directly or with the fluent with_* setters:
 ///
@@ -50,13 +49,11 @@ using AlgorithmFailure = congest::AlgorithmFailure;
 struct RunRequest {
   /// Engine configuration, faults included (congest/simulator.h).
   congest::Config config;
-  /// Source node (Algorithms 1-2).
+  /// Source node (Algorithms 1-2 and the weighted SSSP).
   NodeId source = 0;
   /// Distance cap for bounded-distance SSSP (Algorithm 2) and the
   /// hop-distance BFS.
   Dist cap = 0;
-  /// Edge-weight transform for bounded-distance SSSP; empty = identity.
-  std::function<std::uint64_t(Weight)> weight_of;
   /// Hop/scale schedule (Algorithms 1 and 3).
   HopScale scale{};
   /// Source set (Algorithms 3-4).
@@ -85,10 +82,6 @@ struct RunRequest {
     cap = c;
     return *this;
   }
-  RunRequest& with_weight_of(std::function<std::uint64_t(Weight)> f) {
-    weight_of = std::move(f);
-    return *this;
-  }
   RunRequest& with_scale(const HopScale& s) {
     scale = s;
     return *this;
@@ -111,18 +104,35 @@ struct RunRequest {
   }
 };
 
-/// Algorithm 2: Bounded-Distance SSSP. Every node learns
-/// d_{G,f(w)}(s, ·) when it is <= cap (else kInfDist), in cap+2 rounds.
-/// `weight_of(w)` transforms the stored edge weight (identity for plain
-/// runs, Lemma 3.2 rounding for Algorithm 1's scales).
+/// Algorithms 1 and 2 and the weighted SSSP below run one timed-release
+/// program: per weight scale j of cap + 2 rounds, node v announces its
+/// distance d <= cap in round d of the scale, and keeps
+/// d̃(s, v) = min over scales of d·2^j. Its output rule, the same for all
+/// three entry points:
+///   * a node reports d̃ over its finished scales;
+///   * a node stopped mid-scale by a crash also counts the scale in
+///     progress, if that scale's distance is <= cap;
+///   * mail that arrives after a node's last scale (only a fault plan
+///     delays it that far) is ignored.
+///
+/// Algorithm 2: Bounded-Distance SSSP. Every node learns d_G(s, ·) when
+/// it is <= cap (else kInfDist), in cap + 2 rounds: Algorithm 1's
+/// program with σ = 1 and one scale.
 struct BoundedDistanceResult {
   congest::RunStats stats;
   std::vector<Dist> dist;  ///< dist[v], capped
 };
-/// Reads req.source, req.cap, req.weight_of (empty = identity) and
-/// req.config.
+/// Reads req.source, req.cap and req.config.
 BoundedDistanceResult distributed_bounded_distance_sssp(
     const WeightedGraph& g, const RunRequest& req);
+
+/// Exact weighted SSSP by timed release, the SSSP of Table 1's folklore
+/// 2-approximation: Algorithm 2 with cap n·W, where every node is done
+/// once it announces, so the run takes ecc_w(s) + 2 rounds (<= n·W + 2),
+/// not cap + 2. Needs a connected network. Reads req.source and
+/// req.config.
+BoundedDistanceResult distributed_weighted_sssp(const WeightedGraph& g,
+                                                const RunRequest& req);
 
 /// Algorithm 1: Bounded-Hop SSSP. Every node learns d̃^ℓ(s, ·) in
 /// σ(scale)-scaled units, in scale_count · (cap+2) rounds.

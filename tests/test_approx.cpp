@@ -1,8 +1,10 @@
 // Tests for the additional approximation baselines (core/approx.h):
-// distributed weighted SSSP, the folklore 2-approximation, pipelined
-// multi-source BFS, and the 3/2-approximation of the unweighted
-// diameter, with literal goldens for the BFS and for the 3/2-approx
-// and LGM rounds built on it — plus the ε-override knob on Theorem 1.1.
+// distributed weighted SSSP (paths::distributed_weighted_sssp), the
+// folklore 2-approximation, pipelined multi-source BFS, and the
+// 3/2-approximation of the unweighted diameter, with literal goldens
+// for the weighted SSSP and the 2-approximation, for the BFS, and for
+// the 3/2-approx and LGM rounds built on it — plus the ε-override knob
+// on Theorem 1.1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include "core/theorem11.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "paths/distributed.h"
 #include "run_digest.h"
 #include "util/rng.h"
 
@@ -29,19 +32,28 @@ WeightedGraph wgraph(std::uint64_t seed, NodeId n, Weight w) {
 // Weighted SSSP
 // ---------------------------------------------------------------------
 
+// The 2-approximation's timed-release SSSP from `source`.
+paths::BoundedDistanceResult weighted_sssp(const WeightedGraph& g,
+                                           NodeId source,
+                                           congest::Config config = {}) {
+  return paths::distributed_weighted_sssp(
+      g, paths::RunRequest{}.with_source(source).with_config(
+             std::move(config)));
+}
+
 class WeightedSsspTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WeightedSsspTest, MatchesDijkstraBitExact) {
   const auto g = wgraph(GetParam(), 24, 9);
   for (NodeId s : {NodeId{0}, NodeId{11}, NodeId{23}}) {
-    const auto res = distributed_weighted_sssp(g, s);
+    const auto res = weighted_sssp(g, s);
     EXPECT_EQ(res.dist, dijkstra(g, s)) << "source " << s;
   }
 }
 
 TEST_P(WeightedSsspTest, RoundsTrackWeightedEccentricity) {
   const auto g = wgraph(GetParam() + 50, 20, 7);
-  const auto res = distributed_weighted_sssp(g, 0);
+  const auto res = weighted_sssp(g, 0);
   const auto exact = dijkstra(g, 0);
   const Dist ecc = *std::max_element(exact.begin(), exact.end());
   EXPECT_GE(res.stats.rounds, ecc);
@@ -56,9 +68,88 @@ TEST(WeightedSssp, PathWithHeavyEdges) {
   g.add_edge(0, 1, 5);
   g.add_edge(1, 2, 1);
   g.add_edge(2, 3, 7);
-  const auto res = distributed_weighted_sssp(g, 0);
+  const auto res = weighted_sssp(g, 0);
   EXPECT_EQ(res.dist, (std::vector<Dist>{0, 5, 6, 13}));
   EXPECT_LE(res.stats.rounds, 16u);
+}
+
+// One weighted SSSP run as literals: the ledger, a digest of the
+// per-round traffic and a digest of every node's distance.
+struct SsspPin {
+  congest::RunStats stats;
+  std::uint64_t traffic = 0;
+  std::uint64_t dist = 0;
+
+  friend bool operator==(const SsspPin&, const SsspPin&) = default;
+  friend void PrintTo(const SsspPin& p, std::ostream* os) {
+    *os << "{{" << p.stats.rounds << ", " << p.stats.messages << ", "
+        << p.stats.bits << "}, " << p.traffic << "ull, " << p.dist << "ull}";
+  }
+};
+
+SsspPin pin_weighted_sssp(const WeightedGraph& g, NodeId source) {
+  std::vector<congest::RoundMetrics> log;
+  congest::Config cfg;
+  cfg.hooks.on_round_metrics = [&log](const congest::RoundMetrics& m) {
+    log.push_back(m);
+  };
+  const auto res = weighted_sssp(g, source, cfg);
+  EXPECT_EQ(res.dist, dijkstra(g, source)) << "source " << source;
+  std::uint64_t h = congest::fnv1a({});
+  for (const Dist d : res.dist) h = congest::fnv1a({d}, h);
+  return {res.stats, congest::traffic_digest(log), h};
+}
+
+// The ER graphs of the goldens below, at W = 1, 9 and 200.
+struct WeightedGoldenCase {
+  const char* name;
+  WeightedGraph g;
+};
+std::vector<WeightedGoldenCase> weighted_golden_graphs() {
+  std::vector<WeightedGoldenCase> out;
+  out.push_back({"er(40) W=1", wgraph(61, 40, 1)});
+  out.push_back({"er(48) W=9", wgraph(62, 48, 9)});
+  out.push_back({"er(32) W=200", wgraph(63, 32, 200)});
+  return out;
+}
+
+// RunStats, traffic and distances of the timed-release SSSP from three
+// sources, as literals captured from the program that ran every node in
+// every round and looked its edge weights up in a map.
+TEST(WeightedSsspGolden, RunsArePinned) {
+  const SsspPin expected[3][3] = {
+      {{{6, 182, 1092}, 8152013070648835920ull, 1540612984383001381ull},
+       {{7, 182, 1092}, 3275129887313976514ull, 7405623343873749026ull},
+       {{6, 182, 1092}, 9685021737641768426ull, 8695108794451917027ull}},
+      {{{17, 268, 2412}, 9568260187941589508ull, 7022840777595184168ull},
+       {{21, 268, 2412}, 5548402554503533885ull, 14117340418754471692ull},
+       {{21, 268, 2412}, 15081957109151790058ull, 3770113092042229418ull}},
+      {{{242, 140, 1820}, 2552186403084362327ull, 14819678226741384882ull},
+       {{254, 140, 1820}, 14942669537485076313ull, 16246059841217184969ull},
+       {{281, 140, 1820}, 5930142321366819175ull, 6028513066264136372ull}},
+  };
+  const auto graphs = weighted_golden_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(graphs[i].name);
+    const NodeId n = graphs[i].g.node_count();
+    const NodeId sources[3] = {0, n / 2, n - 1};
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(pin_weighted_sssp(graphs[i].g, sources[k]), expected[i][k])
+          << "source " << sources[k];
+    }
+  }
+}
+
+// The 2-approximation's ledger (leader SSSP plus max aggregate) on the
+// same graphs, captured alongside the goldens above.
+TEST(TwoApproxGolden, StatsArePinned) {
+  const congest::RunStats expected[3] = {
+      {20, 481, 3250}, {28, 677, 5684}, {253, 373, 3792}};
+  const auto graphs = weighted_golden_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(graphs[i].name);
+    EXPECT_EQ(two_approx_weighted_diameter(graphs[i].g).stats, expected[i]);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -8,11 +8,16 @@
 //     link-down intervals, crash-stop failures;
 //   * robustness counterparts: acked flooding converging under 10%
 //     drop, BFS liveness + diagnosable RunOutcome under crash-stop;
-//   * paths::RunRequest equivalence;
+//   * the timed-release output rule of Algorithms 1-2 under a crash
+//     and under mail delayed past the last scale;
+//   * global_aggregate under drops and delays, and its rejection of
+//     duplicate and corrupt plans;
+//   * paths::RunRequest required fields and fault-plan plumbing;
 //   * quantum link faults and the runtime metrics bridge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -24,6 +29,7 @@
 #include "congest/simulator.h"
 #include "graph/generators.h"
 #include "paths/distributed.h"
+#include "paths/reference.h"
 #include "quantum/qnetwork.h"
 #include "run_digest.h"
 #include "runtime/metrics.h"
@@ -565,6 +571,51 @@ TEST(CrashStop, CrashedNodeStopsSendingAndReceiving) {
 }
 
 // ---------------------------------------------------------------------
+// The timed-release output rule (paths/distributed.h)
+// ---------------------------------------------------------------------
+
+// Algorithm 1 on path(4) from node 0 with σ = 6 and cap 9: node 1 hears
+// the source in round 1 (distance 6, due at offset 6 of scale 0) and
+// crashes in round 3, before any scale ends. It reports the scale in
+// progress, which here is already the true d̃; nodes behind it hear
+// nothing.
+TEST(TimedReleaseOutput, CrashMidScaleReportsTheScaleInProgress) {
+  const auto g = gen::path(4);
+  const paths::HopScale hs{3, 1, g.max_weight()};
+  ASSERT_EQ(hs.rounded_cap(), 9u);
+  FaultPlan plan;
+  plan.crashes.push_back(CrashEvent{1, 3});
+  const auto res = paths::distributed_bounded_hop_sssp(
+      g, paths::RunRequest{}.with_source(0).with_scale(hs).with_faults(plan));
+  const auto ref = paths::approx_bounded_hop_from(g, 0, hs);
+  EXPECT_EQ(ref[1], 6u);
+  EXPECT_EQ(res.approx, (std::vector<Dist>{0, ref[1], kInfDist, kInfDist}));
+}
+
+// Algorithm 2 with cap 5 from node 0 on a triangle: node 2 hears 5 over
+// its direct edge and 2 via node 1. Delaying node 1's announcement to
+// node 2 by 10 rounds lands it after round cap + 1, where node 2 has
+// finished: it is ignored, exactly as if it had been dropped.
+TEST(TimedReleaseOutput, MailAfterTheLastScaleIsIgnored) {
+  WeightedGraph g(3);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 1);
+  g.add_edge(0, 2, 5);
+  const Dist cap = 5;
+  const auto run = [&](FaultKind kind) {
+    FaultPlan plan;
+    plan.events.push_back(FaultEvent{2, 1, 2, 0, kind, 10, 0, 1});
+    return paths::distributed_bounded_distance_sssp(
+        g, paths::RunRequest{}.with_source(0).with_cap(cap).with_faults(
+               plan));
+  };
+  const auto delayed = run(FaultKind::kDelay);
+  EXPECT_GT(delayed.stats.rounds, cap + 2);  // the late mail was delivered
+  EXPECT_EQ(delayed.dist, (std::vector<Dist>{0, 1, 5}));
+  EXPECT_EQ(delayed.dist, run(FaultKind::kDrop).dist);
+}
+
+// ---------------------------------------------------------------------
 // Global aggregate under message faults
 // ---------------------------------------------------------------------
 
@@ -657,6 +708,44 @@ TEST(AggregateFaults, DropsAndDelaysNeverYieldAWrongValue) {
   EXPECT_GT(failed, 0);
 }
 
+// The convergecast has no dedup and no checksum, so a plan that can
+// duplicate or corrupt a message is rejected before the run starts,
+// whether it sets those classes as probabilities or as explicit events.
+// Such a plan used to return 87 for the sum 852 (duplicate = 0.1, plan
+// seed 10), or trip a message precondition (corrupt = 0.1).
+TEST(AggregateFaults, DuplicateOrCorruptPlanIsRejected) {
+  const auto g = aggregate_graph();
+  const auto first = g.csr().neighbors(0)[0].to;
+  const auto duplicate = [](FaultPlan& p) { p.probabilities.duplicate = 0.1; };
+  const auto corrupt = [](FaultPlan& p) { p.probabilities.corrupt = 0.1; };
+  const auto event = [first](FaultKind kind) {
+    return [first, kind](FaultPlan& p) {
+      p.events.push_back(FaultEvent{1, 0, first, 0, kind, 1, 0, 1});
+    };
+  };
+  const std::vector<std::function<void(FaultPlan&)>> plans = {
+      duplicate, corrupt, event(FaultKind::kDuplicate),
+      event(FaultKind::kCorrupt)};
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "plan " << i);
+    Config cfg;
+    cfg.faults.seed = 10;
+    plans[i](cfg.faults);
+    std::uint64_t rounds_run = 0;
+    cfg.hooks.on_round_metrics = [&](const RoundMetrics&) { ++rounds_run; };
+    try {
+      (void)global_aggregate(g, 0, aggregate_inputs(), AggregateOp::kSum, 16,
+                             cfg);
+      ADD_FAILURE() << "aggregate ran under a duplicate or corrupt plan";
+    } catch (const ArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("global_aggregate"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(rounds_run, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Acked flooding
 // ---------------------------------------------------------------------
@@ -730,23 +819,6 @@ TEST(ReliableFlood, RejectsDuplicatePayloads) {
 // ---------------------------------------------------------------------
 // paths::RunRequest
 // ---------------------------------------------------------------------
-
-// An explicit weight_of must agree with the empty (= identity) default
-// through the request object. (The legacy positional signatures these
-// used to compare against are gone — RunRequest is the only surface.)
-TEST(RunRequestApi, ExplicitIdentityWeightMatchesDefault) {
-  Rng rng(6);
-  const auto g =
-      gen::randomize_weights(gen::erdos_renyi_connected(24, 0.15, rng), 4, rng);
-  const auto weight_of = [](Weight w) { return static_cast<std::uint64_t>(w); };
-  const auto explicit_id = paths::distributed_bounded_distance_sssp(
-      g, paths::RunRequest{}.with_source(0).with_cap(40).with_weight_of(
-             weight_of));
-  const auto defaulted = paths::distributed_bounded_distance_sssp(
-      g, paths::RunRequest{}.with_source(0).with_cap(40));
-  EXPECT_EQ(explicit_id.stats, defaulted.stats);
-  EXPECT_EQ(explicit_id.dist, defaulted.dist);
-}
 
 TEST(RunRequestApi, MissingRequiredFieldsFailLoudly) {
   const auto g = gen::path(4);

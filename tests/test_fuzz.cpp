@@ -88,7 +88,8 @@ TEST_P(FuzzSweep, DistributedPrimitivesAgreeWithReference) {
                 .value,
             std::accumulate(inputs.begin(), inputs.end(), 0ull));
   // Weighted SSSP == Dijkstra.
-  const auto sssp = core::distributed_weighted_sssp(g, root);
+  const auto sssp = paths::distributed_weighted_sssp(
+      g, paths::RunRequest{}.with_source(root));
   EXPECT_EQ(sssp.dist, dijkstra(g, root));
 }
 

@@ -288,8 +288,7 @@ TEST_P(Alg2Test, MatchesCappedDijkstra) {
   const auto g = test_graph(GetParam(), 18, 9);
   const Dist cap = 30;
   const auto res = distributed_bounded_distance_sssp(
-      g, RunRequest{}.with_source(2).with_cap(cap).with_weight_of(
-             [](Weight w) { return w; }));
+      g, RunRequest{}.with_source(2).with_cap(cap));
   const auto exact = dijkstra(g, 2);
   for (NodeId v = 0; v < g.node_count(); ++v) {
     EXPECT_EQ(res.dist[v], exact[v] <= cap ? exact[v] : kInfDist)
@@ -302,11 +301,11 @@ TEST_P(Alg2Test, MatchesCappedDijkstraUnderRounding) {
   const auto g = test_graph(GetParam() + 100, 16, 7);
   const HopScale hs{5, 2, g.max_weight()};
   for (std::uint32_t i = 0; i < hs.scale_count(); i += 2) {
-    const auto wf = [&](Weight w) { return hs.rounded_weight(w, i); };
+    const auto rounded =
+        g.reweighted([&](Weight w) { return hs.rounded_weight(w, i); });
     const auto res = distributed_bounded_distance_sssp(
-        g, RunRequest{}.with_source(0).with_cap(hs.rounded_cap())
-               .with_weight_of(wf));
-    const auto exact = dijkstra(g.reweighted(wf), 0);
+        rounded, RunRequest{}.with_source(0).with_cap(hs.rounded_cap()));
+    const auto exact = dijkstra(rounded, 0);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       EXPECT_EQ(res.dist[v],
                 exact[v] <= hs.rounded_cap() ? exact[v] : kInfDist);
