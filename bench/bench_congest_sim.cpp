@@ -3,7 +3,7 @@
 // The fast path stores messages once and routes through the
 // precomputed EdgeSlotIndex, keeps mailboxes in a double-buffered arena,
 // touches only the active node set per round, and optionally fans
-// on_round out over the work-stealing pool. This bench times it on three
+// on_round out over the fork/join pool. This bench times it on three
 // workloads (BFS flood, Algorithm 1 bounded-hop SSSP, and the Algorithm
 // 4 overlay embedding), checks that ledgers, traces and program outputs
 // are byte-identical across worker counts and at both extremes of the

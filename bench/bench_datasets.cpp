@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   const bool smoke = flags.has("--smoke");
   const bool huge = flags.has("--huge");
   const std::string out_path = flags.str("--out", "BENCH_datasets.json");
-  const std::string dir = flags.str("--dir", "/tmp");
+  const std::string dir = flags.dir("--dir", "/tmp");
 
   const std::vector<unsigned> benched_workers = {1, 2, 8};
   std::printf("dataset layer bench: %u hardware worker(s), scratch %s\n\n",

@@ -7,7 +7,7 @@
 // for every source, and run strictly serially. The ported kernels run on
 // the flat CSR view with a reusable DijkstraWorkspace (bucket queue for
 // small weights, heap otherwise) and fan multi-source sweeps out over
-// the work-stealing pool. This bench times both on the same graphs,
+// the fork/join pool. This bench times both on the same graphs,
 // asserts the outputs are byte-identical (including across worker
 // counts), and writes BENCH_graph_kernels.json so the perf trajectory is
 // tracked from PR 2 onward.

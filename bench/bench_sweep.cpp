@@ -1,5 +1,5 @@
 // Wall-clock benchmark of the sweep executor: the same 32-run grid
-// executed by the serial reference loop and by the work-stealing pool at
+// executed by the serial reference loop and by the fork/join pool at
 // several worker counts. Also asserts the determinism contract on the
 // way: every execution must produce byte-identical aggregated JSON.
 //
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     const auto parallel = runtime::run_sweep(spec, run_cell, pool);
     const bool identical = runtime::to_json(parallel) == golden;
     all_identical = all_identical && identical;
-    t.add("work-stealing pool", workers, parallel.wall_seconds,
+    t.add("fork/join pool", workers, parallel.wall_seconds,
           parallel.wall_seconds > 0
               ? serial.wall_seconds / parallel.wall_seconds
               : 0.0,

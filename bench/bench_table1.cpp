@@ -4,7 +4,7 @@
 // Each instance (n, seed) is one sweep task: it builds its own graph,
 // runs every implemented algorithm, and reports the measured simulated
 // rounds plus correctness flags as named metrics. The sweep executor
-// fans the instances out over a work-stealing pool and aggregates
+// fans the instances out over a fork/join pool and aggregates
 // mean/min/max/p50/p95 per n — the headline comparison is the weighted
 // (1, 3/2)-approximation row: this work's min{n^{9/10} D^{3/10}, n}
 // against the classical Θ̃(n).

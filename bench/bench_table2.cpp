@@ -3,7 +3,7 @@
 // exact distances on concrete instances.
 //
 // The six (h, input) audits are independent — each builds its own
-// gadget — so they run as one parallel_map over the work-stealing pool
+// gadget — so they run as one parallel_map over the fork/join pool
 // and print in deterministic spec order afterwards.
 #include <cstdio>
 #include <string>

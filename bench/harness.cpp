@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <limits>
+#include <system_error>
 #include <thread>
 
 #include "runtime/sweep.h"
@@ -47,6 +49,15 @@ Flags::Flags(int argc, char** argv,
 std::string Flags::str(std::string_view flag, std::string def) const {
   const auto it = values_.find(flag);
   return it == values_.end() ? def : it->second;
+}
+
+std::string Flags::dir(std::string_view flag, std::string def) const {
+  std::string path = str(flag, std::move(def));
+  std::error_code ec;
+  if (!std::filesystem::is_directory(path, ec)) {
+    fail(std::string(flag) + ": '" + path + "' is not a directory");
+  }
+  return path;
 }
 
 void Flags::fail(const std::string& message) const {

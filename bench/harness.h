@@ -43,6 +43,9 @@ class Flags {
 
   bool has(std::string_view flag) const { return switches_.count(flag) != 0; }
   std::string str(std::string_view flag, std::string def) const;
+  /// A directory-valued flag: exits 1 naming the flag unless the value
+  /// (or `def`) is an existing directory.
+  std::string dir(std::string_view flag, std::string def) const;
 
   template <typename T>
   T num(std::string_view flag, T def) const {

@@ -34,7 +34,8 @@
 // allocates in steady state. Each round touches only the active
 // node set (due nodes plus message receivers); and with
 // `Config::Execution::workers > 1` the independent per-node `on_round`
-// calls fan out over a work-stealing pool. The ledger, traces,
+// calls fan out over a fork/join pool whose workers include the
+// engine's own thread (runtime/thread_pool.h). The ledger, traces,
 // per-round metrics, and all program outputs are byte-identical at any
 // worker count, because there is one mailbox merge and it always
 // *replays* (sender id, program order). It is sharded by receiver over
@@ -94,16 +95,16 @@ struct Config {
     /// Hard cap (horizon) on simulated rounds; exceeding it throws
     /// ModelError (guards against non-terminating programs).
     std::uint64_t max_rounds = 50'000'000;
-    /// Worker threads for the round loop: 1 = serial (the default and
-    /// the reference semantics), 0 = hardware concurrency, k > 1 = k
-    /// workers. Nodes within a round are independent, so the engine
-    /// fans `on_round` over a pool; results (ledger, traces, metrics,
-    /// program outputs) are byte-identical at any worker count.
-    /// Programs must then keep their mutable state per-node (shared
-    /// data read-only) — every program in this library already does.
+    /// Workers for the round loop, the engine's thread included: 1 =
+    /// serial (the default and the reference semantics), 0 = hardware
+    /// concurrency, k > 1 = k workers. Nodes within a round are
+    /// independent, so the engine fans `on_round` over a pool; results
+    /// (ledger, traces, metrics, program outputs) are byte-identical at
+    /// any worker count. Programs must then keep their mutable state
+    /// per-node (shared data read-only) — every program in this library
+    /// already does.
     unsigned workers = 1;
     /// Optional borrowed pool for the round loop; overrides `workers`.
-    /// The pool must not be one the caller is currently blocking on.
     runtime::ThreadPool* pool = nullptr;
     /// Pooled runs only: a phase of a round whose estimated work falls
     /// below this runs on the calling thread instead of fanning out

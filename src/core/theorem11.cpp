@@ -173,37 +173,27 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
     owned_cache.emplace(g, out.params);
   }
   paths::ToolkitCache& cache = opt.toolkit ? *opt.toolkit : *owned_cache;
-  std::optional<runtime::ThreadPool> pool;
-  if (opt.oracle_workers != 1) pool.emplace(opt.oracle_workers);
+  runtime::ThreadPool pool(opt.oracle_workers);
 
   // Every evaluation reads only first-level rows of its members, so
   // fill the union's rows once before fanning the evaluations out.
-  cache.ensure_rows(member_union, pool ? &*pool : nullptr);
+  cache.ensure_rows(member_union, &pool);
 
   quantum::OptimizationProblem outer;
   outer.values.assign(n, radius ? kPlusInf : kMinusInf);
   // One workspace per chunk; each chunk writes only its own indices.
-  const std::size_t chunk_count =
-      pool ? std::min<std::size_t>(
-                 nonempty.size(),
-                 static_cast<std::size_t>(pool->worker_count()) * 4)
-           : 1;
-  const auto eval_chunk = [&](std::size_t c) {
+  const std::size_t chunks = runtime::chunk_count(&pool, nonempty.size());
+  runtime::parallel_for(pool, chunks, [&](std::size_t c) {
     paths::SetEvalWorkspace ws;
-    const std::size_t lo = nonempty.size() * c / chunk_count;
-    const std::size_t hi = nonempty.size() * (c + 1) / chunk_count;
+    const std::size_t lo = nonempty.size() * c / chunks;
+    const std::size_t hi = nonempty.size() * (c + 1) / chunks;
     for (std::size_t w = lo; w < hi; ++w) {
       const std::size_t i = nonempty[w];
       const auto ev = cache.evaluate_set(sets[i], ws);
       outer.values[i] = renorm(set_value_from_eccs(ev.member_ecc, radius),
                                ev.total_scale);
     }
-  };
-  if (pool) {
-    runtime::parallel_for(*pool, chunk_count, eval_chunk);
-  } else {
-    eval_chunk(0);
-  }
+  });
   out.oracle.value_evaluations = nonempty.size();
   out.phase_seconds.oracle = seconds_since(t_oracle);
 

@@ -25,8 +25,8 @@
 // set exactly once, up front, with the trimmed
 // `ToolkitCache::evaluate_set`, and searches the resulting value
 // vector. Only the measured set is materialized as a full `Skeleton`.
-// The evaluation runs on the calling thread at `oracle_workers == 1`
-// and on the qc_pool work-stealing pool otherwise; the
+// The evaluation runs on a fork/join pool of `oracle_workers` workers,
+// the calling thread among them (all of them at `oracle_workers == 1`); the
 // `Theorem11Result` is identical at any worker count (asserted by
 // tests/test_theorem11.cpp) except for the wall-clock
 // `Theorem11Result::phase_seconds`.
@@ -60,9 +60,10 @@ struct Theorem11Options {
   /// choice balances Initialization (∝ n/r per Algorithm 1's ℓ) against
   /// the searches (outer √(n/r), inner √r).
   std::uint64_t r_override = 0;
-  /// Workers for the oracle's row fill and set evaluations: 1 runs
-  /// them on the calling thread, anything else on a pool of that many
-  /// workers (0 = hardware concurrency). Never changes the answer.
+  /// Workers for the oracle's row fill and set evaluations, the calling
+  /// thread included: 1 runs them on the calling thread alone, k on it
+  /// and k - 1 pool threads (0 = hardware concurrency). Never changes
+  /// the answer.
   unsigned oracle_workers = 0;
   /// Run the all-sets ground-truth census: the exact oracle answer, the
   /// approximation ratio / sandwich check, and the Lemma 3.4 good-set

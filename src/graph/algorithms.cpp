@@ -15,35 +15,28 @@ namespace {
 constexpr Weight kDialMaxWeight = 128;
 constexpr Dist kDialScanBound = Dist{1} << 22;
 
-/// Below this size the multi-source drivers stay serial: per-source work
-/// is too small to amortize pool handoff.
+/// Below this source count a caller without a pool stays on its own
+/// thread: per-source work is too small to amortize the fork/join.
 constexpr NodeId kParallelSourceThreshold = 256;
 
 runtime::ThreadPool& shared_pool() {
-  // Dedicated pool for the graph kernels. Deliberately distinct from any
-  // caller-owned pool (e.g. the sweep executor's), so a kernel invoked
-  // from inside a pool task blocks on *this* pool's workers instead of
-  // deadlocking on its own.
+  // Default pool for the graph kernels when the caller brings none and
+  // the source count is large enough to pay for the fork/join.
   static runtime::ThreadPool pool;
   return pool;
 }
 
-/// Runs fn(s, ws) for s = 0..n-1, serially or chunked over a pool. Each
-/// chunk owns a workspace; fn must write only to slots indexed by s, so
-/// the combined result is byte-identical at any worker count.
+/// Runs fn(s, ws) for s = 0..n-1 in `runtime::chunk_count` contiguous
+/// chunks over a pool (one chunk, on the calling thread, without one).
+/// Each chunk owns a workspace; fn must write only to slots indexed by
+/// s, so the combined result is byte-identical at any worker count.
 template <typename Fn>
 void over_sources(NodeId n, runtime::ThreadPool* pool, const Fn& fn) {
   if (pool == nullptr && n >= kParallelSourceThreshold) {
     pool = &shared_pool();
   }
-  if (pool == nullptr || n < 2) {
-    DijkstraWorkspace ws;
-    for (NodeId s = 0; s < n; ++s) fn(s, ws);
-    return;
-  }
-  const std::size_t chunks =
-      std::min<std::size_t>(n, std::size_t{pool->worker_count()} * 4);
-  runtime::parallel_for(*pool, chunks, [&](std::size_t c) {
+  const std::size_t chunks = runtime::chunk_count(pool, n);
+  runtime::parallel_for(pool, chunks, [&](std::size_t c) {
     DijkstraWorkspace ws;
     const NodeId lo = static_cast<NodeId>(n * c / chunks);
     const NodeId hi = static_cast<NodeId>(n * (c + 1) / chunks);

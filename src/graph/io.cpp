@@ -809,57 +809,20 @@ BGraphSummary summarize_bgraph(const std::string& path) {
   return s;
 }
 
-namespace {
-
-/// Serial reference two-pass build; the sharded path below must place
-/// every half-edge in exactly the slot this one does.
-CsrGraph csr_from_bgraph_serial(BGraphReader& in) {
-  const std::size_t n = static_cast<std::size_t>(in.info().n);
-  // Pass 1: degree histogram (u32 suffices — simple-graph degrees are
-  // < n <= 2^32) and the true max weight.
-  std::vector<std::uint32_t> degree(n, 0);
-  Weight mx = 1;
-  Edge e;
-  while (in.next(e)) {
-    ++degree[e.u];
-    ++degree[e.v];
-    mx = std::max(mx, e.weight);
-  }
-  std::vector<std::size_t> offsets(n + 1, 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    offsets[u + 1] = offsets[u] + degree[u];
-  }
-  degree.clear();
-  degree.shrink_to_fit();
-  std::vector<HalfEdge> halves(offsets[n]);
-  // Pass 2: place both half-edges in file order — the same row order
-  // CsrGraph(WeightedGraph) produces for a graph built from this edge
-  // sequence. `cursor` starts as a copy of the offsets and walks each
-  // row forward.
-  std::vector<std::size_t> cursor(offsets);
-  in.rewind();
-  while (in.next(e)) {
-    halves[cursor[e.u]++] = HalfEdge{e.v, e.weight};
-    halves[cursor[e.v]++] = HalfEdge{e.u, e.weight};
-  }
-  return CsrGraph::from_parts(std::move(offsets), std::move(halves), mx);
-}
-
-}  // namespace
-
 CsrGraph csr_from_bgraph(const std::string& path, runtime::ThreadPool* pool) {
-  BGraphReader in(path);
-  QC_REQUIRE(in.info().n <= std::numeric_limits<NodeId>::max(),
-             path + ": node count " + std::to_string(in.info().n) +
+  const BGraphInfo info = BGraphReader(path).info();
+  QC_REQUIRE(info.n <= std::numeric_limits<NodeId>::max(),
+             path + ": node count " + std::to_string(info.n) +
                  " too large for an in-memory CsrGraph");
-  const std::size_t n = static_cast<std::size_t>(in.info().n);
-  const std::uint64_t m = in.info().m;
+  const std::size_t n = static_cast<std::size_t>(info.n);
+  const std::uint64_t m = info.m;
   // Shard count: bounded by the pool width, by a minimum of records
   // per shard (tiny files gain nothing from fan-out), and by memory —
   // each shard holds a u32 degree array plus a size_t cursor array
   // (12n bytes); capping shards at m/n keeps the cursors' total at
   // half the raw edge bytes, so the place-pass peak stays near
   // 2.5x raw and the bench's <3x gate holds at any worker count.
+  // Without a pool the build is one shard on the calling thread.
   std::size_t shards = 1;
   if (pool != nullptr && n > 0) {
     const std::uint64_t mem_cap = std::max<std::uint64_t>(m / n, 1);
@@ -868,7 +831,6 @@ CsrGraph csr_from_bgraph(const std::string& path, runtime::ThreadPool* pool) {
         std::min<std::uint64_t>(pool->worker_count(), 16),
         std::min(mem_cap, work_cap)));
   }
-  if (shards <= 1) return csr_from_bgraph_serial(in);
 
   std::vector<std::uint64_t> bounds(shards + 1);
   for (std::size_t s = 0; s <= shards; ++s) bounds[s] = m * s / shards;
@@ -882,7 +844,7 @@ CsrGraph csr_from_bgraph(const std::string& path, runtime::ThreadPool* pool) {
     std::uint64_t last_key = 0;
   };
   std::vector<ShardCount> counts(shards);
-  runtime::parallel_for(*pool, shards, [&](std::size_t s) {
+  runtime::parallel_for(pool, shards, [&](std::size_t s) {
     BGraphReader r(path);
     r.seek_record(bounds[s]);
     ShardCount& sc = counts[s];
@@ -899,8 +861,8 @@ CsrGraph csr_from_bgraph(const std::string& path, runtime::ThreadPool* pool) {
     }
   });
   // The per-shard readers verified order inside their ranges; stitch
-  // the seams so a sorted file gets exactly the serial path's check.
-  if (in.info().sorted) {
+  // the seams so a sorted file gets exactly a single reader's check.
+  if (info.sorted) {
     for (std::size_t s = 1; s < shards; ++s) {
       if (bounds[s - 1] == bounds[s] || bounds[s] == bounds[s + 1]) continue;
       QC_REQUIRE(counts[s].first_key > counts[s - 1].last_key,
@@ -922,21 +884,21 @@ CsrGraph csr_from_bgraph(const std::string& path, runtime::ThreadPool* pool) {
   }
   std::vector<std::vector<std::size_t>> cursors(shards);
   std::vector<std::size_t> acc(offsets.begin(), offsets.end() - 1);
-  for (std::size_t s = 0; s < shards; ++s) {
-    cursors[s].assign(acc.begin(), acc.end());
-    if (s + 1 < shards) {
-      for (std::size_t u = 0; u < n; ++u) acc[u] += counts[s].degree[u];
-    }
+  for (std::size_t s = 0; s + 1 < shards; ++s) {
+    cursors[s] = acc;
+    for (std::size_t u = 0; u < n; ++u) acc[u] += counts[s].degree[u];
     counts[s].degree = std::vector<std::uint32_t>();
   }
-  acc.clear();
-  acc.shrink_to_fit();
+  cursors.back() = std::move(acc);
+  counts.back().degree = std::vector<std::uint32_t>();
 
   // Place pass: every record's two half-edge slots are fixed by the
   // cursor bases, so concurrent shards write disjoint indices and the
-  // array is byte-identical to the serial build's.
+  // array is byte-identical at any shard count: each row holds its
+  // half-edges in file order, as CsrGraph(WeightedGraph) places them
+  // for a graph built from this edge sequence.
   std::vector<HalfEdge> halves(offsets[n]);
-  runtime::parallel_for(*pool, shards, [&](std::size_t s) {
+  runtime::parallel_for(pool, shards, [&](std::size_t s) {
     BGraphReader r(path);
     r.seek_record(bounds[s]);
     std::vector<std::size_t>& cur = cursors[s];

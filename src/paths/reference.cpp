@@ -454,22 +454,13 @@ void ToolkitCache::ensure_rows(const std::vector<NodeId>& nodes,
   std::sort(missing.begin(), missing.end());
   missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
   if (missing.empty()) return;
-  if (pool == nullptr || pool->worker_count() <= 1 || missing.size() < 2) {
-    auto rows = approx_bounded_hop_multi(*g_, missing, base_scale_);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      publish_row(missing[i], std::move(rows[i]));
-    }
-    return;
-  }
   // Chunked fan-out: each chunk shares one Dijkstra workspace and one
   // reweighted scratch CSR (via approx_bounded_hop_multi), and rows land
   // keyed by node id — the cache contents cannot depend on scheduling.
-  const std::size_t chunk_count = std::min<std::size_t>(
-      missing.size(), static_cast<std::size_t>(pool->worker_count()) * 4);
-  runtime::parallel_for(*pool, chunk_count, [&](std::size_t c) {
-    const std::size_t lo = missing.size() * c / chunk_count;
-    const std::size_t hi = missing.size() * (c + 1) / chunk_count;
-    if (lo == hi) return;
+  const std::size_t chunks = runtime::chunk_count(pool, missing.size());
+  runtime::parallel_for(pool, chunks, [&](std::size_t c) {
+    const std::size_t lo = missing.size() * c / chunks;
+    const std::size_t hi = missing.size() * (c + 1) / chunks;
     const std::vector<NodeId> slice(missing.begin() + lo,
                                     missing.begin() + hi);
     auto rows = approx_bounded_hop_multi(*g_, slice, base_scale_);

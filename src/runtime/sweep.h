@@ -4,7 +4,7 @@
 // n, graph family, seed, and ε. A `SweepSpec` names the grid, a
 // `SweepFn` runs one cell instance (building its own graph and
 // `Simulator`, which are one-instance-per-execution), and `run_sweep`
-// executes the cross product on a work-stealing pool, then folds the
+// executes the cross product on a fork/join pool, then folds the
 // per-run metric maps into mean/min/max/p50/p95 aggregates per cell.
 //
 // Determinism: task i always gets seed `derive_seed(base_seed, i)`, and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -19,6 +18,39 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// One parallel_for call: the caller's function and count, the next
+/// unclaimed index and the first exception an index threw.
+struct Job {
+  Job(const std::function<void(std::size_t)>& f, std::size_t n)
+      : fn(f), count(n) {}
+
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t count;
+  std::atomic<std::size_t> next{0};
+  /// Pool threads still running one of this job's indices; guarded by
+  /// the pool's mutex, so the caller can tell when none does.
+  unsigned holders = 0;
+  std::mutex error_mutex;
+  std::exception_ptr error;
+
+  /// Claims and runs indices until none is left.
+  void run() {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  }
+
+  void rethrow_first_error() const {
+    if (error) std::rethrow_exception(error);
+  }
+};
+
 }  // namespace
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index) {
@@ -29,120 +61,74 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index) {
 }
 
 struct ThreadPool::Impl {
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  explicit Impl(unsigned workers) {
-    if (workers == 0) {
-      workers = std::max(1u, std::thread::hardware_concurrency());
-    }
-    queues_ = std::vector<WorkerQueue>(workers);
-    threads_.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { worker_loop(w); });
+  explicit Impl(unsigned workers)
+      : workers_(workers != 0
+                     ? workers
+                     : std::max(1u, std::thread::hardware_concurrency())) {
+    threads_.reserve(workers_ - 1);
+    for (unsigned t = 1; t < workers_; ++t) {
+      threads_.emplace_back([this] { worker_loop(); });
     }
   }
 
   ~Impl() {
     {
-      std::lock_guard<std::mutex> lock(state_mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       stop_ = true;
-      work_cv_.notify_all();
     }
+    work_cv_.notify_all();
     for (auto& t : threads_) t.join();
   }
 
-  void submit(std::function<void()> task) {
-    const unsigned w = home_queue();
-    {
-      std::lock_guard<std::mutex> lock(queues_[w].mutex);
-      queues_[w].tasks.push_back(std::move(task));
+  unsigned worker_count() const { return workers_; }
+
+  void parallel_for(Job& job) {
+    if (job.count <= 1 || threads_.empty()) {
+      job.run();
+      return;
     }
     {
-      // queued_/in_flight_ and the notify must share state_mutex_ with the
-      // waiters' predicate checks, or a worker between predicate and block
-      // would miss the wakeup and strand the task.
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      ++queued_;
-      ++in_flight_;
-      work_cv_.notify_one();
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_.push_back(&job);
     }
-  }
-
-  void wait_idle() {
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  }
-
-  unsigned worker_count() const {
-    return static_cast<unsigned>(threads_.size());
+    const std::size_t helpers = std::min(job.count - 1, threads_.size());
+    for (std::size_t h = 0; h < helpers; ++h) work_cv_.notify_one();
+    job.run();
+    // Every index is claimed: close the job to late arrivals, then wait
+    // for the threads still running one of its indices.
+    std::unique_lock<std::mutex> lock(mutex_);
+    close(job);
+    done_cv_.wait(lock, [&] { return job.holders == 0; });
   }
 
  private:
-  unsigned home_queue() {
-    for (unsigned w = 0; w < threads_.size(); ++w) {
-      if (std::this_thread::get_id() == threads_[w].get_id()) return w;
-    }
-    return next_external_.fetch_add(1, std::memory_order_relaxed) %
-           static_cast<unsigned>(queues_.size());
-  }
+  void close(Job& job) { std::erase(open_, &job); }
 
-  /// Own queue front first (submission order), then steal from the back
-  /// of the first non-empty victim queue.
-  std::optional<std::function<void()>> take(unsigned self) {
-    {
-      std::lock_guard<std::mutex> lock(queues_[self].mutex);
-      if (!queues_[self].tasks.empty()) {
-        auto task = std::move(queues_[self].tasks.front());
-        queues_[self].tasks.pop_front();
-        return task;
-      }
-    }
-    const auto n = static_cast<unsigned>(queues_.size());
-    for (unsigned k = 1; k < n; ++k) {
-      const unsigned victim = (self + k) % n;
-      std::lock_guard<std::mutex> lock(queues_[victim].mutex);
-      if (!queues_[victim].tasks.empty()) {
-        auto task = std::move(queues_[victim].tasks.back());
-        queues_[victim].tasks.pop_back();
-        return task;
-      }
-    }
-    return std::nullopt;
-  }
-
-  void worker_loop(unsigned self) {
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(state_mutex_);
-        work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-        if (stop_ && queued_ == 0) return;
-      }
-      auto task = take(self);
-      if (!task) continue;  // lost the race to another worker
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        --queued_;
-      }
-      (*task)();
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (--in_flight_ == 0) idle_cv_.notify_all();
-      }
+      work_cv_.wait(lock, [this] { return stop_ || !open_.empty(); });
+      if (stop_) return;
+      // Attach, under the lock, to the job the predicate found: while
+      // holders > 0 its caller cannot return and destroy it. Newest
+      // first: a nested job is on its caller's critical path.
+      Job& job = *open_.back();
+      ++job.holders;
+      lock.unlock();
+      job.run();
+      lock.lock();
+      close(job);  // no index left: no thread should attach to it
+      if (--job.holders == 0) done_cv_.notify_all();
     }
   }
 
-  std::vector<WorkerQueue> queues_;
-  std::vector<std::thread> threads_;
-  std::atomic<unsigned> next_external_{0};
-  std::mutex state_mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::uint64_t queued_ = 0;     ///< tasks sitting in some deque
-  std::uint64_t in_flight_ = 0;  ///< queued + currently executing
+  const unsigned workers_;
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< a job opened, or stop_
+  std::condition_variable done_cv_;  ///< a job lost its last holder
+  std::vector<Job*> open_;           ///< jobs that may have indices left
   bool stop_ = false;
+  std::vector<std::thread> threads_;  ///< last: they use the members above
 };
 
 ThreadPool::ThreadPool(unsigned workers)
@@ -152,12 +138,28 @@ ThreadPool::~ThreadPool() = default;
 
 unsigned ThreadPool::worker_count() const { return impl_->worker_count(); }
 
-void ThreadPool::submit(std::function<void()> task) {
-  QC_REQUIRE(static_cast<bool>(task), "cannot submit an empty task");
-  impl_->submit(std::move(task));
+void parallel_for(ThreadPool& pool, std::size_t count,
+                  const std::function<void(std::size_t)>& fn) {
+  Job job(fn, count);
+  pool.impl_->parallel_for(job);
+  job.rethrow_first_error();
 }
 
-void ThreadPool::wait_idle() { impl_->wait_idle(); }
+void parallel_for(ThreadPool* pool, std::size_t count,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    parallel_for(*pool, count, fn);
+    return;
+  }
+  Job job(fn, count);
+  job.run();
+  job.rethrow_first_error();
+}
+
+std::size_t chunk_count(const ThreadPool* pool, std::size_t items) {
+  if (pool == nullptr || pool->worker_count() <= 1) return 1;
+  return std::min(items, std::size_t{pool->worker_count()} * 4);
+}
 
 void balanced_ranges(std::span<const std::uint64_t> prefix,
                      std::size_t max_chunks, std::vector<std::size_t>& out) {
@@ -213,40 +215,6 @@ void parallel_for_ranges(
   parallel_for(pool, chunks, [&](std::size_t c) {
     if (bounds[c] < bounds[c + 1]) fn(c, bounds[c], bounds[c + 1]);
   });
-}
-
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  struct Shared {
-    std::atomic<std::size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::exception_ptr first_error;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->remaining.store(count, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.submit([shared, &fn, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(shared->mutex);
-        if (!shared->first_error) {
-          shared->first_error = std::current_exception();
-        }
-      }
-      std::lock_guard<std::mutex> lock(shared->mutex);
-      if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        shared->done_cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(shared->mutex);
-  shared->done_cv.wait(lock, [&] {
-    return shared->remaining.load(std::memory_order_acquire) == 0;
-  });
-  if (shared->first_error) std::rethrow_exception(shared->first_error);
 }
 
 }  // namespace qc::runtime

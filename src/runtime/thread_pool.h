@@ -1,11 +1,12 @@
-// Work-stealing thread pool for batch experiment execution.
+// Fork/join thread pool for the library's data-parallel loops.
 //
-// Every statistic the benchmarks report is an aggregate over many
-// independent simulator runs (sweeps over n, graph family, seed, ε), and
-// each run is single-threaded by construction (`Simulator` is
-// one-instance-per-execution). The pool fans those runs out across
-// cores: each worker owns a deque of tasks, takes from its own front,
-// and steals from the back of a busier worker when it runs dry.
+// The pool does one thing: `parallel_for(pool, count, fn)` runs
+// fn(0..count-1) on the pool's threads and on the calling thread, which
+// claims indices like any worker and returns once every index has run.
+// `ThreadPool(k)` therefore starts k - 1 threads: the caller is the k-th
+// worker, and a one-worker pool starts none. Because a caller always
+// finishes its own job, calls may nest on the same pool and may come
+// from several threads at once.
 //
 // Determinism contract: parallelism never touches randomness. Seeds for
 // parallel work are derived per *task index* with `derive_seed`, never
@@ -30,38 +31,42 @@ namespace qc::runtime {
 /// on which thread runs it or when.
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t task_index);
 
-/// Fixed-size work-stealing pool. Tasks are `void()` closures; errors
-/// must be captured by the closure (see `parallel_for`, which does).
+/// Fixed-size fork/join pool; see `parallel_for`.
 class ThreadPool {
  public:
   /// `workers == 0` sizes the pool to `std::thread::hardware_concurrency()`
-  /// (at least 1).
+  /// (at least 1). Starts `workers - 1` threads.
   explicit ThreadPool(unsigned workers = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The worker count, the calling thread included.
   unsigned worker_count() const;
 
-  /// Enqueues one task. From a worker thread the task lands on that
-  /// worker's own deque (cheap, stealable); from outside, deques are fed
-  /// round-robin.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
-  void wait_idle();
-
  private:
+  friend void parallel_for(ThreadPool& pool, std::size_t count,
+                           const std::function<void(std::size_t)>& fn);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Runs `fn(0), fn(1), ..., fn(count-1)` on the pool and blocks until
-/// all complete. If any invocation throws, the first captured exception
-/// is rethrown here (remaining tasks still run to completion).
+/// Runs `fn(0), fn(1), ..., fn(count-1)` on the pool's threads and the
+/// calling thread, and returns once all have run. If any invocation
+/// throws, the other indices still run and the first captured exception
+/// is rethrown here. `fn` may itself call parallel_for on the same pool.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
+
+/// As above; a null pool runs every index on the calling thread.
+void parallel_for(ThreadPool* pool, std::size_t count,
+                  const std::function<void(std::size_t)>& fn);
+
+/// How many chunks a loop over `items` independent items cuts: one on a
+/// null or one-worker pool, so the serial path is a single chunk, and
+/// otherwise `min(items, 4 * worker_count())`.
+std::size_t chunk_count(const ThreadPool* pool, std::size_t items);
 
 /// Splits `[0, prefix.size() - 1)` into at most `max_chunks` contiguous
 /// ranges of balanced weight. `prefix` is an inclusive prefix sum over

@@ -37,9 +37,9 @@ void require_node(const GraphContext& g, NodeId v, const char* what) {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in handlers. All run on the caller/dispatcher thread (never a
-// pool worker — see the header's threading rules), so they may trigger
-// warm-table builds and fan work out with parallel_for themselves.
+// Built-in handlers. All run on the caller/dispatcher thread (see the
+// header's threading rules) and may trigger warm-table builds and fan
+// work out with parallel_for themselves.
 
 /// Scalar answers read off the warm eccentricity tables. One class per
 /// reduction keeps each type() key a separate registry entry.

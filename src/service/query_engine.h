@@ -45,11 +45,12 @@
 // never observe a half-applied batch, and a graph's queries serialize
 // against its updates without stalling other graphs.
 //
-// Threading rules for handlers: `run_batch` always executes on a
-// client or dispatcher thread, never on a pool worker, so handlers may
-// (and do) run warm-table builds and `runtime::parallel_for` directly.
-// Handlers must not keep per-call mutable state on `this` — one handler
-// instance serves concurrent `query()` callers.
+// Threading rules for handlers: `run_batch` executes on a client or
+// dispatcher thread, and handlers may (and do) run warm-table builds
+// and `runtime::parallel_for` on the engine's pool directly; several
+// callers may share that pool at once. Handlers must not keep per-call
+// mutable state on `this` — one handler instance serves concurrent
+// `query()` callers.
 #pragma once
 
 #include <chrono>
@@ -349,8 +350,9 @@ class QueryHandler {
 };
 
 struct EngineOptions {
-  /// Workers of the engine-owned qc_pool pool (0 = hardware
-  /// concurrency). Results are byte-identical at any value.
+  /// Workers of the engine-owned qc_pool pool, the calling thread
+  /// counted (0 = hardware concurrency). Results are byte-identical at
+  /// any value.
   unsigned workers = 0;
   /// Admission bound: maximum admitted-but-unanswered queries. submit
   /// beyond it throws AdmissionError.

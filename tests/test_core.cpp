@@ -110,9 +110,11 @@ TEST(QuantumUnweighted, ChargesCallsTimesEval) {
 // Theorem 1.1
 // ---------------------------------------------------------------------
 
+// gtest prints the raw bytes of a case into its test name, so every field
+// is 64 bits wide: a padding hole would put uninitialized bytes there.
 struct T11Case {
   std::uint64_t seed;
-  NodeId n;
+  std::uint64_t n;
   Weight max_w;
 };
 
@@ -120,7 +122,8 @@ class Theorem11Test : public ::testing::TestWithParam<T11Case> {};
 
 TEST_P(Theorem11Test, DiameterWithinApproximationBound) {
   const auto c = GetParam();
-  const auto g = weighted_test_graph(c.seed, c.n, c.max_w);
+  const auto g =
+      weighted_test_graph(c.seed, static_cast<NodeId>(c.n), c.max_w);
   Theorem11Options opt;
   opt.seed = c.seed;
   opt.census = true;
@@ -141,7 +144,8 @@ TEST_P(Theorem11Test, DiameterWithinApproximationBound) {
 
 TEST_P(Theorem11Test, RadiusWithinApproximationBound) {
   const auto c = GetParam();
-  const auto g = weighted_test_graph(c.seed + 1000, c.n, c.max_w);
+  const auto g = weighted_test_graph(c.seed + 1000, static_cast<NodeId>(c.n),
+                                     c.max_w);
   Theorem11Options opt;
   opt.seed = c.seed;
   opt.census = true;

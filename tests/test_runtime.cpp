@@ -1,8 +1,9 @@
-// Tests for the runtime subsystem: work-stealing pool semantics, seed
+// Tests for the runtime subsystem: fork/join pool semantics, seed
 // derivation, metrics instruments, and the sweep executor's determinism
 // contract (identical aggregated JSON at any worker count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
@@ -179,10 +180,84 @@ TEST(ThreadPool, ParallelMapPreservesInputOrder) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
+// A call nested inside a pool index runs on the same pool: the inner
+// caller finishes its own job, so nesting cannot deadlock. The first
+// two outer indices wait for each other, so both workers are inside an
+// outer index when the inner calls start.
+TEST(ThreadPool, NestedParallelForOnTheSamePoolFinishes) {
   ThreadPool pool(2);
-  pool.wait_idle();  // nothing submitted: must not hang
-  EXPECT_EQ(pool.worker_count(), 2u);
+  std::atomic<int> started{0};
+  std::vector<std::atomic<int>> hits(64);
+  parallel_for(pool, 8, [&](std::size_t i) {
+    started++;
+    while (started.load() < 2) std::this_thread::yield();
+    parallel_for(pool, 8, [&](std::size_t j) { hits[i * 8 + j]++; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(4 * 1000);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int call = 0; call < 200; ++call) {
+        parallel_for(pool, 1000,
+                     [&](std::size_t i) { hits[t * 1000 + i]++; });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 200);
+}
+
+// A one-worker pool is the serial path: it starts no thread.
+TEST(ThreadPool, OneWorkerPoolRunsEveryIndexOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.worker_count(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(100);
+  parallel_for(pool, ran_on.size(),
+               [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+  // So does a null pool.
+  std::fill(ran_on.begin(), ran_on.end(), std::thread::id());
+  parallel_for(static_cast<ThreadPool*>(nullptr), ran_on.size(),
+               [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPool, ThrowingIndicesLeaveEveryOtherIndexRun) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  try {
+    parallel_for(pool, hits.size(), [&](std::size_t i) {
+      hits[i]++;
+      if (i == 5 || i == 40) {
+        throw ArgumentError("boom at " + std::to_string(i));
+      }
+    });
+    ADD_FAILURE() << "parallel_for swallowed the exception";
+  } catch (const ArgumentError& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what == "boom at 5" || what == "boom at 40") << what;
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::atomic<int> count{0};
+  parallel_for(pool, 32, [&](std::size_t) { count++; });
+  EXPECT_EQ(count.load(), 32);
+}
+
+// Many short jobs: a pool thread that finds a job must hold it until it
+// is done with it, even when the caller claims the last index first.
+TEST(ThreadPool, ManyShortJobsEachRunEveryIndex) {
+  ThreadPool pool(4);
+  std::atomic<std::uint64_t> total{0};
+  for (int job = 0; job < 50000; ++job) {
+    parallel_for(pool, 4, [&](std::size_t i) { total += i + 1; });
+  }
+  EXPECT_EQ(total.load(), 50000u * 10u);
 }
 
 // The multi-source graph kernels fan out over the pool with per-source

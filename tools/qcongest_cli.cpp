@@ -25,7 +25,7 @@
 // Runs the paper's algorithms on generated or user-provided networks
 // (wgraph v1 format; see graph/io.h) and prints the results with their
 // CONGEST round bills. `sweep` fans a whole experiment grid out over a
-// work-stealing pool and writes aggregated JSON (docs/runtime.md).
+// fork/join pool and writes aggregated JSON (docs/runtime.md).
 // `serve` keeps a resident service::QueryEngine answering line-delimited
 // JSON requests from stdin against warm graph artifacts; `query` is its
 // one-shot twin (docs/service.md documents both and the wire format).

@@ -6,14 +6,13 @@
 #   tools/run_tier1.sh                 # plain build + ctest
 #   tools/run_tier1.sh --faults        # build + only the fault-injection
 #                                      # suite (ctest label `faults`)
-#   tools/run_tier1.sh --tsan          # ThreadSanitizer pass over the
-#                                      # concurrency-bearing suites
+#   tools/run_tier1.sh --tsan          # ThreadSanitizer pass over every
+#                                      # suite that reaches the pool
 #                                      # (test_graph, test_runtime,
 #                                      # test_congest, test_paths,
 #                                      # test_faults, test_theorem11,
-#                                      # test_service) — this is the run
-#                                      # that covers the shard-parallel
-#                                      # mailbox merge
+#                                      # test_service, test_datasets,
+#                                      # test_dynamic, test_core)
 #   tools/run_tier1.sh --bench-gate    # re-run bench_congest_sim (plus
 #                                      # the bench_datasets,
 #                                      # bench_dynamic,
@@ -33,16 +32,13 @@
 #                                      # ASan and UBSan in one build, full
 #                                      # ctest (tree: build-address-undefined)
 #
-# With a thread pool in src/runtime and pool-parallel graph kernels in
-# src/graph, the TSan configuration is the one that matters most;
-# sanitized builds use build-<sanitizer>/ so they never pollute the
-# primary build tree. `--tsan` is the quick opt-in: it builds with
-# QC_SANITIZE=thread and runs only the two suites that exercise the
-# pool, rather than the full (slow under TSan) ctest sweep. The congest
-# and paths suites joined the list when the simulator gained its
-# pool-parallel round loop (Config::workers), and the service suite
-# joined when src/service added a resident QueryEngine with a
-# dispatcher thread, concurrent submit(), and batched pool hand-off.
+# With a fork/join pool in src/runtime that the graph kernels, the
+# simulator's round loop, the Theorem 1.1 oracle, the dataset pipeline
+# and the query service all fan out over, the TSan configuration is the
+# one that matters most; sanitized builds use build-<sanitizer>/ so they
+# never pollute the primary build tree. `--tsan` is the quick opt-in: it
+# builds with QC_SANITIZE=thread and runs only the suites that reach
+# the pool, rather than the full (slow under TSan) ctest sweep.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -127,7 +123,7 @@ if [ "$TSAN_ONLY" -eq 1 ]; then
   cmake -B "$BUILD_DIR" -S . -DQC_SANITIZE=thread
   cmake --build "$BUILD_DIR" -j --target \
     test_graph test_runtime test_congest test_paths test_faults \
-    test_theorem11 test_service
+    test_theorem11 test_service test_datasets test_dynamic test_core
   # Run the binaries directly: gtest_discover_tests registers per-test
   # ctest entries at build time, so a target-filtered build may not have
   # a complete ctest manifest.
@@ -143,6 +139,12 @@ if [ "$TSAN_ONLY" -eq 1 ]; then
   # threads (submit/drain/shutdown races, admission counter, metrics
   # registry under contention).
   "$BUILD_DIR/tests/test_service"
+  # The sharded CSR build over per-shard readers.
+  "$BUILD_DIR/tests/test_datasets"
+  # QueryEngine updates: delta repair of the warm tables on the pool.
+  "$BUILD_DIR/tests/test_dynamic"
+  # Theorem 1.1 at the default oracle_workers = 0 (hardware concurrency).
+  "$BUILD_DIR/tests/test_core"
   exit 0
 fi
 
