@@ -1,6 +1,6 @@
 // Wall-clock benchmark of the CONGEST simulator fast path.
 //
-// The fast path stores messages once and routes through the
+// The fast path stores messages once, meters each edge through the
 // precomputed EdgeSlotIndex, keeps mailboxes in a double-buffered arena,
 // touches only the active node set per round, and optionally fans
 // on_round out over the fork/join pool. This bench times it on three
@@ -202,7 +202,8 @@ int main(int argc, char** argv) {
   const bool smoke = flags.has("--smoke");
   const bool large = flags.has("--large");
   const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 2048);
-  const std::string out_path = flags.str("--out", "BENCH_congest_sim.json");
+  const std::string out_path =
+      flags.out_file("--out", "BENCH_congest_sim.json");
 
   // Random connected graph, avg degree ~8 — the Theorem 1.1 sweep regime.
   Rng rng(2022);

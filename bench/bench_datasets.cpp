@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
                            {"--smoke", "--huge", "--out FILE", "--dir DIR"});
   const bool smoke = flags.has("--smoke");
   const bool huge = flags.has("--huge");
-  const std::string out_path = flags.str("--out", "BENCH_datasets.json");
+  const std::string out_path = flags.out_file("--out", "BENCH_datasets.json");
   const std::string dir = flags.dir("--dir", "/tmp");
 
   const std::vector<unsigned> benched_workers = {1, 2, 8};

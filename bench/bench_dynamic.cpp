@@ -388,7 +388,7 @@ RunResult run_config(const Workload& wl, bool incremental, unsigned workers) {
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv, {"--smoke", "--out FILE"});
   const bool smoke = flags.has("--smoke");
-  const std::string out_path = flags.str("--out", "BENCH_dynamic.json");
+  const std::string out_path = flags.out_file("--out", "BENCH_dynamic.json");
 
   std::vector<Workload> workloads;
   if (smoke) {

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv, {"--smoke", "--n N", "--out FILE"});
   const bool smoke = flags.has("--smoke");
   const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 4096);
-  const std::string out_path = flags.str("--out", "BENCH_faults.json");
+  const std::string out_path = flags.out_file("--out", "BENCH_faults.json");
 
   Rng rng(2022);
   auto g = gen::erdos_renyi_connected(n, 8.0 / double(n), rng);

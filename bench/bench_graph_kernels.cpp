@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv, {"--smoke", "--n N", "--out FILE"});
   const bool smoke = flags.has("--smoke");
   const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 2048);
-  const std::string out_path = flags.str("--out", "BENCH_graph_kernels.json");
+  const std::string out_path =
+      flags.out_file("--out", "BENCH_graph_kernels.json");
 
   // Random connected graph, avg degree ~8, weights small enough for the
   // bucket engine (the regime the Theorem 1.1 pipeline runs in; gadget

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   const bool smoke = flags.has("--smoke");
   const NodeId n = flags.num<NodeId>("--n", smoke ? 64 : 512);
   const auto queries = flags.num<std::size_t>("--queries", smoke ? 48 : 384);
-  const std::string out_path = flags.str("--out", "BENCH_service.json");
+  const std::string out_path = flags.out_file("--out", "BENCH_service.json");
 
   Rng rng(2022);
   auto g = gen::randomize_weights(

@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
   const bool smoke = flags.has("--smoke");
   const bool large = flags.has("--large");
   const NodeId oracle_n = flags.num<NodeId>("--n", smoke ? 64 : 2048);
-  const std::string out_path = flags.str("--out", "BENCH_theorem11.json");
+  const std::string out_path = flags.out_file("--out", "BENCH_theorem11.json");
 
   std::printf("Theorem 1.1 scaling — measured CONGEST rounds of the quantum "
               "weighted diameter\n\n");

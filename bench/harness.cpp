@@ -60,6 +60,17 @@ std::string Flags::dir(std::string_view flag, std::string def) const {
   return path;
 }
 
+std::string Flags::out_file(std::string_view flag, std::string def) const {
+  std::string path = str(flag, std::move(def));
+  const auto parent = std::filesystem::path(path).parent_path();
+  std::error_code ec;
+  if (!parent.empty() && !std::filesystem::is_directory(parent, ec)) {
+    fail(std::string(flag) + ": cannot write '" + path + "': '" +
+         parent.string() + "' is not a directory");
+  }
+  return path;
+}
+
 void Flags::fail(const std::string& message) const {
   std::fprintf(stderr, "%s: %s\nusage: %s%s\n", program_.c_str(),
                message.c_str(), program_.c_str(), usage_.c_str());

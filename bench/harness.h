@@ -46,6 +46,10 @@ class Flags {
   /// A directory-valued flag: exits 1 naming the flag unless the value
   /// (or `def`) is an existing directory.
   std::string dir(std::string_view flag, std::string def) const;
+  /// An output-file flag: exits 1 naming the flag unless the directory
+  /// the value (or `def`) would be written into exists, so a bad path
+  /// fails before the run instead of at its last write.
+  std::string out_file(std::string_view flag, std::string def) const;
 
   template <typename T>
   T num(std::string_view flag, T def) const {

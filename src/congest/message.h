@@ -15,9 +15,9 @@
 // memcpy-sized move with zero allocations. Wider messages spill
 // transparently to a heap vector; nothing in the API changes. The
 // simulator stores each sent message once, in its sender's outbox; a
-// delivered `Incoming` is a 16-byte (sender, reference) pair pointing at
-// that copy (a broadcast's receivers all share one), valid for the
-// receiver's activation only (NodeProgram::on_round).
+// delivered `Incoming` is a 16-byte (sender, sender's slot, reference)
+// triple pointing at that copy (a broadcast's receivers all share one),
+// valid for the receiver's activation only (NodeProgram::on_round).
 #pragma once
 
 #include <algorithm>
@@ -107,12 +107,16 @@ class Message {
   std::uint8_t widths_[kInlineFields] = {};
 };
 
-/// A received message together with its sender. `msg` refers to the
-/// engine's one stored copy of the message, so an Incoming — and any
-/// copy of it — is valid only during the activation it was delivered
-/// to; a program that keeps a message past it must copy `msg`.
+/// A received message together with its sender. `slot` is the
+/// sender's slot in the receiver's neighbors() row (neighbors()[slot].to
+/// == from), so a program indexes per-neighbour state or replies with
+/// send_to_slot(slot) without a lookup. `msg` refers to the engine's one
+/// stored copy of the message, so an Incoming — and any copy of it — is
+/// valid only during the activation it was delivered to; a program that
+/// keeps a message past it must copy `msg`.
 struct Incoming {
   NodeId from;
+  std::uint32_t slot;
   const Message& msg;
 };
 

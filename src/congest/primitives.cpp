@@ -46,7 +46,7 @@ class BfsTreeProgram final : public NodeProgram {
         ctx.broadcast(announce);
         Message adopt;
         adopt.push(1, 1);
-        ctx.send(in.from, adopt);
+        ctx.send_to_slot(in.slot, adopt);
       } else if (type == 1) {
         result_.children.push_back(in.from);
       }
@@ -108,18 +108,18 @@ class AggregateProgram final : public NodeProgram {
         case 0:  // announce(depth)
           if (adopt_round_ == kNotAdopted) {
             adopt_round_ = ctx.round();
-            parent_ = in.from;
+            parent_ = in.slot;
             Message announce;
             announce.push(0, 2).push(in.msg.field(1) + 1, depth_bits_);
             ctx.broadcast(announce);
             Message adopt;
             adopt.push(1, 2);
-            ctx.send(in.from, adopt);
+            ctx.send_to_slot(in.slot, adopt);
           }
           break;
         case 1:  // adopt
           failed_ = failed_ || sent_up_;
-          children_.push_back(in.from);
+          children_.push_back(in.slot);
           break;
         case 2:  // up(partial)
           partial_ = fold(partial_, in.msg.field(1));
@@ -143,13 +143,13 @@ class AggregateProgram final : public NodeProgram {
     if (adopt_round_ != kNotAdopted && !sent_up_ &&
         ctx.round() >= adopt_round_ + 2 && reports_ == children_.size()) {
       sent_up_ = true;
-      if (ctx.id() == root_ || parent_ == kNoParent) {
+      if (ctx.id() == root_ || parent_ == EdgeSlotIndex::kNoSlot) {
         final_ = partial_;
         push_down(ctx);
       } else {
         Message up;
         up.push(2, 2).push(partial_, value_bits_);
-        ctx.send(parent_, up);
+        ctx.send_to_slot(parent_, up);
       }
     }
     gave_up_ = gave_up_ || (!final_.has_value() && ctx.round() >= horizon_);
@@ -178,7 +178,7 @@ class AggregateProgram final : public NodeProgram {
   void push_down(NodeContext& ctx) {
     Message down;
     down.push(3, 2).push(*final_, value_bits_);
-    for (const NodeId child : children_) ctx.send(child, down);
+    for (const std::uint32_t child : children_) ctx.send_to_slot(child, down);
   }
 
   NodeId root_;
@@ -186,11 +186,13 @@ class AggregateProgram final : public NodeProgram {
   std::uint32_t depth_bits_;
   std::uint32_t value_bits_;
   std::uint64_t horizon_;
-  NodeId parent_ = kNoParent;
+  // The tree edges, as slots of neighbors(): every send on them is a
+  // send_to_slot.
+  std::uint32_t parent_ = EdgeSlotIndex::kNoSlot;
   bool sent_up_ = false;
   bool failed_ = false;
   bool gave_up_ = false;
-  std::vector<NodeId> children_;
+  std::vector<std::uint32_t> children_;
   std::uint64_t adopt_round_ = kNotAdopted;
   std::size_t reports_ = 0;
   std::uint64_t partial_;
@@ -316,7 +318,6 @@ class ReliableFloodProgram final : public NodeProgram {
     }
 
     for (const Incoming& in : inbox) {
-      const std::uint32_t slot = ctx.neighbor_slot(in.from);
       const std::uint64_t type = in.msg.field(0);
       Message payload;
       for (std::size_t i = 1; i < in.msg.field_count(); ++i) {
@@ -332,13 +333,13 @@ class ReliableFloodProgram final : public NodeProgram {
           init_slots(items_.back(), degree);
         }
         ItemState& st = items_[it->second];
-        st.acked[slot] = 1;
-        ack_queue_[slot].push_back(it->second);
+        st.acked[in.slot] = 1;
+        ack_queue_[in.slot].push_back(it->second);
       } else {
         // ack: the neighbour confirmed receipt. A corrupted ack may name
         // an item we never sent — ignore it; the retry path recovers.
         const auto it = index_.find(key);
-        if (it != index_.end()) items_[it->second].acked[slot] = 1;
+        if (it != index_.end()) items_[it->second].acked[in.slot] = 1;
       }
     }
 

@@ -89,9 +89,9 @@ Simulator::Simulator(const WeightedGraph& graph, Config config)
 
 Simulator::~Simulator() = default;
 
-static_assert(sizeof(Incoming) <= 16 &&
+static_assert(sizeof(Incoming) == 16 &&
                   std::is_trivially_destructible_v<Incoming>,
-              "a mailbox entry is a (sender, reference) pair");
+              "a mailbox entry is a (sender, slot, reference) triple");
 
 Simulator::MailArena::~MailArena() {
   if (data_ != nullptr) std::allocator<Incoming>().deallocate(data_, cap_);
@@ -279,14 +279,16 @@ void replay(Box& box, Single&& single, Bcast&& bcast) {
   }
 }
 
-// Writes a delivery — a reference to the message's one stored copy —
-// into the receiver's row at its fill cursor.
+// Writes a delivery — the sender, its slot in the receiver's row and a
+// reference to the message's one stored copy — into the receiver's row
+// at its fill cursor.
 struct Scatter {
   Incoming* a;
   std::size_t* fill;
 
-  void operator()(NodeId to, NodeId from, const Message& m) const {
-    ::new (a + fill[to]++) Incoming{from, m};
+  void operator()(NodeId to, NodeId from, std::uint32_t slot,
+                  const Message& m) const {
+    ::new (a + fill[to]++) Incoming{from, slot, m};
   }
 };
 
@@ -482,13 +484,14 @@ void Simulator::merge(int dst, runtime::ThreadPool* pool) {
           outbox[from],
           [&](const OutMsg& sm) {
             if (!owns(t, sm.to)) return;
-            drain_edge(edge_bits_[base + sm.slot], max_bits);
-            put(sm.to, from, sm.msg);
+            const std::size_t e = base + sm.slot;
+            drain_edge(edge_bits_[e], max_bits);
+            put(sm.to, from, slots_->reverse_slot(e), sm.msg);
           },
           [&](const OutBcast& bc) {
             for_owned_slots(from, t, [&](std::uint32_t s) {
               drain_edge(edge_bits_[base + s], max_bits);
-              put(row[s].to, from, bc.msg);
+              put(row[s].to, from, slots_->reverse_slot(base + s), bc.msg);
             });
           });
     }
@@ -550,7 +553,7 @@ void Simulator::merge_faulted(int dst) {
         ++fc.crash_drops;
       } else {
         resolved_.push_back(
-            Delivery{d.to, d.from, nullptr, own(std::move(d.msg))});
+            Delivery{d.to, d.from, nullptr, own(std::move(d.msg)), d.slot});
       }
     }
     delayed_.resize(keep);
@@ -590,16 +593,20 @@ void Simulator::merge_faulted(int dst) {
       return;
     }
     if (d.corrupt) ++fc.corrupted;
+    // Every copy the plan lets through — delayed, corrupted or
+    // duplicated — arrives over edge e, so it carries e's reverse slot.
+    const std::uint32_t slot = slots_->reverse_slot(e);
     if (d.delay > 0) {
       ++fc.delayed;
       delayed_.push_back(Delayed{
-          delivery_round_ + d.delay, to, from,
+          delivery_round_ + d.delay, to, from, slot,
           d.corrupt ? FaultEngine::corrupted_copy(m, d) : m});
       return;
     }
     const Delivery out{to, from, &m,
                        d.corrupt ? own(FaultEngine::corrupted_copy(m, d))
-                                 : Delivery::kOutbox};
+                                 : Delivery::kOutbox,
+                       slot};
     if (d.duplicate) {
       ++fc.duplicated;
       resolved_.push_back(out);
@@ -635,7 +642,8 @@ void Simulator::merge_faulted(int dst) {
   place_rows(touched, dst, 0);
   const Scatter put{arena.data(), fill_.data()};
   for (const Delivery& d : resolved_) {
-    put(d.to, d.from, d.owned == Delivery::kOutbox ? *d.msg : owned[d.owned]);
+    put(d.to, d.from, d.slot,
+        d.owned == Delivery::kOutbox ? *d.msg : owned[d.owned]);
   }
   // Delayed messages are still in flight: they must keep the run alive
   // until they arrive, so they count as queued work.

@@ -22,16 +22,22 @@
 // would. Skipped rounds are silent, so the ledger, traces and program
 // outputs match an always-awake run of the same schedule.
 //
-// Fast path (see docs/perf.md, "Simulator fast path"): message routing
-// and bandwidth accounting are O(1) per send via a precomputed
-// `EdgeSlotIndex`; each sent message is stored once, in its sender's
-// outbox, and a mailbox row holds 16-byte `Incoming` references to it
-// (docs/perf.md, "Messages by reference"). Outboxes and mailbox rows
-// are double-buffered by merge: the sends of round r stay in their
-// outbox generation while round r+1's receivers read them, and that
-// generation is recycled after round r+1's merge, so an inbox is valid
-// for its activation only (NodeProgram::on_round). Neither buffer
-// allocates in steady state. Each round touches only the active
+// Fast path (see docs/perf.md, "Simulator fast path"): bandwidth
+// accounting is O(1) per send into a flat per-directed-edge ledger
+// (`EdgeSlotIndex::edge_index`); each sent message is stored once, in
+// its sender's outbox, and a mailbox row holds 16-byte `Incoming`
+// references to it (docs/perf.md, "Messages by reference"). The merge
+// walks each delivery's directed edge, so it hands the receiver the
+// sender's slot in the receiver's own row (`Incoming::slot`, from the
+// index's reverse-slot table; docs/perf.md, "Receiver slots"): programs
+// index per-neighbour state and reply with `send_to_slot(in.slot)`,
+// while id-addressed `send(NodeId)`, `neighbor_slot` and
+// `has_neighbor` are O(deg) row scans for cold paths. Outboxes and
+// mailbox rows are double-buffered by merge: the sends of round r stay
+// in their outbox generation while round r+1's receivers read them,
+// and that generation is recycled after round r+1's merge, so an inbox
+// is valid for its activation only (NodeProgram::on_round). Neither
+// buffer allocates in steady state. Each round touches only the active
 // node set (due nodes plus message receivers); and with
 // `Config::Execution::workers > 1` the independent per-node `on_round`
 // calls fan out over a fork/join pool whose workers include the
@@ -213,19 +219,23 @@ class NodeContext {
   std::uint64_t round() const;
   std::uint32_t bandwidth() const;
   std::span<const HalfEdge> neighbors() const;
+  /// True if v is a neighbour. O(deg): a scan of neighbors(), for cold
+  /// paths only.
   bool has_neighbor(NodeId v) const;
 
   /// Slot of `v` in this node's neighbors() row, or EdgeSlotIndex::kNoSlot
-  /// if v is not a neighbour. O(1). Message senders are always neighbours
-  /// (engine-enforced), so `neighbor_slot(in.from)` lets a program index
-  /// per-neighbour state with a flat vector instead of a map.
+  /// if v is not a neighbour. O(deg): a scan of neighbors(). A delivery
+  /// already carries its sender's slot, so per-arrival code reads
+  /// `in.slot` instead.
   std::uint32_t neighbor_slot(NodeId v) const;
 
-  /// Queues a message to neighbour `to` for delivery next round.
+  /// Queues a message to neighbour `to` for delivery next round. Finding
+  /// `to`'s slot is an O(deg) row scan: a reply to a delivery uses
+  /// send_to_slot(in.slot), and state kept per neighbour keeps slots.
   void send(NodeId to, Message m);
   /// Queues a message to the neighbour at `slot` of neighbors() — the
   /// O(1)-admission fast path for senders that already know the slot
-  /// (broadcast uses it for every edge).
+  /// (broadcast uses it for every edge, a reply uses `in.slot`).
   void send_to_slot(std::uint32_t slot, Message m);
   /// Queues a copy of `m` to every neighbour.
   void broadcast(const Message& m);
@@ -481,6 +491,7 @@ class Simulator {
     NodeId from;
     const Message* msg;
     std::uint32_t owned;
+    std::uint32_t slot;  ///< from's slot in to's row (Incoming::slot)
   };
   std::vector<Delivery> resolved_;  ///< scratch, reused across merges
   /// Corrupted copies and arrived delayed messages, by generation (the
@@ -491,6 +502,7 @@ class Simulator {
     std::uint64_t round;  ///< adjusted delivery round
     NodeId to;
     NodeId from;
+    std::uint32_t slot;  ///< from's slot in to's row (Incoming::slot)
     Message msg;
   };
   std::vector<Delayed> delayed_;  ///< in-flight, insertion-ordered

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "congest/primitives.h"
 #include "graph/algorithms.h"
@@ -41,7 +40,8 @@ class WeightedApspProgram final : public NodeProgram {
         queued_(n, false) {}
 
   void on_start(NodeContext& ctx) override {
-    for (const HalfEdge& h : ctx.neighbors()) weights_[h.to] = h.weight;
+    weights_.reserve(ctx.neighbors().size());
+    for (const HalfEdge& h : ctx.neighbors()) weights_.push_back(h.weight);
     if (ctx.id() == root_) {
       start_wave(ctx.id());
       holding_token_ = true;
@@ -53,8 +53,7 @@ class WeightedApspProgram final : public NodeProgram {
       switch (in.msg.field(0)) {
         case 0: {
           const auto s = static_cast<NodeId>(in.msg.field(1));
-          const Dist d =
-              dist_add(in.msg.field(2), weights_.at(in.from));
+          const Dist d = dist_add(in.msg.field(2), weights_[in.slot]);
           if (d < dist_[s]) {
             dist_[s] = d;
             if (!queued_[s]) {
@@ -132,7 +131,7 @@ class WeightedApspProgram final : public NodeProgram {
   std::uint32_t id_bits_;
   std::uint32_t dist_bits_;
   std::uint32_t labels_per_round_;
-  std::map<NodeId, Weight> weights_;
+  std::vector<Weight> weights_;  ///< by slot of neighbors()
   std::vector<Dist> dist_;
   std::vector<bool> queued_;
   std::vector<NodeId> pending_;

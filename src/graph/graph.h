@@ -206,10 +206,11 @@ class WeightedGraph {
   /// Thread-safe to call concurrently; building happens once.
   const CsrGraph& csr() const;
 
-  /// O(1) (from, to) -> adjacency-slot lookup over csr(), built lazily
-  /// and cached with the same lifetime/invalidation rules as csr(). The
-  /// CONGEST simulator and the qubit network route every message/qubit
-  /// through it.
+  /// Directed-edge index over csr(): dense edge ids and the reverse
+  /// slot of every directed edge (graph/slot_index.h), built lazily and
+  /// cached with the same lifetime/invalidation rules as csr(). The
+  /// CONGEST simulator meters bandwidth and hands each delivery its
+  /// receiver's slot through it; the qubit network meters qubits.
   const EdgeSlotIndex& slot_index() const;
 
   /// True when every pair of nodes is connected (n <= 1 counts as

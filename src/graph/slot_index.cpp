@@ -1,31 +1,48 @@
 #include "graph/slot_index.h"
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
+
 namespace qc {
 
-EdgeSlotIndex::EdgeSlotIndex(const CsrGraph& g) {
+EdgeSlotIndex::EdgeSlotIndex(const CsrGraph& g)
+    : csr_(&g), offsets_(g.offsets()) {
   const NodeId n = g.node_count();
-  offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::size_t halves = 0;
+  const std::size_t halves = offsets_[n];
+
+  // Counting sort of the in-edges by receiver. Every node has as many
+  // in-edges as neighbours, so v's bucket can take v's own row range of
+  // a 2m array; senders are visited in ascending order, so each bucket
+  // lists its in-neighbours by ascending id.
+  std::vector<NodeId> in(halves);
+  std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
   for (NodeId u = 0; u < n; ++u) {
-    halves += g.degree(u);
-    offsets_[u + 1] = halves;
+    for (const HalfEdge& h : g.neighbors(u)) in[fill[h.to]++] = u;
   }
 
-  // Size the table to keep the load factor at or below 1/2, so probe
-  // chains stay short and every probe loop hits an empty slot.
-  std::size_t cap = 1;
-  while (cap < 2 * halves + 1) cap <<= 1;
-  table_.assign(cap, Entry{});
-  mask_ = cap - 1;
+  // Row by row, replace each in-neighbour by its slot in the receiver's
+  // row, read from a position scratch that the row itself fills.
+  std::vector<std::uint32_t> pos(n);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto row = g.neighbors(v);
+    for (std::uint32_t s = 0; s < row.size(); ++s) pos[row[s].to] = s;
+    for (std::size_t k = offsets_[v]; k < offsets_[v + 1]; ++k) {
+      const std::uint32_t s = pos[in[k]];
+      QC_CHECK(s < row.size() && row[s].to == in[k],
+               "slot index needs a symmetric adjacency");
+      in[k] = s;
+    }
+  }
 
+  // Replay the sort's visiting order: the k-th in-edge of v met here is
+  // the k-th entry of v's bucket.
+  reverse_.resize(halves);
+  std::copy(offsets_.begin(), offsets_.end() - 1, fill.begin());
   for (NodeId u = 0; u < n; ++u) {
     const auto row = g.neighbors(u);
-    for (std::uint32_t s = 0; s < row.size(); ++s) {
-      const std::uint64_t key = make_key(u, row[s].to);
-      std::size_t i = hash_key(key) & mask_;
-      while (table_[i].key != kEmptyKey) i = (i + 1) & mask_;
-      table_[i] = Entry{key, s};
-    }
+    std::uint32_t* out = reverse_.data() + offsets_[u];
+    for (const HalfEdge& h : row) *out++ = in[fill[h.to]++];
   }
 }
 

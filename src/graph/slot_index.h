@@ -1,26 +1,34 @@
-// O(1) directed-edge slot lookup over a CSR adjacency.
+// Directed-edge indexing over a CSR adjacency: dense edge indices and
+// the reverse slot of every directed edge.
 //
-// Several engines need to answer "which slot of u's adjacency row is
-// neighbour v?" on every message: the CONGEST simulator meters bandwidth
-// per (edge, direction) and must locate the slot for every send, and the
-// qubit-level network meters per-edge qubit budgets the same way. The
-// naive answer is an O(degree) row scan — which turns a broadcast into
-// O(deg²) and a high-degree hub into a hot spot. `EdgeSlotIndex` packs
-// all 2m directed edges into one open-addressing hash table keyed by
-// (from, to), built once in O(n + m), answering lookups in O(1) with no
-// per-query allocation.
+// The CONGEST simulator meters bandwidth per (edge, direction) and the
+// qubit-level network meters per-edge qubit budgets the same way; both
+// keep that accounting in one flat array indexed by
+// `edge_index(from, slot)`, a directed edge's position in CSR row
+// order, in [0, 2m).
 //
-// `edge_index(from, slot)` additionally maps a directed edge to a dense
-// index in [0, 2m), so per-directed-edge accounting (bandwidth bits,
-// qubits in flight) can live in one flat array instead of a
-// vector-of-vectors.
+// `reverse_slot(e)` answers the receiver's question for directed edge
+// e = (u, i): at which slot of its own row does the neighbour
+// v = neighbors(u)[i].to keep u? The simulator's merge walks e for every
+// delivery, so it hands each receiver that slot with the message
+// (`Incoming::slot`), and per-arrival lookups become one indexed load.
+// The table is 2m `uint32_t`, built in O(n + m) with no hashing: a
+// counting sort of the in-edges by receiver plus one n-entry position
+// scratch per row.
+//
+// `slot(from, to)` — "which slot of from's row is neighbour to?" — is an
+// O(deg) scan of from's row. It serves only cold paths (id-addressed
+// sends, fault-plan validation, qubit routing); delivery-path code reads
+// the slot it was handed instead.
 //
 // Like the CSR view it indexes, the index is built once per graph
 // version: WeightedGraph::apply drops the cached index, and the next
-// slot_index() rebuilds it from the rebuilt CSR.
+// slot_index() rebuilds it from the rebuilt CSR. It is derived in
+// memory only, never part of the CSR or of the bcsr format.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.h"
@@ -33,61 +41,40 @@ class EdgeSlotIndex {
   /// Returned by slot() when (from, to) is not a directed edge.
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-  EdgeSlotIndex() = default;
-
-  /// Builds the index for g's adjacency. O(n + m).
+  /// Builds the index for g's adjacency, which must be symmetric (every
+  /// CSR built from a WeightedGraph is). O(n + m). The index reads g's
+  /// rows and offsets in place, so g must outlive it.
   explicit EdgeSlotIndex(const CsrGraph& g);
 
   /// Slot of `to` within `from`'s adjacency row (the i such that
   /// neighbors(from)[i].to == to), or kNoSlot if {from, to} is not an
-  /// edge. `from` must be < node_count(); any `to` is allowed.
+  /// edge. O(deg(from)): a scan of the row. `from` must be <
+  /// node_count(); any `to` is allowed.
   std::uint32_t slot(NodeId from, NodeId to) const {
-    const std::uint64_t key = make_key(from, to);
-    std::size_t i = hash_key(key) & mask_;
-    for (;;) {
-      const Entry& e = table_[i];
-      if (e.key == key) return e.slot;
-      if (e.key == kEmptyKey) return kNoSlot;
-      i = (i + 1) & mask_;
+    const auto row = csr_->neighbors(from);
+    for (std::uint32_t s = 0; s < row.size(); ++s) {
+      if (row[s].to == to) return s;
     }
+    return kNoSlot;
   }
 
   /// Dense index of directed edge (from, slot-of-from's-row) in
-  /// [0, directed_edge_count()) — offsets follow CSR row order.
+  /// [0, directed_edge_count()) — the CSR's own row offsets.
   std::size_t edge_index(NodeId from, std::uint32_t slot) const {
     return offsets_[from] + slot;
   }
 
+  /// For directed edge e = edge_index(u, i) with v = neighbors(u)[i].to:
+  /// the slot of u in v's row.
+  std::uint32_t reverse_slot(std::size_t e) const { return reverse_[e]; }
+
   /// 2m: one entry per (edge, direction).
-  std::size_t directed_edge_count() const {
-    return offsets_.empty() ? 0 : offsets_.back();
-  }
+  std::size_t directed_edge_count() const { return reverse_.size(); }
 
  private:
-  struct Entry {
-    std::uint64_t key = kEmptyKey;
-    std::uint32_t slot = 0;
-  };
-
-  // NodeId is 32-bit and kEmptyKey packs an impossible from (=2^32-1
-  // would need n = 2^32 nodes, beyond NodeId's dense-range contract).
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
-  static std::uint64_t make_key(NodeId from, NodeId to) {
-    return (std::uint64_t{from} << 32) | std::uint64_t{to};
-  }
-
-  // splitmix64 finalizer: full-avalanche, cheap, public domain.
-  static std::uint64_t hash_key(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
-  std::vector<Entry> table_;          ///< power-of-two, load factor <= 1/2
-  std::vector<std::size_t> offsets_;  ///< size n+1; row from = [off, off+deg)
-  std::size_t mask_ = 0;
+  const CsrGraph* csr_;
+  std::span<const std::size_t> offsets_;  ///< csr_'s, size n+1
+  std::vector<std::uint32_t> reverse_;    ///< 2m, by edge_index
 };
 
 }  // namespace qc

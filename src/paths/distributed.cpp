@@ -105,8 +105,7 @@ class BoundedHopProgram final : public NodeProgram {
     const Dist offset = round % period_;
     for (const Incoming& in : inbox) {
       const std::uint64_t w =
-          ceil_div(sigma_ * weights_[ctx.neighbor_slot(in.from)],
-                   std::uint64_t{1} << j);
+          ceil_div(sigma_ * weights_[in.slot], std::uint64_t{1} << j);
       best_ = std::min(best_, dist_add(in.msg.field(0), w));
     }
     if (!announced_ && best_ == offset && best_ <= cap_) {
@@ -281,7 +280,7 @@ class MultiSourceProgram final : public NodeProgram {
       QC_CHECK(tau < t_logical_, "arrival after instance end");
       const Dist via = dist_add(
           in.msg.field(1),
-          ceil_div(sigma_ * weights_[ctx.neighbor_slot(in.from)],
+          ceil_div(sigma_ * weights_[in.slot],
                    std::uint64_t{1} << (tau / period_)));
       cur_[a] = std::min(cur_[a], via);
       // This window's slot 0 has passed (or is being served now), so

@@ -76,7 +76,7 @@ class QuantumNetwork {
   void check_owner(NodeId node, std::uint32_t q) const;
 
   WeightedGraph topology_;
-  const EdgeSlotIndex* slots_;  ///< topology_'s cached index (O(1) routing)
+  const EdgeSlotIndex* slots_;  ///< topology_'s cached index (row scans)
   std::uint32_t qubit_bandwidth_;
   StateVector state_;
   std::vector<NodeId> owner_;

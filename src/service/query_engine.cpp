@@ -804,8 +804,9 @@ void QueryEngine::warm(std::string_view name) {
                                                           : name));
   std::shared_lock<std::shared_mutex> lock(ctx->state_mutex());
   ctx->csr();
-  // The slot index belongs to the owned graph's update path; a mapped
-  // context has no owned graph to index until it detaches.
+  // The slot index (the reverse-slot table a simulated query's receivers
+  // read their senders' slots from) belongs to the owned graph; a mapped
+  // context has no owned graph to index until it materializes one.
   if (!ctx->is_mapped()) ctx->graph().slot_index();
   if (ctx->connected()) {
     ctx->weighted_eccentricities(pool_);

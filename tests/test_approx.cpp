@@ -73,21 +73,21 @@ TEST(WeightedSssp, PathWithHeavyEdges) {
   EXPECT_LE(res.stats.rounds, 16u);
 }
 
-// One weighted SSSP run as literals: the ledger, a digest of the
-// per-round traffic and a digest of every node's distance.
-struct SsspPin {
+// One weighted SSSP or APSP run as literals: the ledger, a digest of
+// the per-round traffic and a digest of every node's distances.
+struct RunPin {
   congest::RunStats stats;
   std::uint64_t traffic = 0;
   std::uint64_t dist = 0;
 
-  friend bool operator==(const SsspPin&, const SsspPin&) = default;
-  friend void PrintTo(const SsspPin& p, std::ostream* os) {
+  friend bool operator==(const RunPin&, const RunPin&) = default;
+  friend void PrintTo(const RunPin& p, std::ostream* os) {
     *os << "{{" << p.stats.rounds << ", " << p.stats.messages << ", "
         << p.stats.bits << "}, " << p.traffic << "ull, " << p.dist << "ull}";
   }
 };
 
-SsspPin pin_weighted_sssp(const WeightedGraph& g, NodeId source) {
+RunPin pin_weighted_sssp(const WeightedGraph& g, NodeId source) {
   std::vector<congest::RoundMetrics> log;
   congest::Config cfg;
   cfg.hooks.on_round_metrics = [&log](const congest::RoundMetrics& m) {
@@ -117,7 +117,7 @@ std::vector<WeightedGoldenCase> weighted_golden_graphs() {
 // sources, as literals captured from the program that ran every node in
 // every round and looked its edge weights up in a map.
 TEST(WeightedSsspGolden, RunsArePinned) {
-  const SsspPin expected[3][3] = {
+  const RunPin expected[3][3] = {
       {{{6, 182, 1092}, 8152013070648835920ull, 1540612984383001381ull},
        {{7, 182, 1092}, 3275129887313976514ull, 7405623343873749026ull},
        {{6, 182, 1092}, 9685021737641768426ull, 8695108794451917027ull}},
@@ -180,6 +180,43 @@ TEST_P(WeightedApspTest, RoundsNearLinearForSmallWeights) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeightedApspTest,
                          ::testing::Range<std::uint64_t>(1, 6));
+
+RunPin pin_weighted_apsp(const WeightedGraph& g) {
+  std::vector<congest::RoundMetrics> log;
+  congest::Config cfg;
+  cfg.hooks.on_round_metrics = [&log](const congest::RoundMetrics& m) {
+    log.push_back(m);
+  };
+  const auto res = distributed_weighted_apsp(g, cfg);
+  std::uint64_t h = congest::fnv1a({});
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    const auto ref = dijkstra(g, s);
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(res.dist[v][s], ref[v]) << "s=" << s << " v=" << v;
+    }
+  }
+  for (const auto& row : res.dist) {
+    for (const Dist d : row) h = congest::fnv1a({d}, h);
+  }
+  return {res.stats, congest::traffic_digest(log), h};
+}
+
+// RunStats (BFS tree plus the staggered waves), traffic and every
+// node's distance row of the weighted APSP on the golden graphs, as
+// literals captured from the program that looked its edge weights up
+// in a map keyed by sender id.
+TEST(WeightedApspGolden, RunsArePinned) {
+  const RunPin expected[3] = {
+      {{126, 7579, 103389}, 4095289742844147073ull, 8105213287677523557ull},
+      {{150, 19130, 320368}, 4970019990665332822ull, 15913597344302718245ull},
+      {{102, 7744, 151215}, 9270351923999056225ull, 16522633715633212713ull},
+  };
+  const auto graphs = weighted_golden_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(graphs[i].name);
+    EXPECT_EQ(pin_weighted_apsp(graphs[i].g), expected[i]);
+  }
+}
 
 TEST(ClassicalWeighted, DiameterAndRadiusExact) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {

@@ -13,6 +13,7 @@
 #include "congest/simulator.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "graph/update.h"
 #include "run_digest.h"
 #include "util/rng.h"
 
@@ -566,8 +567,9 @@ TEST(Simulator, DeliversSpilledMessages) {
 }
 
 // The exact error text is part of the model's contract (callers match on
-// it) and must agree with has_neighbor — both now answer through the
-// same EdgeSlotIndex lookup.
+// it) and must agree with has_neighbor — both answer through the same
+// scan of the sender's row (EdgeSlotIndex::slot), the cold path that
+// in.slot and send_to_slot leave to id-addressed sends.
 TEST(Simulator, NonNeighborErrorTextMatchesHasNeighbor) {
   const auto g = gen::path(4);
   struct Prober final : NodeProgram {
@@ -964,10 +966,11 @@ TEST(SimulatorGolden, InterleaveInboxLogsArePinned) {
 }
 
 // ---------------------------------------------------------------------
-// Messages by reference: an inbox entry is a (sender, reference) pair
-// into the engine's one stored copy, valid for its activation only.
+// Messages by reference: an inbox entry is a (sender, slot, reference)
+// triple into the engine's one stored copy, valid for its activation
+// only.
 // ---------------------------------------------------------------------
-static_assert(sizeof(Incoming) <= 16);
+static_assert(sizeof(Incoming) == 16);
 static_assert(std::is_trivially_destructible_v<Incoming>);
 
 // Reads its inbox, broadcasts, forwards a received message and reads the
@@ -1085,6 +1088,162 @@ TEST(ByReference, FaultedRelayRunIsPinned) {
     EXPECT_EQ(got.faults.total(),
               got.faults.duplicated + got.faults.corrupted +
                   got.faults.delayed);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Delivery slots: every Incoming names its sender's slot in the
+// receiver's own neighbors() row, whichever merge made the delivery.
+// ---------------------------------------------------------------------
+
+// Checks each delivery's slot against its own row and answers one sender
+// per round through send_to_slot(in.slot); every node also broadcasts,
+// so most edges carry two messages a round. Each node folds what it
+// reads, slots included, into a digest.
+class SlotReplyProgram final : public NodeProgram {
+ public:
+  static constexpr std::uint64_t kLastSendRound = 10;
+
+  void on_start(NodeContext& ctx) override { ctx.broadcast(tagged(0, ctx)); }
+  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    const std::uint64_t r = ctx.round();
+    const auto row = ctx.neighbors();
+    for (const Incoming& in : inbox) {
+      ++checked_;
+      if (in.slot >= row.size() || row[in.slot].to != in.from) ++bad_;
+      digest_ = fnv1a({r, in.from, in.slot, in.msg.field(0), in.msg.field(1)},
+                      digest_);
+    }
+    last_round_ = r;
+    if (r > kLastSendRound) return;
+    ctx.broadcast(tagged(0, ctx));
+    if (!inbox.empty()) {
+      ctx.send_to_slot(inbox[r % inbox.size()].slot, tagged(1, ctx));
+    }
+  }
+  bool done() const override { return last_round_ > kLastSendRound; }
+
+  std::uint64_t digest() const { return digest_; }
+  std::uint64_t checked() const { return checked_; }
+  std::uint64_t bad() const { return bad_; }
+
+ private:
+  static Message tagged(std::uint64_t type, const NodeContext& ctx) {
+    Message m;
+    m.push(type, 1).push(ctx.id(), 16);
+    return m;
+  }
+
+  std::uint64_t digest_ = fnv1a({});
+  std::uint64_t last_round_ = 0;
+  std::uint64_t checked_ = 0;
+  std::uint64_t bad_ = 0;
+};
+
+struct SlotCapture {
+  RunStats stats;
+  FaultCounters faults;
+  std::vector<std::uint64_t> digests;  ///< per node
+  std::uint64_t checked = 0;           ///< deliveries read
+  std::uint64_t bad = 0;               ///< deliveries with a wrong slot
+
+  friend bool operator==(const SlotCapture&, const SlotCapture&) = default;
+};
+
+// Every phase forced through the pool (threshold 0) when workers > 1.
+SlotCapture run_slot_reply(const WeightedGraph& g, unsigned workers,
+                           FaultPlan plan = {}) {
+  Config cfg;
+  cfg.bandwidth_bits = 64;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = 0;
+  cfg.faults = std::move(plan);
+  auto run = run_on_all<SlotReplyProgram>(
+      g, [](NodeId) { return std::make_unique<SlotReplyProgram>(); }, cfg);
+  SlotCapture cap{run.stats, run.outcome.faults, {}, 0, 0};
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    cap.digests.push_back(run.at(v).digest());
+    cap.checked += run.at(v).checked();
+    cap.bad += run.at(v).bad();
+  }
+  return cap;
+}
+
+// Every fault class at once: drops, duplicates, delays and corruptions
+// drawn from a seed, a link down for rounds 2-5 on node 0's first edge,
+// and the last node crashing in round 4.
+FaultPlan every_fault_plan(const WeightedGraph& g) {
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.probabilities.drop = 0.05;
+  plan.probabilities.duplicate = 0.05;
+  plan.probabilities.delay = 0.05;
+  plan.probabilities.delay_rounds = 2;
+  plan.probabilities.corrupt = 0.05;
+  plan.link_down.push_back(
+      LinkDownInterval{0, g.neighbors(0)[0].to, 2, 5, true});
+  plan.crashes.push_back(CrashEvent{g.node_count() - 1, 4});
+  return plan;
+}
+
+// An ER graph, a hub, and a graph whose rows apply() left out of id
+// order: inserting {0, v} appends 0 to the end of v's row.
+std::vector<std::pair<const char*, WeightedGraph>> slot_graphs() {
+  std::vector<std::pair<const char*, WeightedGraph>> out;
+  Rng rng(31);
+  out.emplace_back("er(48)", gen::erdos_renyi_connected(48, 0.1, rng));
+  out.emplace_back("star(24)", gen::star(24));
+  WeightedGraph g = gen::erdos_renyi_connected(40, 0.12, rng);
+  GraphUpdate batch;
+  for (NodeId v = 20; v < 40; v += 4) {
+    if (!g.has_edge(0, v)) batch.insert(0, v, 1);
+  }
+  g.apply(batch);
+  out.emplace_back("er(40) after apply", std::move(g));
+  return out;
+}
+
+bool rows_sorted(const WeightedGraph& g) {
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto row = g.neighbors(v);
+    if (!std::is_sorted(row.begin(), row.end(),
+                        [](const HalfEdge& a, const HalfEdge& b) {
+                          return a.to < b.to;
+                        })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(DeliverySlot, NamesTheSenderAtAnyWorkerCount) {
+  const auto graphs = slot_graphs();
+  EXPECT_FALSE(rows_sorted(graphs.back().second));
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const SlotCapture serial = run_slot_reply(g, 1);
+    EXPECT_GT(serial.checked, 0u);
+    EXPECT_EQ(serial.bad, 0u);
+    EXPECT_EQ(run_slot_reply(g, 4), serial);
+  }
+}
+
+// Duplicated, corrupted and delayed copies keep the slot of the edge
+// they were sent over.
+TEST(DeliverySlot, SurvivesEveryFaultClass) {
+  for (const auto& [name, g] : slot_graphs()) {
+    SCOPED_TRACE(name);
+    const SlotCapture serial = run_slot_reply(g, 1, every_fault_plan(g));
+    EXPECT_GT(serial.checked, 0u);
+    EXPECT_EQ(serial.bad, 0u);
+    EXPECT_GT(serial.faults.dropped, 0u);
+    EXPECT_GT(serial.faults.duplicated, 0u);
+    EXPECT_GT(serial.faults.delayed, 0u);
+    EXPECT_GT(serial.faults.corrupted, 0u);
+    EXPECT_GT(serial.faults.link_down_drops, 0u);
+    EXPECT_EQ(serial.faults.crashed_nodes, 1u);
+    EXPECT_GT(serial.faults.crash_drops, 0u);
+    EXPECT_EQ(run_slot_reply(g, 4, every_fault_plan(g)), serial);
   }
 }
 

@@ -71,9 +71,14 @@ void expect_matches_fresh(const WeightedGraph& g) {
   ASSERT_EQ(si.directed_edge_count(), 2 * g.edge_count());
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const auto row = pc.neighbors(u);
-    for (std::size_t i = 0; i < row.size(); ++i) {
+    for (std::uint32_t i = 0; i < row.size(); ++i) {
       ASSERT_EQ(si.slot(u, row[i].to), i) << "slot (" << u << ", "
                                           << row[i].to << ")";
+      // The receiver's slot of u: row[i].to's row names u there.
+      const std::uint32_t r = si.reverse_slot(si.edge_index(u, i));
+      const auto back = pc.neighbors(row[i].to);
+      ASSERT_LT(r, back.size()) << "reverse slot (" << u << ", " << i << ")";
+      ASSERT_EQ(back[r].to, u) << "reverse slot (" << u << ", " << i << ")";
     }
     ASSERT_EQ(si.slot(u, u), EdgeSlotIndex::kNoSlot);
   }

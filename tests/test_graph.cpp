@@ -626,6 +626,13 @@ TEST(EdgeSlotIndex, MatchesRowScanOnRandomGraph) {
       ASSERT_LT(e, seen.size());
       EXPECT_EQ(seen[e], 0) << "edge_index must be a bijection";
       seen[e] = 1;
+      // The reverse slot is u's slot in the receiver's row, and
+      // reversing twice comes back to s.
+      const NodeId v = row[s].to;
+      const std::uint32_t r = idx.reverse_slot(e);
+      ASSERT_LT(r, csr.degree(v));
+      EXPECT_EQ(csr.neighbors(v)[r].to, u);
+      EXPECT_EQ(idx.reverse_slot(idx.edge_index(v, r)), s);
     }
     // Non-neighbours (including u itself) must miss.
     for (NodeId v = 0; v < g.node_count(); ++v) {
