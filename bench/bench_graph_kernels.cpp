@@ -6,13 +6,21 @@
 // `vector<vector<HalfEdge>>` adjacency, allocate fresh dist/heap buffers
 // for every source, and run strictly serially. The ported kernels run on
 // the flat CSR view with a reusable DijkstraWorkspace (bucket queue for
-// small weights, heap otherwise) and fan multi-source sweeps out over
-// the fork/join pool. This bench times both on the same graphs,
+// max weight W <= 128, heap otherwise) and fan multi-source sweeps out
+// over the fork/join pool. This bench times both on the same graphs,
 // asserts the outputs are byte-identical (including across worker
 // counts), and writes BENCH_graph_kernels.json so the perf trajectory is
 // tracked from PR 2 onward.
 //
-// Usage: bench_graph_kernels [--smoke] [--n N] [--out FILE]
+// The sampled_sssp rows time 16 single-source runs on graphs with
+// W <= 128 and n·W past 2^22, where a bucket sweep that stepped through
+// every distance would cost O(n·W): by default the R-MAT graph of the
+// qcbench big_ingest workload (scale 18, 2^21 edges, W = 64; its bgraph
+// is written to --dir and removed) and a W = 64 path of 2^18 nodes
+// (every gap between settled distances up to W), in the smoke a W = 128
+// path of 2^15 + 1 nodes.
+//
+// Usage: bench_graph_kernels [--smoke] [--n N] [--out FILE] [--dir DIR]
 //   --smoke   tiny instance for ctest (correctness + JSON, no timing
 //             claims)
 #include <algorithm>
@@ -25,6 +33,7 @@
 #include "graph/algorithms.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "harness.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
@@ -101,6 +110,14 @@ Dist seed_unweighted_diameter(const WeightedGraph& g) {
   return d;
 }
 
+/// Path of n nodes with weights uniform in [1, max_w]; the first edge
+/// gets max_w, so W is exactly max_w.
+WeightedGraph weighted_path(NodeId n, Weight max_w, Rng& rng) {
+  WeightedGraph g = gen::randomize_weights(gen::path(n), max_w, rng);
+  g.set_edge_weight(0, 1, max_w);
+  return g;
+}
+
 Dist seed_hop_diameter(const WeightedGraph& g) {
   Dist h = 0;
   for (NodeId s = 0; s < g.node_count(); ++s) {
@@ -135,11 +152,13 @@ Dist seed_hop_diameter(const WeightedGraph& g) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv, {"--smoke", "--n N", "--out FILE"});
+  const bench::Flags flags(argc, argv,
+                           {"--smoke", "--n N", "--out FILE", "--dir DIR"});
   const bool smoke = flags.has("--smoke");
   const NodeId n = flags.num<NodeId>("--n", smoke ? 128 : 2048);
   const std::string out_path =
       flags.out_file("--out", "BENCH_graph_kernels.json");
+  const std::string dir = flags.dir("--dir", "/tmp");
 
   // Random connected graph, avg degree ~8, weights small enough for the
   // bucket engine (the regime the Theorem 1.1 pipeline runs in; gadget
@@ -235,6 +254,62 @@ int main(int argc, char** argv) {
     all_identical &= got == golden;
     push("hop_diameter", "csr+pool w=" + std::to_string(hw), hw, t_pool,
          t_seed, got == golden);
+  }
+
+  // sampled single-source runs with n·W past 2^22.
+  {
+    struct Case {
+      std::string label;
+      WeightedGraph graph;
+    };
+    std::vector<Case> cases;
+    Rng case_rng(2024);
+    if (smoke) {
+      cases.push_back(
+          {"path W=128", weighted_path((NodeId{1} << 15) + 1, 128, case_rng)});
+    } else {
+      const std::string bg = dir + "/qc_bench_graph_kernels_rmat18.bg";
+      gen::rmat_bgraph(bg, 18, std::uint64_t{1} << 21, 64, 20260808);
+      cases.push_back({"rmat-s18 W=64", load_bgraph(bg)});
+      std::remove(bg.c_str());
+      cases.push_back(
+          {"path W=64", weighted_path(NodeId{1} << 18, 64, case_rng)});
+    }
+    for (const Case& c : cases) {
+      const WeightedGraph& sg = c.graph;
+      const CsrGraph& scsr = sg.csr();  // built outside the timers
+      std::vector<NodeId> sources(16);
+      for (NodeId& s : sources) {
+        s = static_cast<NodeId>(case_rng.below(sg.node_count()));
+      }
+      std::vector<std::vector<Dist>> golden(sources.size());
+      const double t_seed = wall_seconds([&] {
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          golden[i] = seed_dijkstra(sg, sources[i]);
+        }
+      });
+      std::vector<std::vector<Dist>> got(sources.size());
+      DijkstraWorkspace ws;
+      const double t_ws = wall_seconds([&] {
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          ws.dijkstra(scsr, sources[i], got[i]);
+        }
+      });
+      const bool same = got == golden;
+      all_identical &= same;
+      const std::string workload = "sampled_sssp " + c.label;
+      report.add({workload, "seed heap", sg.node_count(), 1, t_seed, 1.0,
+                  true});
+      report.add({workload, "workspace", sg.node_count(), 1, t_ws,
+                  bench::speedup(t_seed, t_ws), same});
+      std::printf("sampled sssp %s: n=%u, n*W=%llu, per source %.2f ms seed "
+                  "heap vs %.2f ms workspace\n",
+                  c.label.c_str(), sg.node_count(),
+                  static_cast<unsigned long long>(sg.node_count()) *
+                      scsr.max_weight(),
+                  1e3 * t_seed / double(sources.size()),
+                  1e3 * t_ws / double(sources.size()));
+    }
   }
 
   std::printf("%s\n", report.table().c_str());

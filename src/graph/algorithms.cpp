@@ -1,6 +1,7 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "runtime/thread_pool.h"
@@ -9,11 +10,9 @@ namespace qc {
 
 namespace {
 
-/// Bucket-queue Dijkstra is used when every edge weight fits a small
-/// circular bucket window and the worst-case empty-bucket scan (bounded
-/// by n·W) stays cheap relative to the edge work.
+/// Largest max edge weight the bucket engine takes: the W distances
+/// ahead of its sweep fit a two-word occupancy bitmap.
 constexpr Weight kDialMaxWeight = 128;
-constexpr Dist kDialScanBound = Dist{1} << 22;
 
 /// Below this source count a caller without a pool stays on its own
 /// thread: per-source work is too small to amortize the fork/join.
@@ -51,23 +50,79 @@ void over_sources(NodeId n, runtime::ThreadPool* pool, const Fn& fn) {
 void DijkstraWorkspace::prepare(NodeId n) {
   if (dist_.size() != n) {
     dist_.assign(n, kInfDist);
-    hops_.assign(n, kInfDist);
     touched_.clear();
   }
 }
 
-void DijkstraWorkspace::reset_touched() {
-  for (const NodeId v : touched_) {
-    dist_[v] = kInfDist;
-    hops_[v] = kInfDist;
+void DijkstraWorkspace::reset_touched(bool hops) {
+  for (const NodeId v : touched_) dist_[v] = kInfDist;
+  if (hops) {
+    for (const NodeId v : touched_) hops_[v] = kInfDist;
   }
   touched_.clear();
 }
 
-bool DijkstraWorkspace::use_buckets(const CsrGraph& g) const {
-  return g.max_weight() <= kDialMaxWeight &&
-         static_cast<Dist>(g.node_count()) * g.max_weight() <=
-             kDialScanBound;
+template <typename Entry, typename Relax>
+void DijkstraWorkspace::settle(const CsrGraph& g, Entry source,
+                               Queues<Entry>& q, const Relax& relax) {
+  if (g.max_weight() > kDialMaxWeight) {
+    auto& heap = q.heap;
+    heap.clear();
+    const auto push = [&](Dist d, const Entry& e) {
+      heap.emplace_back(d, e);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    };
+    heap.emplace_back(0, source);
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, e] = heap.back();
+      heap.pop_back();
+      relax(d, e, push);
+    }
+    return;
+  }
+  // Bucket d & mask holds the entries queued at distance d. A settled
+  // distance d only queues d+1..d+W (no weight exceeds max_weight(), a
+  // CsrGraph invariant that map_csr's edge validation checks), and
+  // W < window, so the window never mixes two distances, and bucket d
+  // gains no entry while it is swept.
+  const std::size_t window =
+      std::bit_ceil(static_cast<std::size_t>(g.max_weight()) + 1);
+  const std::size_t mask = window - 1;
+  if (q.buckets.size() < window) q.buckets.resize(window);
+  // Occupancy relative to the sweep: bit r of (hi:lo) is set iff
+  // distance d + 1 + r has a queued entry. r < W <= 128, so the bitmap
+  // is two words and stays in registers; the next non-empty bucket is
+  // its lowest set bit, whatever the gap to it.
+  Dist d = 0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  const auto push = [&](Dist nd, const Entry& e) {
+    const Dist r = nd - d - 1;
+    lo |= std::uint64_t{r < 64} << (r & 63);
+    hi |= std::uint64_t{r >= 64} << (r & 63);
+    q.buckets[nd & mask].push_back(e);
+  };
+  q.buckets[0].push_back(source);
+  for (;;) {
+    auto& bucket = q.buckets[d & mask];
+    for (const Entry& e : bucket) relax(d, e, push);
+    bucket.clear();
+    if ((lo | hi) == 0) return;  // every bucket is empty
+    // Advance to d + 1 + k for the lowest set bit k and shift the bitmap
+    // right by k + 1 (split into shifts below 64).
+    if (lo != 0) {
+      const int k = std::countr_zero(lo);
+      lo = ((lo >> k) >> 1) | (hi << (63 - k));
+      hi = (hi >> k) >> 1;
+      d += static_cast<Dist>(k) + 1;
+    } else {
+      const int k = std::countr_zero(hi);
+      lo = (hi >> k) >> 1;
+      hi = 0;
+      d += static_cast<Dist>(k) + 65;
+    }
+  }
 }
 
 void DijkstraWorkspace::bfs(const CsrGraph& g, NodeId s,
@@ -87,153 +142,67 @@ void DijkstraWorkspace::bfs(const CsrGraph& g, NodeId s,
     }
   }
   out.assign(dist_.begin(), dist_.end());
-  reset_touched();
-}
-
-void DijkstraWorkspace::dijkstra_buckets(const CsrGraph& g, NodeId s,
-                                         Dist cap) {
-  const std::size_t nb = static_cast<std::size_t>(g.max_weight()) + 1;
-  if (buckets_.size() < nb) buckets_.resize(nb);
-  dist_[s] = 0;
-  touched_.push_back(s);
-  buckets_[0].push_back(s);
-  std::size_t pending = 1;
-  // Monotone sweep: when bucket d is processed, every entry in it was
-  // inserted for distance exactly d (relaxations only reach d+1..d+W,
-  // and W < nb), so the circular window never mixes distances.
-  // Relaxations past `cap` are never enqueued, so the sweep drains on
-  // its own once the cap ball is settled (labels beyond it stay
-  // kInfDist, which honours the > cap contract).
-  for (Dist d = 0; pending > 0; ++d) {
-    auto& bucket = buckets_[d % nb];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const NodeId u = bucket[i];
-      if (dist_[u] != d) continue;  // superseded by a later improvement
-      for (const HalfEdge& h : g.neighbors(u)) {
-        const Dist nd = d + h.weight;
-        if (nd < dist_[h.to] && nd <= cap) {
-          if (dist_[h.to] == kInfDist) touched_.push_back(h.to);
-          dist_[h.to] = nd;
-          buckets_[nd % nb].push_back(h.to);
-          ++pending;
-        }
-      }
-    }
-    pending -= bucket.size();
-    bucket.clear();
-  }
-}
-
-void DijkstraWorkspace::dijkstra_heap(const CsrGraph& g, NodeId s,
-                                      Dist cap) {
-  heap_.clear();
-  dist_[s] = 0;
-  touched_.push_back(s);
-  heap_.emplace_back(0, s);
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const auto [d, u] = heap_.back();
-    heap_.pop_back();
-    if (d != dist_[u]) continue;
-    for (const HalfEdge& h : g.neighbors(u)) {
-      const Dist nd = dist_add(d, h.weight);
-      if (nd < dist_[h.to] && nd <= cap) {
-        if (dist_[h.to] == kInfDist) touched_.push_back(h.to);
-        dist_[h.to] = nd;
-        heap_.emplace_back(nd, h.to);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      }
-    }
-  }
+  reset_touched(false);
 }
 
 void DijkstraWorkspace::dijkstra(const CsrGraph& g, NodeId s,
                                  std::vector<Dist>& out, Dist cap) {
   QC_REQUIRE(s < g.node_count(), "source out of range");
   prepare(g.node_count());
-  if (use_buckets(g)) {
-    dijkstra_buckets(g, s, cap);
-  } else {
-    dijkstra_heap(g, s, cap);
-  }
-  out.assign(dist_.begin(), dist_.end());
-  reset_touched();
-}
-
-void DijkstraWorkspace::with_hops_buckets(const CsrGraph& g, NodeId s) {
-  const std::size_t nb = static_cast<std::size_t>(g.max_weight()) + 1;
-  if (buckets_h_.size() < nb) buckets_h_.resize(nb);
   dist_[s] = 0;
-  hops_[s] = 0;
   touched_.push_back(s);
-  buckets_h_[0].emplace_back(s, 0);
-  std::size_t pending = 1;
-  // Same monotone-window argument as dijkstra_buckets. Hop improvements
-  // at equal distance d come from predecessors at distance < d, so every
-  // (d, hops) entry exists before bucket d is processed; the entry whose
-  // hops match the (final) label is the one processed.
-  for (Dist d = 0; pending > 0; ++d) {
-    auto& bucket = buckets_h_[d % nb];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const auto [u, hp] = bucket[i];
-      if (dist_[u] != d || hops_[u] != hp) continue;
-      for (const HalfEdge& h : g.neighbors(u)) {
-        const Dist nd = d + h.weight;
-        const Dist nh = hp + 1;
-        if (nd < dist_[h.to] ||
-            (nd == dist_[h.to] && nh < hops_[h.to])) {
-          if (dist_[h.to] == kInfDist) touched_.push_back(h.to);
-          dist_[h.to] = nd;
-          hops_[h.to] = nh;
-          buckets_h_[nd % nb].emplace_back(h.to, nh);
-          ++pending;
-        }
-      }
-    }
-    pending -= bucket.size();
-    bucket.clear();
-  }
-}
-
-void DijkstraWorkspace::with_hops_heap(const CsrGraph& g, NodeId s) {
-  heap3_.clear();
-  dist_[s] = 0;
-  hops_[s] = 0;
-  touched_.push_back(s);
-  heap3_.emplace_back(0, 0, s);
-  while (!heap3_.empty()) {
-    std::pop_heap(heap3_.begin(), heap3_.end(), std::greater<>{});
-    const auto [d, hp, u] = heap3_.back();
-    heap3_.pop_back();
-    if (d != dist_[u] || hp != hops_[u]) continue;
+  // Relaxations past `cap` are never queued, so the run drains once the
+  // cap ball is settled (labels beyond it stay kInfDist, which honours
+  // the > cap contract). d and every weight are below kInfDist, so the
+  // sum cannot wrap, and a sum at or past kInfDist fails the `<` test.
+  settle(g, s, plain_, [&](Dist d, NodeId u, const auto& push) {
+    if (dist_[u] != d) return;  // superseded by a later improvement
     for (const HalfEdge& h : g.neighbors(u)) {
-      const Dist nd = dist_add(d, h.weight);
-      const Dist nh = hp + 1;
-      if (nd < dist_[h.to] ||
-          (nd == dist_[h.to] && nh < hops_[h.to])) {
+      const Dist nd = d + h.weight;
+      if (nd < dist_[h.to] && nd <= cap) {
         if (dist_[h.to] == kInfDist) touched_.push_back(h.to);
         dist_[h.to] = nd;
-        hops_[h.to] = nh;
-        heap3_.emplace_back(nd, nh, h.to);
-        std::push_heap(heap3_.begin(), heap3_.end(), std::greater<>{});
+        push(nd, h.to);
       }
     }
-  }
+  });
+  out.assign(dist_.begin(), dist_.end());
+  reset_touched(false);
 }
 
 void DijkstraWorkspace::dijkstra_with_hops(const CsrGraph& g, NodeId s,
                                            std::vector<Dist>& dist_out,
                                            std::vector<Dist>& hops_out) {
   QC_REQUIRE(s < g.node_count(), "source out of range");
-  prepare(g.node_count());
-  if (use_buckets(g)) {
-    with_hops_buckets(g, s);
-  } else {
-    with_hops_heap(g, s);
-  }
+  const NodeId n = g.node_count();
+  prepare(n);
+  if (hops_.size() != n) hops_.assign(n, kInfDist);
+  dist_[s] = 0;
+  hops_[s] = 0;
+  touched_.push_back(s);
+  // Hop improvements at distance d come from predecessors at distance
+  // < d (weights are >= 1), so every (d, hops) entry is queued before
+  // distance d settles; the entry whose hops match the final label is
+  // the one relaxed.
+  settle(g, std::pair<NodeId, Dist>{s, 0}, lex_,
+         [&](Dist d, std::pair<NodeId, Dist> e, const auto& push) {
+           const auto [u, hp] = e;
+           if (dist_[u] != d || hops_[u] != hp) return;
+           for (const HalfEdge& h : g.neighbors(u)) {
+             const Dist nd = dist_add(d, h.weight);
+             const Dist nh = hp + 1;
+             if (nd < dist_[h.to] ||
+                 (nd == dist_[h.to] && nh < hops_[h.to])) {
+               if (dist_[h.to] == kInfDist) touched_.push_back(h.to);
+               dist_[h.to] = nd;
+               hops_[h.to] = nh;
+               push(nd, std::pair<NodeId, Dist>{h.to, nh});
+             }
+           }
+         });
   dist_out.assign(dist_.begin(), dist_.end());
   hops_out.assign(hops_.begin(), hops_.end());
-  reset_touched();
+  reset_touched(true);
 }
 
 void DijkstraWorkspace::bounded_hop(const CsrGraph& g, NodeId s,

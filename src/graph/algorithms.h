@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -33,13 +32,18 @@ class ThreadPool;  // runtime/thread_pool.h
 /// serves any number of consecutive runs on graphs of any size with zero
 /// allocations after warm-up: label arrays are kept all-kInfDist between
 /// runs via a touched-node list (no O(n) re-initialization), and heap /
-/// bucket / queue storage keeps its capacity. Not thread-safe — use one
+/// bucket / queue storage keeps its capacity. The hop labels are sized
+/// by the first `dijkstra_with_hops` run only. Not thread-safe — use one
 /// workspace per thread (the multi-source drivers below do).
 ///
-/// Weighted runs pick between two exact Dijkstra engines: a Dial-style
-/// circular bucket queue (O(m + maxdist), no comparisons) when the max
-/// edge weight is small enough that the bucket scan is cheap, and a
-/// binary heap with lazy deletion otherwise (gadget graphs with
+/// Weighted runs pick between two exact Dijkstra engines by the max edge
+/// weight W alone. For W <= 128, a Dial-style bucket queue: a circular
+/// power-of-two window of at least W + 1 buckets, indexed by mask, plus
+/// a one-bit-per-bucket occupancy bitmap of the W distances ahead of
+/// the sweep (two words, kept in registers), so the sweep jumps
+/// straight to the next non-empty bucket. A run costs O(m + settled
+/// distances) with no comparisons, however far the farthest node is.
+/// Otherwise a binary heap with lazy deletion (gadget graphs with
 /// alpha = n^2 weights land here). Both produce identical labels.
 class DijkstraWorkspace {
  public:
@@ -68,13 +72,22 @@ class DijkstraWorkspace {
                    std::vector<Dist>& out);
 
  private:
+  /// Queue storage of one entry type: a plain run queues the node, a
+  /// lexicographic run the (node, hops) pair it was reached with.
+  template <typename Entry>
+  struct Queues {
+    std::vector<std::vector<Entry>> buckets;
+    std::vector<std::pair<Dist, Entry>> heap;
+  };
+
   void prepare(NodeId n);
-  void reset_touched();
-  bool use_buckets(const CsrGraph& g) const;
-  void dijkstra_buckets(const CsrGraph& g, NodeId s, Dist cap);
-  void dijkstra_heap(const CsrGraph& g, NodeId s, Dist cap);
-  void with_hops_buckets(const CsrGraph& g, NodeId s);
-  void with_hops_heap(const CsrGraph& g, NodeId s);
+  void reset_touched(bool hops);
+  /// Settles from `source` (queued at distance 0) on the engine W picks;
+  /// `relax(d, entry, push)` skips a stale entry and queues every
+  /// improvement with push(distance, entry).
+  template <typename Entry, typename Relax>
+  void settle(const CsrGraph& g, Entry source, Queues<Entry>& q,
+              const Relax& relax);
 
   // Label arrays: all-kInfDist outside a run (touched-list invariant).
   std::vector<Dist> dist_;
@@ -82,10 +95,8 @@ class DijkstraWorkspace {
   /// Nodes whose labels were set this run, in discovery order (doubles
   /// as the BFS queue).
   std::vector<NodeId> touched_;
-  std::vector<std::pair<Dist, NodeId>> heap_;
-  std::vector<std::tuple<Dist, Dist, NodeId>> heap3_;
-  std::vector<std::vector<NodeId>> buckets_;
-  std::vector<std::vector<std::pair<NodeId, Dist>>> buckets_h_;
+  Queues<NodeId> plain_;
+  Queues<std::pair<NodeId, Dist>> lex_;
   std::vector<Dist> bf_cur_;
   std::vector<Dist> bf_next_;
 };

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <numeric>
 #include <queue>
+#include <string>
 #include <utility>
 
 #include "graph/algorithms.h"
@@ -609,6 +612,168 @@ TEST_P(CsrEquivalenceTest, KernelsMatchAcrossEnginesAndReuse) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrEquivalenceTest,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// Bucket-engine equivalence where n·W is above 2^22 with W <= 128: a
+// sweep that stepped through every distance up to the farthest would
+// cost O(n·W) here, so these shapes pin the jump to the next non-empty
+// bucket. Every cap, the lexicographic mode, and one workspace carried
+// across graphs whose bucket windows grow and shrink.
+
+// Lexicographic hop labels from exact distances: one more than the
+// fewest hops of a shortest-path predecessor, and every predecessor is
+// strictly closer (weights are >= 1), so distance order settles it.
+std::vector<Dist> oracle_hops(const WeightedGraph& g, NodeId s,
+                              const std::vector<Dist>& dist) {
+  std::vector<NodeId> order(g.node_count());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](NodeId a, NodeId b) { return dist[a] < dist[b]; });
+  std::vector<Dist> hops(g.node_count(), kInfDist);
+  hops[s] = 0;
+  for (const NodeId v : order) {
+    if (v == s || dist[v] == kInfDist) continue;
+    for (const HalfEdge& h : g.neighbors(v)) {
+      if (dist[h.to] < dist[v] && dist[h.to] + h.weight == dist[v]) {
+        hops[v] = std::min(hops[v], hops[h.to] + 1);
+      }
+    }
+  }
+  return hops;
+}
+
+// Runs `ws` from each source at caps {0, 1, W, half the farthest
+// distance, kInfDist} and in lexicographic mode, against the oracles. A
+// capped run keeps exactly the labels <= cap and leaves the rest
+// kInfDist.
+void expect_engines_match(DijkstraWorkspace& ws, const WeightedGraph& g,
+                          std::initializer_list<NodeId> sources) {
+  const CsrGraph& csr = g.csr();
+  std::vector<Dist> out;
+  std::vector<Dist> hops;
+  for (const NodeId s : sources) {
+    SCOPED_TRACE("source " + std::to_string(s));
+    const auto oracle = oracle_dijkstra(g, s);
+    Dist farthest = 0;
+    for (const Dist d : oracle) {
+      if (d < kInfDist) farthest = std::max(farthest, d);
+    }
+    for (const Dist cap :
+         {Dist{0}, Dist{1}, Dist{csr.max_weight()}, farthest / 2, kInfDist}) {
+      ws.dijkstra(csr, s, out, cap);
+      auto expect = oracle;
+      for (Dist& d : expect) {
+        if (d > cap) d = kInfDist;
+      }
+      EXPECT_TRUE(out == expect) << "cap " << cap;
+    }
+    ws.dijkstra_with_hops(csr, s, out, hops);
+    EXPECT_TRUE(out == oracle);
+    EXPECT_TRUE(hops == oracle_hops(g, s, oracle));
+  }
+}
+
+// A graph on n nodes from canonical edges with weights uniform in
+// [1, max_w]; the first edge gets max_w, so W is exactly max_w.
+WeightedGraph with_weights(NodeId n, std::vector<Edge> edges, Weight max_w,
+                           Rng& rng) {
+  for (Edge& e : edges) e.weight = 1 + rng.below(max_w);
+  if (!edges.empty()) edges.front().weight = max_w;
+  return WeightedGraph::from_edges(n, std::move(edges));
+}
+
+WeightedGraph heavy_path(NodeId n, Weight max_w, Rng& rng) {
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1, 1});
+  return with_weights(n, std::move(edges), max_w, rng);
+}
+
+WeightedGraph weighted_star(NodeId leaves) {
+  std::vector<Edge> edges;
+  for (NodeId v = 1; v <= leaves; ++v) {
+    edges.push_back({0, v, 1 + (v - 1) % 100});
+  }
+  return WeightedGraph::from_edges(leaves + 1, std::move(edges));
+}
+
+// m distinct random pairs: a giant component plus stragglers, so some
+// labels stay kInfDist.
+WeightedGraph sparse_random(NodeId n, std::size_t m, Weight max_w, Rng& rng) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  while (pairs.size() < m) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    if (u != v) pairs.emplace_back(std::min(u, v), std::max(u, v));
+    if (pairs.size() == m) {
+      std::sort(pairs.begin(), pairs.end());
+      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    }
+  }
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : pairs) edges.push_back({u, v, 1});
+  return with_weights(n, std::move(edges), max_w, rng);
+}
+
+Dist n_times_w(const WeightedGraph& g) {
+  return Dist{g.node_count()} * g.csr().max_weight();
+}
+
+TEST(DijkstraEngines, HeavyPathAtTheLargestBucketWeight) {
+  Rng rng(41);
+  const auto g = heavy_path(40000, 128, rng);
+  ASSERT_EQ(g.csr().max_weight(), 128u);
+  EXPECT_GT(n_times_w(g), Dist{1} << 22);
+  DijkstraWorkspace ws;
+  expect_engines_match(ws, g, {0, 12345, 20000, 39999});
+}
+
+TEST(DijkstraEngines, StarOfManyLeaves) {
+  const auto g = weighted_star(NodeId{1} << 16);
+  ASSERT_EQ(g.csr().max_weight(), 100u);
+  EXPECT_GT(n_times_w(g), Dist{1} << 22);
+  DijkstraWorkspace ws;
+  expect_engines_match(ws, g, {0, 1, 100, NodeId{1} << 16});
+}
+
+TEST(DijkstraEngines, SparseRandomGraphWithUnreachableNodes) {
+  Rng rng(43);
+  const auto g = sparse_random(50000, 100000, 100, rng);
+  EXPECT_GT(n_times_w(g), Dist{1} << 22);
+  EXPECT_FALSE(g.is_connected());
+  DijkstraWorkspace ws;
+  expect_engines_match(ws, g, {0, 1, 25000, 49999});
+}
+
+TEST(DijkstraEngines, OneNodeAndEdgelessGraphs) {
+  DijkstraWorkspace ws;
+  expect_engines_match(ws, WeightedGraph(1), {0});
+  expect_engines_match(ws, WeightedGraph(7), {0, 3, 6});
+}
+
+// Windows of 256, 2, 128 and 4 buckets, a heap run, then 2 and 128
+// buckets, twice over. An entry left in a bucket by one run is read by
+// the next: a wrong label, or a node id past a smaller graph's end that
+// the sanitizer build's bounds checks stop.
+TEST(DijkstraEngines, OneWorkspaceAcrossGrowingAndShrinkingWindows) {
+  Rng rng(44);
+  const auto path = heavy_path(40000, 128, rng);
+  const auto star = weighted_star(NodeId{1} << 16);
+  const auto sparse = sparse_random(50000, 100000, 100, rng);
+  auto er_small = gen::erdos_renyi_connected(300, 0.03, rng);
+  er_small = gen::randomize_weights(er_small, 3, rng);
+  auto gadget = gen::randomize_weights(er_small, Weight{1} << 20, rng);
+  ASSERT_GT(gadget.csr().max_weight(), 128u);
+  DijkstraWorkspace ws;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    expect_engines_match(ws, path, {0, 20000});
+    expect_engines_match(ws, WeightedGraph(7), {3});
+    expect_engines_match(ws, star, {0, 7});
+    expect_engines_match(ws, er_small, {0, 299});
+    expect_engines_match(ws, gadget, {5});
+    expect_engines_match(ws, WeightedGraph(1), {0});
+    expect_engines_match(ws, sparse, {1, 49999});
+  }
+}
 
 TEST(EdgeSlotIndex, MatchesRowScanOnRandomGraph) {
   Rng rng(7);
