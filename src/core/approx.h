@@ -8,15 +8,15 @@
 //    a node stops once it announces (the O(weighted-depth) folklore
 //    algorithm);
 //
-//  * distributed exact weighted APSP (timed-release waves staggered by
-//    a DFS token) and the classical exact weighted diameter/radius on it;
-//
 //  * pipelined multi-source BFS with random delays (Õ(|S| + D) rounds,
 //    the unweighted engine behind [15]/[3]) — Algorithm 3's program on
 //    hop distances (paths::distributed_multi_source_hop_bfs) — and the
 //    classic 3/2-approximation of the unweighted diameter built on it:
 //    sample |S| ≈ √n·log n sources, find the node w farthest from S,
 //    answer max{ecc(s) : s ∈ S ∪ {w}} — always ≤ D and ≥ ⌊2D/3⌋ w.h.p.
+//
+// The exact weighted diameter/radius sits with the unweighted one in
+// core/baselines.h: one token-walk APSP program runs both.
 #pragma once
 
 #include <cstdint>
@@ -26,33 +26,6 @@
 #include "util/rng.h"
 
 namespace qc::core {
-
-/// Distributed exact weighted APSP: timed-release SSSP waves from every
-/// node, staggered by a DFS token over a BFS tree (the weighted
-/// analogue of the unweighted pipelined APSP; weighted wave fronts may
-/// collide, so announcements queue and drain within the CONGEST budget
-/// — correctness is unaffected, and the measured rounds come out near
-/// 3n + ecc_w for moderate weights). This is the classical exact
-/// weighted diameter/radius baseline of Table 1 (Bernstein–Nanongkai
-/// [6] reach Õ(n) regardless of W; substitution S3 in DESIGN.md).
-struct WeightedApspResult {
-  congest::RunStats stats;
-  /// dist[v][s] = d_w(s, v) as learned by node v.
-  std::vector<std::vector<Dist>> dist;
-};
-WeightedApspResult distributed_weighted_apsp(const WeightedGraph& g,
-                                             congest::Config config = {});
-
-/// Classical exact weighted diameter/radius: weighted APSP + local
-/// eccentricities + one aggregate.
-struct ClassicalWeightedResult {
-  congest::RunStats stats;
-  Dist value = 0;
-};
-ClassicalWeightedResult classical_weighted_diameter(
-    const WeightedGraph& g, congest::Config config = {});
-ClassicalWeightedResult classical_weighted_radius(
-    const WeightedGraph& g, congest::Config config = {});
 
 /// 2-approximation of the weighted diameter (and exact upper bound on
 /// twice the radius): one SSSP from the leader + a convergecast.

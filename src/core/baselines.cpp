@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "congest/primitives.h"
 #include "core/approx.h"
@@ -18,26 +19,42 @@ using congest::Message;
 using congest::NodeContext;
 using congest::NodeProgram;
 
-// Pipelined multi-source BFS (Holzer–Wattenhofer style). A DFS token
-// walks a precomputed BFS tree; a node starts its own BFS wave when the
-// token first reaches it and holds the token one extra round before
-// passing it on. Consecutive starts are therefore separated by more
-// than the graph distance between the sources, which makes wave fronts
-// collision-free: every node forwards at most one wave label per round,
-// so the whole APSP fits in O(n + D) rounds under the CONGEST cap.
+// Token-walk APSP (Holzer–Wattenhofer style). A DFS token walks a
+// precomputed BFS tree; a node starts its own wave when the token first
+// reaches it and holds the token one extra round before passing it on.
+// Each node keeps a FIFO of improved (source, dist) labels and drains as
+// many per round as fit in the bandwidth, always sending the current
+// best label. Labels relax Bellman–Ford style, so correctness never
+// depends on timing: the queue absorbs the root's wave overlapping the
+// first waves after it, weighted fronts that collide, and delayed mail.
 //
-// Wire format: {type:2}... type 0 = wave(source, dist), type 1 = token
-// to a child, type 2 = token back to the parent.
-class MultiBfsProgram final : public NodeProgram {
+// kUnit runs the unweighted APSP: an arrival adds the constant 1 rather
+// than its edge's weight. A weighted label is below 2^63 and a weight
+// below kInfDist, so the weighted `+` cannot wrap.
+//
+// Wire format: {type:2}...; type 0 = label(source, dist), type 1 =
+// token down, type 2 = token up.
+template <bool kUnit>
+class TokenWalkApspProgram final : public NodeProgram {
  public:
-  MultiBfsProgram(NodeId root, const congest::BfsTreeNodeResult& tree,
-                  NodeId n)
-      : root_(root), tree_(tree), n_(n), id_bits_(bits_for(n)),
-        dist_(n, kInfDist) {}
+  TokenWalkApspProgram(NodeId root, const congest::BfsTreeNodeResult& tree,
+                       NodeId n, std::uint32_t dist_bits,
+                       std::uint32_t labels_per_round)
+      : root_(root),
+        tree_(tree),
+        id_bits_(bits_for(n)),
+        dist_bits_(dist_bits),
+        labels_per_round_(labels_per_round),
+        dist_(n, kInfDist),
+        queued_(n, false) {}
 
   void on_start(NodeContext& ctx) override {
+    if constexpr (!kUnit) {
+      weights_.reserve(ctx.neighbors().size());
+      for (const HalfEdge& h : ctx.neighbors()) weights_.push_back(h.weight);
+    }
     if (ctx.id() == root_) {
-      start_wave(ctx);
+      start_wave(ctx.id());
       holding_token_ = true;
     }
   }
@@ -45,34 +62,43 @@ class MultiBfsProgram final : public NodeProgram {
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
     for (const Incoming& in : inbox) {
       switch (in.msg.field(0)) {
-        case 0: {  // wave(source, dist)
+        case 0: {
           const auto s = static_cast<NodeId>(in.msg.field(1));
-          const Dist d = in.msg.field(2) + 1;
+          const Dist d = in.msg.field(2) + (kUnit ? 1 : weights_[in.slot]);
           if (d < dist_[s]) {
             dist_[s] = d;
-            Message wave;
-            wave.push(0, 2).push(s, id_bits_).push(d, id_bits_ + 1);
-            ctx.broadcast(wave);
+            enqueue(s);
           }
           break;
         }
-        case 1:  // token arrives from parent
-          start_wave(ctx);
+        case 1:
+          start_wave(ctx.id());
           holding_token_ = true;
           held_rounds_ = 0;
           break;
-        case 2:  // token returned from a child
+        case 2:
           holding_token_ = true;
           held_rounds_ = 1;  // no extra wait on the way back up
           break;
         default:
-          throw ModelError("MultiBfsProgram: unknown message type");
+          throw ModelError("TokenWalkApspProgram: unknown message type");
       }
     }
 
+    const std::size_t sent =
+        std::min<std::size_t>(labels_per_round_, pending_.size());
+    for (std::size_t i = 0; i < sent; ++i) {
+      const NodeId s = pending_[i];
+      queued_[s] = false;
+      Message label;
+      label.push(0, 2).push(s, id_bits_).push(dist_[s], dist_bits_);
+      ctx.broadcast(label);
+    }
+    pending_.erase(pending_.begin(), pending_.begin() + sent);
+
     if (holding_token_) {
       if (held_rounds_ == 0) {
-        ++held_rounds_;  // the one-round pause that prevents collisions
+        ++held_rounds_;  // the one-round pause that staggers the waves
       } else if (next_child_ < tree_.children.size()) {
         Message token;
         token.push(1, 2);
@@ -84,51 +110,130 @@ class MultiBfsProgram final : public NodeProgram {
         token.push(2, 2);
         ctx.send(tree_.parent, token);
         holding_token_ = false;
-        finished_ = true;
+        token_done_ = true;
       } else {
         holding_token_ = false;  // root: DFS complete
-        finished_ = true;
+        token_done_ = true;
       }
     }
   }
 
-  bool done() const override { return finished_; }
+  bool done() const override { return token_done_ && pending_.empty(); }
 
   const std::vector<Dist>& distances() const { return dist_; }
 
  private:
-  void start_wave(NodeContext& ctx) {
-    dist_[ctx.id()] = 0;
-    Message wave;
-    wave.push(0, 2).push(ctx.id(), id_bits_).push(0, id_bits_ + 1);
-    ctx.broadcast(wave);
+  void start_wave(NodeId me) {
+    dist_[me] = 0;
+    enqueue(me);
+  }
+
+  void enqueue(NodeId s) {
+    if (!queued_[s]) {
+      queued_[s] = true;
+      pending_.push_back(s);
+    }
   }
 
   NodeId root_;
   congest::BfsTreeNodeResult tree_;
-  NodeId n_;
   std::uint32_t id_bits_;
+  std::uint32_t dist_bits_;
+  std::uint32_t labels_per_round_;
+  std::vector<Weight> weights_;  ///< by slot of neighbors(); empty if kUnit
   std::vector<Dist> dist_;
+  std::vector<bool> queued_;
+  std::vector<NodeId> pending_;
   bool holding_token_ = false;
-  bool finished_ = false;
+  bool token_done_ = false;
   std::uint32_t held_rounds_ = 0;
   std::size_t next_child_ = 0;
 };
 
+// The walk has no retransmission, dedup or checksum. A lost token
+// stalls it and a lost label may leave a distance wrong; a duplicated
+// adopt lists a child twice in the BFS tree, and the token's second
+// visit finds that child done, so it never returns; a corrupted source
+// id indexes past n. Delays only reorder relaxations, so they are the
+// one fault class it accepts.
+void reject_unsurvivable_faults(const congest::FaultPlan& plan,
+                                const char* primitive) {
+  const congest::FaultProbabilities& p = plan.probabilities;
+  const bool delays_only =
+      p.drop == 0.0 && p.duplicate == 0.0 && p.corrupt == 0.0 &&
+      plan.link_down.empty() && plan.crashes.empty() &&
+      std::all_of(plan.events.begin(), plan.events.end(),
+                  [](const congest::FaultEvent& e) {
+                    return e.kind == congest::FaultKind::kDelay;
+                  });
+  QC_REQUIRE(delays_only,
+             std::string(primitive) +
+                 ": the token walk has no retransmission, dedup or "
+                 "checksum, so a fault plan may only delay messages");
+}
+
+// Both APSPs: the BFS tree from node 0, the distance field
+// (bits_for(n) + 1 for hops, enough for n·W + 1 weighted) and the
+// labels per round that fit beside a token message.
+template <bool kUnit>
+DistributedApspResult token_walk_apsp(const WeightedGraph& g,
+                                      congest::Config config) {
+  const NodeId n = g.node_count();
+  reject_unsurvivable_faults(config.faults, kUnit
+                                                ? "distributed_unweighted_apsp"
+                                                : "distributed_weighted_apsp");
+  QC_REQUIRE(g.is_connected(), "APSP needs a connected network");
+  const auto tree = congest::build_bfs_tree(g, 0, config);
+  const std::uint32_t dist_bits =
+      kUnit ? bits_for(n) + 1
+            : std::min<std::uint32_t>(
+                  63, bits_for(static_cast<Dist>(n) * g.max_weight() + 2));
+  const std::uint32_t msg_bits = 2 + bits_for(n) + dist_bits;
+  const std::uint32_t bandwidth = config.bandwidth_bits != 0
+                                      ? config.bandwidth_bits
+                                      : congest::default_bandwidth(n);
+  const std::uint32_t labels_per_round =
+      std::max<std::uint32_t>(1, (bandwidth - 2) / msg_bits);
+
+  using Program = TokenWalkApspProgram<kUnit>;
+  auto run = congest::run_on_all<Program>(
+      g,
+      [&](NodeId v) {
+        return std::make_unique<Program>(0, tree.nodes[v], n, dist_bits,
+                                         labels_per_round);
+      },
+      config);
+  DistributedApspResult out;
+  out.stats = tree.stats;
+  out.stats += run.stats;
+  out.dist.reserve(n);
+  for (NodeId v = 0; v < n; ++v) {
+    out.dist.push_back(run.at(v).distances());
+  }
+  return out;
+}
+
+// APSP + local eccentricities + one aggregate, whose value field holds
+// a hop count (bits_for(n)) or a weighted distance up to n·W.
 ClassicalExtremumResult classical_extremum(const WeightedGraph& g,
-                                           bool radius,
+                                           bool radius, bool unit,
                                            congest::Config config) {
   const NodeId n = g.node_count();
-  auto apsp = distributed_unweighted_apsp(g, config);
+  auto apsp = unit ? token_walk_apsp<true>(g, config)
+                   : token_walk_apsp<false>(g, config);
   // Each node's eccentricity is local knowledge after APSP.
   std::vector<std::uint64_t> ecc(n, 0);
   for (NodeId v = 0; v < n; ++v) {
     ecc[v] = *std::max_element(apsp.dist[v].begin(), apsp.dist[v].end());
   }
+  const std::uint32_t value_bits =
+      unit ? bits_for(n)
+           : std::min<std::uint32_t>(
+                 63, bits_for(static_cast<Dist>(n) * g.max_weight() + 1));
   const auto agg = congest::global_aggregate(
       g, 0, ecc,
       radius ? congest::AggregateOp::kMin : congest::AggregateOp::kMax,
-      bits_for(n), config);
+      value_bits, config);
   ClassicalExtremumResult out;
   out.stats = apsp.stats;
   out.stats += agg.stats;
@@ -178,33 +283,32 @@ QuantumUnweightedResult quantum_unweighted(const WeightedGraph& g,
 
 DistributedApspResult distributed_unweighted_apsp(const WeightedGraph& g,
                                                   congest::Config config) {
-  const NodeId n = g.node_count();
-  QC_REQUIRE(g.is_connected(), "APSP needs a connected network");
-  const auto tree = congest::build_bfs_tree(g, 0, config);
-  auto run = congest::run_on_all<MultiBfsProgram>(
-      g,
-      [&](NodeId v) {
-        return std::make_unique<MultiBfsProgram>(0, tree.nodes[v], n);
-      },
-      config);
-  DistributedApspResult out;
-  out.stats = tree.stats;
-  out.stats += run.stats;
-  out.dist.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    out.dist.push_back(run.at(v).distances());
-  }
-  return out;
+  return token_walk_apsp<true>(g, std::move(config));
+}
+
+DistributedApspResult distributed_weighted_apsp(const WeightedGraph& g,
+                                                congest::Config config) {
+  return token_walk_apsp<false>(g, std::move(config));
 }
 
 ClassicalExtremumResult classical_unweighted_diameter(const WeightedGraph& g,
                                                       congest::Config config) {
-  return classical_extremum(g, false, config);
+  return classical_extremum(g, false, true, std::move(config));
 }
 
 ClassicalExtremumResult classical_unweighted_radius(const WeightedGraph& g,
                                                     congest::Config config) {
-  return classical_extremum(g, true, config);
+  return classical_extremum(g, true, true, std::move(config));
+}
+
+ClassicalExtremumResult classical_weighted_diameter(const WeightedGraph& g,
+                                                    congest::Config config) {
+  return classical_extremum(g, false, false, std::move(config));
+}
+
+ClassicalExtremumResult classical_weighted_radius(const WeightedGraph& g,
+                                                  congest::Config config) {
+  return classical_extremum(g, true, false, std::move(config));
 }
 
 QuantumUnweightedResult quantum_unweighted_diameter(const WeightedGraph& g,

@@ -1,7 +1,9 @@
-// Baselines for Table 1: classical distributed algorithms (genuine,
-// message-level) and the Le Gall–Magniez-style quantum search for the
-// unweighted diameter/radius, plus closed-form round-cost models for the
-// baselines whose internals are out of scope (see DESIGN.md S3).
+// Baselines for Table 1: the classical exact rows (genuine,
+// message-level: one token-walk APSP program runs both the unweighted
+// and the weighted APSP, and the diameter/radius aggregate on top), the
+// Le Gall–Magniez-style quantum search for the unweighted
+// diameter/radius, plus closed-form round-cost models for the baselines
+// whose internals are out of scope (see DESIGN.md S3).
 #pragma once
 
 #include <cstdint>
@@ -11,21 +13,37 @@
 
 namespace qc::core {
 
-/// Distributed unweighted APSP by pipelined concurrent BFS floods
-/// (Holzer–Wattenhofer style: one wave label per source, forwarded on
-/// improvement, a bounded number of labels per node per round). Every
-/// node learns its hop distance to every other node. O(n + D) rounds.
+/// Distributed exact APSP by a token walk (Holzer–Wattenhofer style): a
+/// DFS token walks a BFS tree from node 0 and starts one wave per node,
+/// holding one extra round at each first visit. Every node relaxes the
+/// (source, dist) labels it hears Bellman–Ford style and forwards each
+/// improvement through a FIFO drained within the CONGEST bandwidth, so
+/// the result never depends on timing; the queue absorbs the overlap of
+/// the root's wave with the next ones and weighted fronts that collide.
+/// Every node learns its distance to every other node.
+///
+/// `distributed_unweighted_apsp` counts hops: O(n + D) rounds, the
+/// classical Θ(n) row of Table 1. `distributed_weighted_apsp` adds edge
+/// weights: near 3n + ecc_w rounds for moderate weights, the classical
+/// exact weighted row (Bernstein–Nanongkai [6] reach Õ(n) regardless of
+/// W; substitution S3 in DESIGN.md).
+///
+/// The walk has no retransmission, dedup or checksum: a fault plan that
+/// drops, duplicates or corrupts messages, takes a link down or crashes
+/// a node is rejected with ArgumentError before any round runs. Delays
+/// are allowed; the labels stay exact under them.
 struct DistributedApspResult {
   congest::RunStats stats;
-  /// dist[v][s] = hop distance from s to v (as learned by node v).
+  /// dist[v][s] = distance from s to v (as learned by node v).
   std::vector<std::vector<Dist>> dist;
 };
 DistributedApspResult distributed_unweighted_apsp(const WeightedGraph& g,
                                                   congest::Config config = {});
+DistributedApspResult distributed_weighted_apsp(const WeightedGraph& g,
+                                                congest::Config config = {});
 
-/// Classical exact unweighted diameter/radius: APSP + local
-/// eccentricities + a global aggregate. Θ(n) rounds — the classical
-/// baseline row of Table 1.
+/// Classical exact diameter/radius: the APSP above + local
+/// eccentricities + one global aggregate (Θ(n) rounds unweighted).
 struct ClassicalExtremumResult {
   congest::RunStats stats;
   Dist value = 0;
@@ -33,6 +51,10 @@ struct ClassicalExtremumResult {
 ClassicalExtremumResult classical_unweighted_diameter(
     const WeightedGraph& g, congest::Config config = {});
 ClassicalExtremumResult classical_unweighted_radius(
+    const WeightedGraph& g, congest::Config config = {});
+ClassicalExtremumResult classical_weighted_diameter(
+    const WeightedGraph& g, congest::Config config = {});
+ClassicalExtremumResult classical_weighted_radius(
     const WeightedGraph& g, congest::Config config = {});
 
 /// Quantum unweighted diameter/radius via the Lemma 3.1 framework over

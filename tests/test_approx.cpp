@@ -3,12 +3,16 @@
 // folklore 2-approximation, pipelined multi-source BFS, and the
 // 3/2-approximation of the unweighted diameter, with literal goldens
 // for the weighted SSSP and the 2-approximation, for the BFS, and for
-// the 3/2-approx and LGM rounds built on it — plus the ε-override knob
-// on Theorem 1.1.
+// the 3/2-approx and LGM rounds built on it; the token-walk APSP behind
+// both classical exact rows of Table 1 (core/baselines.h), pinned,
+// under delays, on the pool and against the fault plans it refuses —
+// plus the ε-override knob on Theorem 1.1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "core/approx.h"
 #include "core/baselines.h"
@@ -153,7 +157,7 @@ TEST(TwoApproxGolden, StatsArePinned) {
 }
 
 // ---------------------------------------------------------------------
-// Weighted APSP + classical weighted extremum baselines
+// Token-walk APSP: both classical exact rows of Table 1
 // ---------------------------------------------------------------------
 
 class WeightedApspTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -181,20 +185,22 @@ TEST_P(WeightedApspTest, RoundsNearLinearForSmallWeights) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WeightedApspTest,
                          ::testing::Range<std::uint64_t>(1, 6));
 
-RunPin pin_weighted_apsp(const WeightedGraph& g) {
+// The unweighted (`unit`) or weighted APSP under `cfg`, pinned: every
+// node's row is checked against BFS or Dijkstra and digested.
+RunPin pin_apsp(const WeightedGraph& g, bool unit, congest::Config cfg = {}) {
   std::vector<congest::RoundMetrics> log;
-  congest::Config cfg;
   cfg.hooks.on_round_metrics = [&log](const congest::RoundMetrics& m) {
     log.push_back(m);
   };
-  const auto res = distributed_weighted_apsp(g, cfg);
-  std::uint64_t h = congest::fnv1a({});
+  const auto res = unit ? distributed_unweighted_apsp(g, cfg)
+                        : distributed_weighted_apsp(g, cfg);
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto ref = dijkstra(g, s);
+    const auto ref = unit ? bfs_distances(g, s) : dijkstra(g, s);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       EXPECT_EQ(res.dist[v][s], ref[v]) << "s=" << s << " v=" << v;
     }
   }
+  std::uint64_t h = congest::fnv1a({});
   for (const auto& row : res.dist) {
     for (const Dist d : row) h = congest::fnv1a({d}, h);
   }
@@ -214,7 +220,7 @@ TEST(WeightedApspGolden, RunsArePinned) {
   const auto graphs = weighted_golden_graphs();
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     SCOPED_TRACE(graphs[i].name);
-    EXPECT_EQ(pin_weighted_apsp(graphs[i].g), expected[i]);
+    EXPECT_EQ(pin_apsp(graphs[i].g, false), expected[i]);
   }
 }
 
@@ -234,6 +240,206 @@ TEST(ClassicalWeighted, HeavyEdgeGraph) {
   g.add_edge(3, 4, 1);
   g.add_edge(4, 0, 1);
   EXPECT_EQ(classical_weighted_diameter(g).value, weighted_diameter(g));
+}
+
+// The weighted golden graphs plus four structured ones.
+std::vector<WeightedGoldenCase> apsp_golden_graphs() {
+  auto out = weighted_golden_graphs();
+  out.push_back({"path(20)", gen::path(20)});
+  out.push_back({"grid(4,6)", gen::grid(4, 6)});
+  out.push_back({"hypercube(5)", gen::hypercube(5)});
+  out.push_back({"star(24)", gen::star(24)});
+  return out;
+}
+
+// The unweighted APSP's RunStats and distance rows, as literals captured
+// from the program that broadcast every improvement on arrival. The
+// traffic digests are the token walk's: its root's first wave leaves
+// through the label queue in round 0 rather than from on_start, which
+// moves the first rounds' traffic and no total.
+TEST(UnweightedApspGolden, RunsArePinned) {
+  const RunPin expected[7] = {
+      {{126, 7579, 110669}, 15761988843599752223ull, 8105213287677523557ull},
+      {{149, 13273, 195071}, 3940167443101515813ull, 7257093834633799525ull},
+      {{99, 4713, 59235}, 9608532765587794178ull, 12910217806475264997ull},
+      {{79, 855, 10203}, 13815596470830570502ull, 13563880110488323045ull},
+      {{85, 1969, 24283}, 5360044835777841505ull, 15034466296830319653ull},
+      {{105, 5373, 67675}, 1142655251920144427ull, 14699706687407252261ull},
+      {{74, 1219, 14743}, 15792935810595378016ull, 7109872545545675429ull},
+  };
+  const auto graphs = apsp_golden_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(graphs[i].name);
+    EXPECT_EQ(pin_apsp(graphs[i].g, true), expected[i]);
+  }
+}
+
+struct ExtremumPin {
+  congest::RunStats stats;
+  Dist value = 0;
+
+  friend bool operator==(const ExtremumPin&, const ExtremumPin&) = default;
+  friend void PrintTo(const ExtremumPin& p, std::ostream* os) {
+    *os << "{{" << p.stats.rounds << ", " << p.stats.messages << ", "
+        << p.stats.bits << "}, " << p.value << "}";
+  }
+};
+
+// RunStats and value of the unweighted diameter and radius and the
+// weighted diameter and radius, as literals captured when each row of
+// Table 1 had its own program and extremum function.
+TEST(ClassicalExtremumGolden, StatsArePinned) {
+  const ExtremumPin expected[7][4] = {
+      {{{140, 7878, 112827}, 5}, {{140, 7878, 112827}, 3},
+       {{140, 7878, 105547}, 5}, {{140, 7878, 105547}, 3}},
+      {{{160, 13682, 198061}, 4}, {{160, 13682, 198061}, 3},
+       {{161, 19539, 323640}, 22}, {{161, 19539, 323640}, 12}},
+      {{{110, 4946, 60711}, 5}, {{110, 4946, 60711}, 3},
+       {{113, 7977, 153187}, 354}, {{113, 7977, 153187}, 209}},
+      {{{138, 950, 10773}, 19}, {{138, 950, 10773}, 10},
+       {{138, 950, 10013}, 19}, {{138, 950, 10013}, 10}},
+      {{{111, 2114, 25183}, 8}, {{111, 2114, 25183}, 5},
+       {{111, 2114, 23359}, 8}, {{111, 2114, 23359}, 5}},
+      {{{122, 5626, 69291}, 5}, {{122, 5626, 69291}, 5},
+       {{122, 5626, 69353}, 5}, {{122, 5626, 69353}, 5}},
+      {{{79, 1334, 15433}, 2}, {{79, 1334, 15433}, 1},
+       {{79, 1334, 14329}, 2}, {{79, 1334, 14329}, 1}},
+  };
+  const auto graphs = apsp_golden_graphs();
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(graphs[i].name);
+    const WeightedGraph& g = graphs[i].g;
+    const ClassicalExtremumResult runs[4] = {
+        classical_unweighted_diameter(g), classical_unweighted_radius(g),
+        classical_weighted_diameter(g), classical_weighted_radius(g)};
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ((ExtremumPin{runs[k].stats, runs[k].value}), expected[i][k])
+          << "extremum " << k;
+    }
+  }
+}
+
+// Labels relax Bellman–Ford style, so delays move rounds but never a
+// distance. Broadcasting every improvement on arrival would overrun the
+// bandwidth here (52 bits > B = 40 on seed 2); the label queue keeps
+// each round within it.
+TEST(TokenWalkApsp, ExactUnderDelayOnlyPlans) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    auto g = gen::erdos_renyi_connected(30, 0.15, rng);
+    g = gen::randomize_weights(g, 9, rng);
+    congest::Config cfg;
+    cfg.faults.seed = seed;
+    cfg.faults.probabilities.delay = 0.3;
+    cfg.faults.probabilities.delay_rounds =
+        1 + static_cast<std::uint32_t>(seed % 4);
+    for (const bool unit : {true, false}) {
+      (void)pin_apsp(g, unit, cfg);
+    }
+  }
+}
+
+TEST(TokenWalkApsp, IdenticalAtAnyWorkerCount) {
+  const auto g = wgraph(64, 48, 9);
+  congest::FaultPlan delays;
+  delays.seed = 3;
+  delays.probabilities.delay = 0.3;
+  delays.probabilities.delay_rounds = 2;
+  for (const bool unit : {true, false}) {
+    SCOPED_TRACE(unit ? "unweighted" : "weighted");
+    congest::Config serial;
+    congest::Config pooled;
+    pooled.execution.workers = 4;
+    pooled.execution.pooled_round_min_work = 0;
+    const RunPin fault_free = pin_apsp(g, unit, serial);
+    EXPECT_EQ(pin_apsp(g, unit, pooled), fault_free);
+    serial.faults = delays;
+    pooled.faults = delays;
+    const RunPin delayed = pin_apsp(g, unit, serial);
+    EXPECT_NE(delayed.traffic, fault_free.traffic);  // the plan fired
+    EXPECT_EQ(pin_apsp(g, unit, pooled), delayed);
+  }
+}
+
+// A plan the walk cannot survive is refused by both APSPs and the
+// extrema on them, naming the entry point, before any round runs.
+// The events name grid edge {0, 1}.
+void expect_token_walk_rejects(const congest::FaultPlan& plan) {
+  Rng rng(65);
+  const auto g = gen::randomize_weights(gen::grid(4, 6), 9, rng);
+  std::uint64_t rounds_run = 0;
+  congest::Config cfg;
+  cfg.faults = plan;
+  cfg.hooks.on_round_metrics = [&](const congest::RoundMetrics&) {
+    ++rounds_run;
+  };
+  const struct {
+    const char* primitive;
+    std::function<void()> run;
+  } calls[] = {
+      {"distributed_unweighted_apsp",
+       [&] { (void)distributed_unweighted_apsp(g, cfg); }},
+      {"distributed_weighted_apsp",
+       [&] { (void)distributed_weighted_apsp(g, cfg); }},
+      {"distributed_unweighted_apsp",
+       [&] { (void)classical_unweighted_radius(g, cfg); }},
+      {"distributed_weighted_apsp",
+       [&] { (void)classical_weighted_diameter(g, cfg); }},
+  };
+  for (const auto& call : calls) {
+    try {
+      call.run();
+      ADD_FAILURE() << call.primitive << " ran under the plan";
+    } catch (const ArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(call.primitive), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(rounds_run, 0u);
+}
+
+congest::FaultPlan event_plan(congest::FaultKind kind) {
+  congest::FaultPlan plan;
+  plan.events.push_back({.round = 3, .from = 0, .to = 1, .kind = kind});
+  return plan;
+}
+
+// Without retransmission a dropped token never arrives.
+TEST(TokenWalkApsp, RejectsDropPlans) {
+  congest::FaultPlan p;
+  p.probabilities.drop = 0.05;
+  expect_token_walk_rejects(p);
+  expect_token_walk_rejects(event_plan(congest::FaultKind::kDrop));
+}
+
+// A duplicated adopt lists a child twice in the BFS tree, and the
+// token never returns from its second visit.
+TEST(TokenWalkApsp, RejectsDuplicatePlans) {
+  congest::FaultPlan p;
+  p.probabilities.duplicate = 0.1;
+  expect_token_walk_rejects(p);
+  expect_token_walk_rejects(event_plan(congest::FaultKind::kDuplicate));
+}
+
+// A corrupted source id would index a node's label table past n.
+TEST(TokenWalkApsp, RejectsCorruptPlans) {
+  congest::FaultPlan p;
+  p.probabilities.corrupt = 0.01;
+  expect_token_walk_rejects(p);
+  expect_token_walk_rejects(event_plan(congest::FaultKind::kCorrupt));
+}
+
+TEST(TokenWalkApsp, RejectsLinkDownPlans) {
+  congest::FaultPlan p;
+  p.link_down.push_back({.a = 0, .b = 1, .first_round = 2, .last_round = 5});
+  expect_token_walk_rejects(p);
+}
+
+TEST(TokenWalkApsp, RejectsCrashPlans) {
+  congest::FaultPlan p;
+  p.crashes.push_back({.node = 5, .round = 10});
+  expect_token_walk_rejects(p);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 verification, exactly as ROADMAP.md specifies:
 #   cmake -B build -S . && cmake --build build -j && cd build && ctest ...
+# Every build and ctest call gets an explicit job count, -j "$(nproc)":
+# ctest ignores a trailing bare -j (it ran serially) and reads
+# `-j -L faults` as a job count of `-L`, running every entry.
 #
 # Usage:
 #   tools/run_tier1.sh                 # plain build + ctest
@@ -74,7 +77,7 @@ if [ "$BENCH_GATE" -eq 1 ]; then
     BENCH_congest_sim.json BENCH_datasets.json BENCH_dynamic.json \
     BENCH_theorem11.json BENCH_service.json
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target \
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
     bench_congest_sim bench_datasets bench_dynamic bench_theorem11_scaling \
     bench_service
   "$BUILD_DIR/bench/bench_congest_sim" --out "$BUILD_DIR/BENCH_fresh.json"
@@ -121,7 +124,7 @@ fi
 if [ "$TSAN_ONLY" -eq 1 ]; then
   BUILD_DIR=build-thread
   cmake -B "$BUILD_DIR" -S . -DQC_SANITIZE=thread
-  cmake --build "$BUILD_DIR" -j --target \
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
     test_graph test_runtime test_congest test_paths test_faults \
     test_theorem11 test_service test_datasets test_dynamic test_core
   # Run the binaries directly: gtest_discover_tests registers per-test
@@ -154,9 +157,9 @@ if [ "$FAULTS_ONLY" -eq 1 ]; then
   # per-class fault events, robust primitives.
   BUILD_DIR=build
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j --target test_faults
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target test_faults
   cd "$BUILD_DIR"
-  ctest --output-on-failure -j -L faults
+  ctest --output-on-failure -j "$(nproc)" -L faults
   exit 0
 fi
 
@@ -177,6 +180,6 @@ fi
 
 # shellcheck disable=SC2086  # CMAKE_EXTRA is intentionally word-split
 cmake -B "$BUILD_DIR" -S . $CMAKE_EXTRA
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
-ctest --output-on-failure -j
+ctest --output-on-failure -j "$(nproc)"
