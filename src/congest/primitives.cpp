@@ -47,7 +47,11 @@ class BfsTreeProgram final : public NodeProgram {
         Message adopt;
         adopt.push(1, 1);
         ctx.send_to_slot(in.slot, adopt);
-      } else if (type == 1) {
+      } else if (type == 1 && (result_.children.empty() ||
+                               result_.children.back() != in.from)) {
+        // A child adopts once; a duplicated adopt's two copies sit next
+        // to each other in the row (a delayed message is never
+        // duplicated), so comparing with the last child drops the copy.
         result_.children.push_back(in.from);
       }
     }

@@ -136,6 +136,9 @@ struct Config {
     /// runtime::MetricsRegistry via runtime::attach_simulator_metrics).
     /// Called once after every executed round (never for a skipped
     /// one, see RoundMetrics); empty = no overhead.
+    /// With a pool, Algorithm 5's sub-runs
+    /// (paths::distributed_overlay_sssp) may call it concurrently from
+    /// pool threads.
     std::function<void(const RoundMetrics&)> on_round_metrics;
   };
 

@@ -267,16 +267,20 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
 
     // Setup_i: leader collects S_i and broadcasts the superposition via
     // CNOT copies (O(D + r): model as one aggregate round trip), then
-    // Algorithm 5 for the measured source.
+    // Algorithm 5 for the measured source, its sub-runs on the pool.
     const std::uint32_t s_idx = set_arg_from_eccs(chosen_eccs, radius);
     out.witness = sk.members[s_idx];
     std::vector<std::uint64_t> zeros(n, 0);
     const auto sync = congest::global_aggregate(
         g, 0, zeros, congest::AggregateOp::kMax, 1);
+    congest::Config alg5_config;
+    alg5_config.execution.pool = &pool;
     const auto alg5 = paths::distributed_overlay_sssp(
         g, emb,
-        paths::RunRequest{}.with_params(out.params).with_overlay_source(
-            s_idx));
+        paths::RunRequest{}
+            .with_params(out.params)
+            .with_overlay_source(s_idx)
+            .with_config(alg5_config));
     out.measured.t_setup_rounds = sync.stats.rounds + alg5.stats.rounds;
 
     // Evaluation_i: each node locally combines d̃″(s,u) + σ″·d̃^ℓ(u,v)

@@ -26,9 +26,12 @@
 // `ToolkitCache::evaluate_set`, and searches the resulting value
 // vector. Only the measured set is materialized as a full `Skeleton`.
 // The evaluation runs on a fork/join pool of `oracle_workers` workers,
-// the calling thread among them (all of them at `oracle_workers == 1`); the
-// `Theorem11Result` is identical at any worker count (asserted by
-// tests/test_theorem11.cpp) except for the wall-clock
+// the calling thread among them (all of them at `oracle_workers == 1`).
+// The measure phase hands the same pool to Algorithm 5, whose overlay
+// rounds' simulated sub-runs (count aggregate plus announcement flood)
+// run concurrently on it, each on a serial engine, their ledgers summed
+// in round order. The `Theorem11Result` is identical at any worker count
+// (asserted by tests/test_theorem11.cpp) except for the wall-clock
 // `Theorem11Result::phase_seconds`.
 #pragma once
 
@@ -60,10 +63,11 @@ struct Theorem11Options {
   /// choice balances Initialization (∝ n/r per Algorithm 1's ℓ) against
   /// the searches (outer √(n/r), inner √r).
   std::uint64_t r_override = 0;
-  /// Workers for the oracle's row fill and set evaluations, the calling
-  /// thread included: 1 runs them on the calling thread alone, k on it
-  /// and k - 1 pool threads (0 = hardware concurrency). Never changes
-  /// the answer.
+  /// Workers for the oracle's row fill and set evaluations and for the
+  /// measured Algorithm 5's sub-runs, the calling thread included: 1
+  /// runs them on the calling thread alone, k on it and k - 1 pool
+  /// threads (0 = hardware concurrency). Never changes the answer or a
+  /// charged round.
   unsigned oracle_workers = 0;
   /// Run the all-sets ground-truth census: the exact oracle answer, the
   /// approximation ratio / sandwich check, and the Lemma 3.4 good-set

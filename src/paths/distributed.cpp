@@ -1,10 +1,13 @@
 #include "paths/distributed.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <numeric>
 #include <optional>
 
 #include "paths/reference.h"
+#include "runtime/thread_pool.h"
 
 namespace qc::paths {
 
@@ -621,24 +624,39 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
   OverlaySsspResult out;
   out.approx.assign(b, kInfDist);
 
-  // Conceptually, cur[a] lives at node overlay.sources[a]; relaxations
-  // use only a's own w″ row plus globally flooded announcements, so the
-  // dataflow matches the real distributed execution exactly.
+  // Each overlay round's sub-run: "count a and make every node know a in
+  // O(D_G) rounds" (a counting aggregate), then, if a > 0, the flood of
+  // the a announcements (O(D_G + a) rounds), after which every node
+  // records them at scale j.
+  struct SubRun {
+    std::uint32_t scale;
+    std::vector<std::pair<std::uint32_t, Dist>> due;
+    std::uint64_t rounds = 1;  ///< overlay rounds this sub-run stands for
+    congest::RunStats stats;
+    std::exception_ptr failure;
+  };
+  std::vector<SubRun> runs;  // in round order
+
+  // Pass 1, the relaxation. Conceptually, cur[a] lives at node
+  // overlay.sources[a]; relaxations use only a's own w″ row plus
+  // globally flooded announcements, so the dataflow matches the real
+  // distributed execution exactly. A sub-run feeds back only its checks,
+  // so this pass lists every round's due announcements before any
+  // sub-run starts.
   //
   // Most of the scales·(cap+1) overlay rounds announce nothing: their
   // counting aggregate runs with all-zero inputs, and the simulator is
-  // deterministic, so one such run stands for all of them. The cache is
-  // bypassed under a fault plan, whose injected effects are the point of
-  // running every aggregate for real.
-  std::optional<congest::AggregateResult> zero_agg;
-  const bool cache_zero_agg = config.faults.empty();
+  // deterministic, so one such run, at the first quiet round, stands for
+  // all of them. Under a fault plan every quiet round runs its own
+  // aggregate, whose injected effects are the point of running it.
+  const bool share_quiet_run = config.faults.empty();
+  std::optional<std::size_t> quiet_run;
   std::vector<Dist> cur(b, kInfDist);
   for (std::uint32_t j = 0; j < scales; ++j) {
     std::fill(cur.begin(), cur.end(), kInfDist);
     cur[source_idx] = 0;
     std::vector<bool> announced(b, false);
     for (Dist offset = 0; offset <= cap; ++offset) {
-      // Overlay round: collect due announcements.
       std::vector<std::pair<std::uint32_t, Dist>> due;
       for (std::uint32_t a = 0; a < b; ++a) {
         if (!announced[a] && cur[a] == offset) {
@@ -646,51 +664,70 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
           due.emplace_back(a, cur[a]);
         }
       }
-      // "Count a and make every node know a in O(D_G) rounds."
-      if (due.empty() && cache_zero_agg) {
-        if (!zero_agg) {
-          zero_agg = congest::global_aggregate(
-              g, 0, std::vector<std::uint64_t>(n, 0),
-              congest::AggregateOp::kSum, idx_bits, config);
-          QC_CHECK(zero_agg->value == 0, "announcement count mismatch");
-        }
-        out.stats += zero_agg->stats;
+      const bool shared = due.empty() && share_quiet_run;
+      if (shared && quiet_run) {
+        ++runs[*quiet_run].rounds;
         continue;
       }
-      std::vector<std::uint64_t> counts(n, 0);
-      for (const auto& [a, d] : due) counts[overlay.sources[a]] += 1;
-      auto agg = congest::global_aggregate(
-          g, 0, counts, congest::AggregateOp::kSum, idx_bits, config);
-      out.stats += agg.stats;
-      QC_CHECK(agg.value == due.size(), "announcement count mismatch");
-      if (due.empty()) continue;
+      if (shared) quiet_run = runs.size();
+      runs.push_back({j, std::move(due), 1, {}, nullptr});
 
-      // Broadcast the announcements to all nodes (O(D_G + a) rounds).
-      std::vector<std::vector<FloodItem>> items(n);
-      for (const auto& [a, d] : due) {
-        FloodItem item;
-        item.push(a, idx_bits).push(d, d_bits);
-        items[overlay.sources[a]].push_back(std::move(item));
-      }
-      out.stats += congest::flood_items(g, std::move(items), config,
-                                        congest::FloodCollect::kStatsOnly)
-                       .stats;
-
-      // Every node records the announcement; overlay members relax
-      // their own state with their private w″ row.
-      for (const auto& [a, d] : due) {
-        const Dist shifted = d << j;
-        QC_CHECK((shifted >> j) == d && shifted < kInfDist,
-                 "scaled distance overflow");
-        out.approx[a] = std::min(out.approx[a], shifted);
+      // Overlay members relax their own state with their private w″ row
+      // (the sub-run checks the recorded d·2^j for overflow).
+      for (const auto& [a, d] : runs.back().due) {
+        out.approx[a] = std::min(out.approx[a], d << j);
         for (std::uint32_t c = 0; c < b; ++c) {
           if (c == a || overlay.w2[c][a] >= kInfDist) continue;
-          const Dist via =
-              dist_add(d, hs.rounded_weight(overlay.w2[c][a], j));
+          const Dist via = dist_add(d, hs.rounded_weight(overlay.w2[c][a], j));
           cur[c] = std::min(cur[c], via);
         }
       }
     }
+  }
+
+  // Pass 2, the sub-runs: concurrently on the request's pool, each on a
+  // serial engine. Every run keeps its own failure, so the rethrow below
+  // picks the lowest round's, as a sequential run would throw it; runs
+  // past a known failure are skipped, since they cannot change it.
+  Config serial = config;
+  serial.execution.pool = nullptr;
+  serial.execution.workers = 1;
+  std::atomic<std::size_t> first_failure{runs.size()};
+  runtime::parallel_for(config.execution.pool, runs.size(), [&](std::size_t i) {
+    if (i > first_failure.load(std::memory_order_relaxed)) return;
+    SubRun& run = runs[i];
+    try {
+      std::vector<std::uint64_t> counts(n, 0);
+      for (const auto& [a, d] : run.due) counts[overlay.sources[a]] += 1;
+      const auto agg = congest::global_aggregate(
+          g, 0, counts, congest::AggregateOp::kSum, idx_bits, serial);
+      QC_CHECK(agg.value == run.due.size(), "announcement count mismatch");
+      run.stats = agg.stats;
+      if (run.due.empty()) return;
+      std::vector<std::vector<FloodItem>> items(n);
+      for (const auto& [a, d] : run.due) {
+        FloodItem item;
+        item.push(a, idx_bits).push(d, d_bits);
+        items[overlay.sources[a]].push_back(std::move(item));
+      }
+      run.stats += congest::flood_items(g, std::move(items), serial,
+                                        congest::FloodCollect::kStatsOnly)
+                       .stats;
+      for (const auto& [a, d] : run.due) {
+        const Dist shifted = d << run.scale;
+        QC_CHECK((shifted >> run.scale) == d && shifted < kInfDist,
+                 "scaled distance overflow");
+      }
+    } catch (...) {
+      run.failure = std::current_exception();
+      std::size_t seen = first_failure.load(std::memory_order_relaxed);
+      while (i < seen && !first_failure.compare_exchange_weak(seen, i)) {
+      }
+    }
+  });
+  for (const SubRun& run : runs) {
+    if (run.failure) std::rethrow_exception(run.failure);
+    for (std::uint64_t r = 0; r < run.rounds; ++r) out.stats += run.stats;
   }
   return out;
 }

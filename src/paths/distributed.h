@@ -204,6 +204,19 @@ struct OverlaySsspResult {
 };
 /// Reads req.params (required), req.overlay_source and req.config;
 /// `overlay` stays positional (Algorithm 4's output data).
+///
+/// Runs in two passes. The relaxation is centralized bookkeeping, and
+/// the simulated sub-runs feed back only their checks, so the first
+/// pass relaxes and lists every overlay round's due announcements. The
+/// second runs each round's sub-run (the count aggregate, plus the
+/// flood when a > 0) as one index of a runtime::parallel_for on
+/// req.config.execution.pool, each on a serial engine (no pool, one
+/// worker); a null or one-worker pool runs the same loop on the
+/// caller. With an empty fault plan one all-zero aggregate stands for
+/// every quiet round. Ledgers are summed in round order, and each
+/// sub-run keeps its own failure: the lowest round's is rethrown, so a
+/// faulted run throws what a sequential one would at any worker count.
+/// With a pool, on_round_metrics hooks run concurrently on pool threads.
 OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
                                            const OverlayEmbedding& overlay,
                                            const RunRequest& req);

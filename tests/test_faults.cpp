@@ -11,7 +11,9 @@
 //   * the timed-release output rule of Algorithms 1-2 under a crash
 //     and under mail delayed past the last scale;
 //   * global_aggregate under drops and delays, and its rejection of
-//     duplicate and corrupt plans;
+//     duplicate and corrupt plans; the BFS tree's children under
+//     duplicated adopts;
+//   * Algorithm 5's pooled sub-runs under delay and drop plans;
 //   * paths::RunRequest required fields and fault-plan plumbing;
 //   * quantum link faults and the runtime metrics bridge.
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include "congest/faults.h"
 #include "congest/primitives.h"
 #include "congest/simulator.h"
+#include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "paths/distributed.h"
 #include "paths/reference.h"
@@ -34,6 +37,7 @@
 #include "run_digest.h"
 #include "runtime/metrics.h"
 #include "runtime/sweep.h"
+#include "runtime/thread_pool.h"
 #include "toolkit_pins.h"
 #include "util/rng.h"
 
@@ -743,6 +747,113 @@ TEST(AggregateFaults, DuplicateOrCorruptPlanIsRejected) {
           << e.what();
     }
     EXPECT_EQ(rounds_run, 0u);
+  }
+}
+
+// A duplicated adopt reaches the parent as two adjacent copies; the
+// parent records that child once. Each of these plans duplicates some
+// adopt (the tree used to list 29/26/27 children for 23 nodes).
+TEST(BfsTreeFaults, DuplicatedAdoptRecordsTheChildOnce) {
+  const auto g = aggregate_graph();
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "plan seed " << seed);
+    Config cfg;
+    cfg.faults.seed = seed;
+    cfg.faults.probabilities.duplicate = 0.1;
+    const BfsTreeResult res = build_bfs_tree(g, 0, cfg);
+    ASSERT_TRUE(res.outcome.completed);
+    EXPECT_GT(res.outcome.faults.duplicated, 0u);
+    std::vector<int> listed(g.node_count(), 0);
+    for (NodeId p = 0; p < g.node_count(); ++p) {
+      for (const NodeId c : res.nodes[p].children) {
+        EXPECT_EQ(res.nodes[c].parent, p) << "child " << c;
+        ++listed[c];
+      }
+    }
+    for (NodeId v = 1; v < g.node_count(); ++v) {
+      EXPECT_EQ(listed[v], 1) << "node " << v;
+    }
+    EXPECT_EQ(listed[0], 0);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Algorithm 5's sub-runs under a fault plan
+// ---------------------------------------------------------------------
+
+// Algorithm 5 from overlay source 2 of a five-member overlay on the
+// toolkit graph (built fault-free), under `faults`, with its sub-runs on
+// `pool`.
+struct OverlayUnderFaults {
+  WeightedGraph g = paths::toolkit_graph();
+  paths::Params params =
+      paths::Params::make(g.node_count(), unweighted_diameter(g));
+  paths::OverlayEmbedding emb;
+
+  OverlayUnderFaults() {
+    const std::vector<NodeId> set = {1, 5, 9, 14, 20};
+    Rng delays(17);
+    const auto ms = paths::distributed_multi_source_bhs(
+        g, paths::RunRequest{}
+               .with_sources(set)
+               .with_scale({params.ell, params.eps_inv, g.max_weight()})
+               .with_rng(delays));
+    emb = paths::distributed_embed_overlay(
+        g, ms.approx,
+        paths::RunRequest{}.with_sources(set).with_params(params));
+  }
+
+  paths::OverlaySsspResult run(const FaultPlan& faults,
+                               runtime::ThreadPool* pool) const {
+    Config cfg;
+    cfg.faults = faults;
+    cfg.execution.pool = pool;
+    return paths::distributed_overlay_sssp(g, emb,
+                                           paths::RunRequest{}
+                                               .with_params(params)
+                                               .with_overlay_source(2)
+                                               .with_config(cfg));
+  }
+};
+
+TEST(OverlaySsspFaults, DelayOnlyPlanIsEqualAtEveryWorkerCount) {
+  const OverlayUnderFaults fx;
+  const auto fault_free = fx.run({}, nullptr);
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.probabilities.delay = 0.02;
+  plan.probabilities.delay_rounds = 2;
+  const auto serial = fx.run(plan, nullptr);
+  // The delays stretch the sub-runs; the relaxation is untouched.
+  EXPECT_GT(serial.stats.rounds, fault_free.stats.rounds);
+  EXPECT_EQ(serial.approx, fault_free.approx);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    runtime::ThreadPool pool(workers);
+    const auto res = fx.run(plan, &pool);
+    EXPECT_EQ(res.stats, serial.stats) << "workers " << workers;
+    EXPECT_EQ(res.approx, serial.approx) << "workers " << workers;
+  }
+}
+
+TEST(OverlaySsspFaults, DropPlanThrowsTheSameAtEveryWorkerCount) {
+  const OverlayUnderFaults fx;
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.probabilities.drop = 0.05;
+  const auto failure = [&](runtime::ThreadPool* pool) -> std::string {
+    try {
+      (void)fx.run(plan, pool);
+    } catch (const AlgorithmFailure& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "Algorithm 5 returned under the drop plan";
+    return {};
+  };
+  const std::string serial = failure(nullptr);
+  EXPECT_NE(serial.find("without a value"), std::string::npos) << serial;
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    runtime::ThreadPool pool(workers);
+    EXPECT_EQ(failure(&pool), serial) << "workers " << workers;
   }
 }
 

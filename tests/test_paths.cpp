@@ -453,13 +453,30 @@ TEST_P(SkeletonTest, EmbeddingMatchesReference) {
   EXPECT_EQ(fx.emb.max_w2, fx.ref.overlay_scale.max_weight);
 }
 
+// Without a pool and with 1, 2 and 4 workers running Algorithm 5's
+// sub-runs: the same ledger, and the reference's row.
 TEST_P(SkeletonTest, OverlaySsspMatchesReference) {
   SkeletonFixture fx(GetParam());
+  runtime::ThreadPool one(1), two(2), four(4);
   for (std::uint32_t s = 0; s < fx.set.size(); ++s) {
-    const auto res = distributed_overlay_sssp(
-        fx.g, fx.emb,
-        RunRequest{}.with_params(fx.params).with_overlay_source(s));
-    EXPECT_EQ(res.approx, fx.ref.overlay_approx[s]) << "source idx " << s;
+    const auto run = [&](runtime::ThreadPool* pool) {
+      congest::Config cfg;
+      cfg.execution.pool = pool;
+      return distributed_overlay_sssp(fx.g, fx.emb,
+                                      RunRequest{}
+                                          .with_params(fx.params)
+                                          .with_overlay_source(s)
+                                          .with_config(cfg));
+    };
+    const auto serial = run(nullptr);
+    EXPECT_EQ(serial.approx, fx.ref.overlay_approx[s]) << "source idx " << s;
+    for (runtime::ThreadPool* pool : {&one, &two, &four}) {
+      const auto res = run(pool);
+      EXPECT_EQ(res.stats, serial.stats)
+          << "source idx " << s << " workers " << pool->worker_count();
+      EXPECT_EQ(res.approx, fx.ref.overlay_approx[s])
+          << "source idx " << s << " workers " << pool->worker_count();
+    }
   }
 }
 
@@ -506,6 +523,60 @@ TEST_P(SkeletonTest, ApproxEccentricityIsMaxOfApproxDistances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SkeletonTest,
                          ::testing::Range<std::uint64_t>(1, 7));
+
+// One Algorithm 5 run as literals: its ledger and an FNV-1a digest of
+// the d̃″ row.
+struct OverlayPin {
+  congest::RunStats stats;
+  std::uint64_t approx = 0;
+
+  friend bool operator==(const OverlayPin&, const OverlayPin&) = default;
+  friend void PrintTo(const OverlayPin& p, std::ostream* os) {
+    *os << "{{" << p.stats.rounds << ", " << p.stats.messages << ", "
+        << p.stats.bits << "}, " << p.approx << "ull}";
+  }
+};
+
+// Algorithm 5 from every overlay source of three skeletons, against
+// literals captured from the loop that ran every overlay round's
+// sub-runs one after another on the calling thread.
+TEST(OverlaySsspGolden, RunsArePinned) {
+  struct Case {
+    std::uint64_t seed;
+    NodeId n;
+    std::vector<OverlayPin> pins;
+  };
+  const std::vector<Case> cases = {
+      {1, 18,
+       {{{14788, 84499, 433172}, 5438218396520651302ull},
+        {{14769, 84453, 432804}, 11307382439902230133ull},
+        {{14799, 84499, 433172}, 7352428167824655110ull}}},
+      {2, 18,
+       {{{27681, 75861, 403164}, 6539913170376257612ull},
+        {{27735, 75789, 402516}, 719212079000961797ull},
+        {{27763, 75789, 402516}, 14606599841922084133ull},
+        {{27684, 75861, 403164}, 17394338929387753516ull}}},
+      {3, 40,
+       {{{23335, 760500, 5122800}, 16996908221741616193ull},
+        {{23322, 760500, 5122800}, 7980806502748109921ull},
+        {{23303, 760980, 5127600}, 3340428845450821623ull},
+        {{23287, 760500, 5122800}, 11467153845130248215ull}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "seed " << c.seed << " n " << c.n);
+    SkeletonFixture fx(c.seed, c.n);
+    std::vector<OverlayPin> got;
+    for (std::uint32_t s = 0; s < fx.set.size(); ++s) {
+      const auto res = distributed_overlay_sssp(
+          fx.g, fx.emb,
+          RunRequest{}.with_params(fx.params).with_overlay_source(s));
+      std::uint64_t digest = congest::fnv1a({});
+      for (const Dist d : res.approx) digest = congest::fnv1a({d}, digest);
+      got.push_back({res.stats, digest});
+    }
+    EXPECT_EQ(got, c.pins);
+  }
+}
 
 TEST(Skeleton, SingletonSetWorks) {
   const auto g = test_graph(5, 12, 4);

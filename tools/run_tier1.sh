@@ -36,12 +36,14 @@
 #                                      # ctest (tree: build-address-undefined)
 #
 # With a fork/join pool in src/runtime that the graph kernels, the
-# simulator's round loop, the Theorem 1.1 oracle, the dataset pipeline
-# and the query service all fan out over, the TSan configuration is the
-# one that matters most; sanitized builds use build-<sanitizer>/ so they
-# never pollute the primary build tree. `--tsan` is the quick opt-in: it
-# builds with QC_SANITIZE=thread and runs only the suites that reach
-# the pool, rather than the full (slow under TSan) ctest sweep.
+# simulator's round loop, the Theorem 1.1 oracle, Algorithm 5's overlay
+# sub-runs (test_paths, test_faults, test_theorem11, test_core), the
+# dataset pipeline and the query service all fan out over, the TSan
+# configuration is the one that matters most; sanitized builds use
+# build-<sanitizer>/ so they never pollute the primary build tree.
+# `--tsan` is the quick opt-in: it builds with QC_SANITIZE=thread and
+# runs only the suites that reach the pool, rather than the full (slow
+# under TSan) ctest sweep.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -136,7 +138,8 @@ if [ "$TSAN_ONLY" -eq 1 ]; then
   "$BUILD_DIR/tests/test_paths"
   "$BUILD_DIR/tests/test_faults"
   # The Theorem 1.1 driver suite exercises the pool-parallel oracle
-  # (ensure_rows fan-out + concurrent evaluate_set) at workers > 1.
+  # (ensure_rows fan-out + concurrent evaluate_set) and Algorithm 5's
+  # concurrent sub-runs at workers > 1.
   "$BUILD_DIR/tests/test_theorem11"
   # The service suite hammers QueryEngine from concurrent client
   # threads (submit/drain/shutdown races, admission counter, metrics
