@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <numeric>
 #include <optional>
 
 #include "paths/reference.h"
@@ -147,11 +146,7 @@ class BoundedHopProgram final : public NodeProgram {
   // `d` folded with the current scale's distance, if that is within the
   // cap, in σ units.
   Dist with_scale(Dist d) const {
-    if (best_ > cap_) return d;
-    const Dist shifted = best_ << scale_index_;
-    QC_CHECK((shifted >> scale_index_) == best_ && shifted < kInfDist,
-             "scaled distance overflow");
-    return std::min(d, shifted);
+    return best_ > cap_ ? d : std::min(d, scaled_label(best_, scale_index_));
   }
   // Offsets within the scale starting at `start`: the pending
   // announcement from `next_offset` on, else the scale's last offset.
@@ -348,12 +343,8 @@ class MultiSourceProgram final : public NodeProgram {
   static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
 
   void finalize_scale(std::size_t a, std::uint32_t j) {
-    if (cur_[a] <= cap_) {
-      const Dist shifted = cur_[a] << j;
-      QC_CHECK((shifted >> j) == cur_[a] && shifted < kInfDist,
-               "scaled distance overflow");
-      dtilde_[a] = std::min(dtilde_[a], shifted);
-    }
+    if (cur_[a] > cap_) return;
+    dtilde_[a] = std::min(dtilde_[a], scaled_label(cur_[a], j));
   }
 
   const std::vector<NodeId>* sources_;
@@ -378,8 +369,24 @@ class MultiSourceProgram final : public NodeProgram {
   bool finished_ = false;
 };
 
+/// Algorithms 3 and 4 keep per-source state indexed by member, so a
+/// source past n or a repeated one corrupts it without a sign. Rejects
+/// either before any round, naming `entry` and the source.
+void require_distinct_sources(const std::string& entry,
+                              const std::vector<NodeId>& sources, NodeId n) {
+  std::vector<bool> seen(n, false);
+  for (const NodeId s : sources) {
+    QC_REQUIRE(s < n, entry + ": source " + std::to_string(s) +
+                          " is not a node (n = " + std::to_string(n) + ")");
+    QC_REQUIRE(!seen[s], entry + ": source " + std::to_string(s) +
+                             " appears twice");
+    seen[s] = true;
+  }
+}
+
 // Algorithm 3's attempt loop, shared by both of its entry points.
-MultiSourceResult run_multi_source(const WeightedGraph& g,
+MultiSourceResult run_multi_source(const std::string& entry,
+                                   const WeightedGraph& g,
                                    const RunRequest& req,
                                    const ScaleSchedule& schedule) {
   QC_REQUIRE(req.rng != nullptr,
@@ -389,6 +396,7 @@ MultiSourceResult run_multi_source(const WeightedGraph& g,
   const Config& config = req.config;
   QC_REQUIRE(!sources.empty(), "Algorithm 3 needs at least one source");
   const NodeId n = g.node_count();
+  require_distinct_sources(entry, sources, n);
   const std::size_t b = sources.size();
   const std::uint32_t slot_count = std::max<std::uint32_t>(1, clog2(n));
 
@@ -475,13 +483,14 @@ BoundedHopResult distributed_bounded_hop_sssp(const WeightedGraph& g,
 
 MultiSourceResult distributed_multi_source_bhs(const WeightedGraph& g,
                                                const RunRequest& req) {
-  return run_multi_source(g, req, hop_schedule(req.scale));
+  return run_multi_source("distributed_multi_source_bhs", g, req,
+                          hop_schedule(req.scale));
 }
 
 MultiSourceResult distributed_multi_source_hop_bfs(const WeightedGraph& g,
                                                    const RunRequest& req) {
   QC_REQUIRE(req.cap >= 1, "hop-distance BFS needs a cap >= 1");
-  return run_multi_source(g, req,
+  return run_multi_source("distributed_multi_source_hop_bfs", g, req,
                           {.sigma = 1,
                            .scales = 1,
                            .cap = req.cap - 1,
@@ -501,6 +510,13 @@ OverlayEmbedding distributed_embed_overlay(
   QC_REQUIRE(b >= 1, "overlay needs at least one member");
   QC_REQUIRE(approx_rows.size() == b, "one approx row per member");
   const NodeId n = g.node_count();
+  require_distinct_sources("distributed_embed_overlay", sources, n);
+  for (const auto& row : approx_rows) {
+    QC_REQUIRE(row.size() == n,
+               "distributed_embed_overlay: an approx row has " +
+                   std::to_string(row.size()) + " entries, not n = " +
+                   std::to_string(n));
+  }
 
   OverlayEmbedding out;
   out.sources = sources;
@@ -520,9 +536,6 @@ OverlayEmbedding distributed_embed_overlay(
     }
   }
 
-  const std::size_t kk =
-      static_cast<std::size_t>(std::min<std::uint64_t>(params.k, b - 1));
-
   // Step 1: each member floods its k shortest incident overlay edges.
   const HopScale base{params.ell, params.eps_inv, g.max_weight()};
   const std::uint64_t w_bound = scaled_distance_bound(g, base);
@@ -530,18 +543,10 @@ OverlayEmbedding distributed_embed_overlay(
   const std::uint32_t w_bits = bits_for(w_bound + 1);
 
   std::vector<std::vector<FloodItem>> items(n);
-  for (std::size_t a = 0; a < b; ++a) {
-    std::vector<std::uint32_t> order;
-    for (std::uint32_t c = 0; c < b; ++c) {
-      if (c != a && out.w1[a][c] < kInfDist) order.push_back(c);
-    }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return std::pair(out.w1[a][x], x) <
-                       std::pair(out.w1[a][y], y);
-              });
-    if (order.size() > kk) order.resize(kk);
-    for (const std::uint32_t c : order) {
+  std::vector<std::uint32_t> pick;
+  for (std::uint32_t a = 0; a < b; ++a) {
+    lightest_k(out.w1[a], a, params.k, pick);
+    for (const std::uint32_t c : pick) {
       FloodItem item;
       item.push(a, idx_bits).push(c, idx_bits).push(out.w1[a][c], w_bits);
       items[sources[a]].push_back(std::move(item));
@@ -565,24 +570,8 @@ OverlayEmbedding distributed_embed_overlay(
 
   // Observation 3.12: N^k and the shortcut distances are computed
   // locally from H (identically at every node).
-  out.nearest_k.assign(b, {});
   out.w2 = out.w1;
-  for (std::size_t a = 0; a < b; ++a) {
-    const auto dh = dijkstra_matrix(h, static_cast<std::uint32_t>(a));
-    std::vector<std::uint32_t> order(b);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return std::pair(dh[x], x) < std::pair(dh[y], y);
-              });
-    for (const std::uint32_t c : order) {
-      if (c == a || dh[c] >= kInfDist) continue;
-      if (out.nearest_k[a].size() == kk) break;
-      out.nearest_k[a].push_back(c);
-      out.w2[a][c] = std::min(out.w2[a][c], dh[c]);
-      out.w2[c][a] = std::min(out.w2[c][a], dh[c]);
-    }
-  }
+  shortcut_step(h, params.k, out.w2, &out.nearest_k, pick);
 
   // Disseminate max w″ (for Algorithm 5's scale count) by a global
   // aggregate; partial values are bounded by w_bound.
@@ -673,9 +662,8 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
       runs.push_back({j, std::move(due), 1, {}, nullptr});
 
       // Overlay members relax their own state with their private w″ row
-      // (the sub-run checks the recorded d·2^j for overflow).
+      // (the labels d·2^j are folded below, after the round's sub-run).
       for (const auto& [a, d] : runs.back().due) {
-        out.approx[a] = std::min(out.approx[a], d << j);
         for (std::uint32_t c = 0; c < b; ++c) {
           if (c == a || overlay.w2[c][a] >= kInfDist) continue;
           const Dist via = dist_add(d, hs.rounded_weight(overlay.w2[c][a], j));
@@ -713,11 +701,6 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
       run.stats += congest::flood_items(g, std::move(items), serial,
                                         congest::FloodCollect::kStatsOnly)
                        .stats;
-      for (const auto& [a, d] : run.due) {
-        const Dist shifted = d << run.scale;
-        QC_CHECK((shifted >> run.scale) == d && shifted < kInfDist,
-                 "scaled distance overflow");
-      }
     } catch (...) {
       run.failure = std::current_exception();
       std::size_t seen = first_failure.load(std::memory_order_relaxed);
@@ -727,6 +710,9 @@ OverlaySsspResult distributed_overlay_sssp(const WeightedGraph& g,
   });
   for (const SubRun& run : runs) {
     if (run.failure) std::rethrow_exception(run.failure);
+    for (const auto& [a, d] : run.due) {
+      out.approx[a] = std::min(out.approx[a], scaled_label(d, run.scale));
+    }
     for (std::uint64_t r = 0; r < run.rounds; ++r) out.stats += run.stats;
   }
   return out;

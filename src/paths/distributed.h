@@ -155,6 +155,9 @@ struct MultiSourceResult {
   std::vector<std::vector<Dist>> approx;
 };
 /// Reads req.sources, req.scale, req.rng (required) and req.config.
+/// req.sources must be distinct nodes of g: a repeat or a node past n
+/// throws ArgumentError, naming the entry point and the source, before
+/// any round (the same holds for the hop-distance BFS and Algorithm 4).
 MultiSourceResult distributed_multi_source_bhs(const WeightedGraph& g,
                                                const RunRequest& req);
 
@@ -190,7 +193,10 @@ struct OverlayEmbedding {
 };
 /// Reads req.sources, req.params (required) and req.config;
 /// `approx_rows` stays a positional argument (it is Algorithm 3's
-/// output data, not run configuration).
+/// output data, not run configuration), one row of n entries per
+/// source. The k-star pick and the shortcut step are
+/// paths::lightest_k and paths::shortcut_step (reference.h), the ones
+/// the Theorem 1.1 oracle runs.
 OverlayEmbedding distributed_embed_overlay(
     const WeightedGraph& g, const std::vector<std::vector<Dist>>& approx_rows,
     const RunRequest& req);

@@ -32,9 +32,4 @@ Params Params::make(std::uint32_t n, std::uint64_t unweighted_diameter,
   return p;
 }
 
-std::uint32_t Params::scale_count(std::uint64_t max_weight) const {
-  HopScale hs{ell, eps_inv, max_weight};
-  return hs.scale_count();
-}
-
 }  // namespace qc::paths

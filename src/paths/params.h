@@ -42,11 +42,6 @@ struct Params {
   /// distances (Lemma 3.2 applied to G).
   std::uint64_t sigma() const { return 2 * ell * eps_inv; }
 
-  /// Number of weight scales i ∈ [0, scales) for Lemma 3.2 on a graph
-  /// with max weight W: enough that the top scale rounds every edge
-  /// weight to 1.
-  std::uint32_t scale_count(std::uint64_t max_weight) const;
-
   /// Eligibility cap L = (1 + 2/ε)·ℓ on rounded distances (Lemma 3.2).
   std::uint64_t rounded_cap() const { return (1 + 2 * eps_inv) * ell; }
 
@@ -91,5 +86,16 @@ struct HopScale {
     return ceil_div(sigma() * w, std::uint64_t{1} << i);
   }
 };
+
+/// The Lemma 3.2 label d·2^i, in σ units, of a rounded distance d found
+/// at scale i: what every scale fold (Algorithms 1, 3 and 5 and the
+/// reference loops) keeps the minimum of. Throws InvariantError if the
+/// label would reach kInfDist.
+inline Dist scaled_label(Dist d, std::uint32_t i) {
+  const Dist shifted = d << i;
+  QC_CHECK((shifted >> i) == d && shifted < kInfDist,
+           "scaled distance overflow");
+  return shifted;
+}
 
 }  // namespace qc::paths

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
-#include <queue>
 
 #include "graph/algorithms.h"
 #include "runtime/thread_pool.h"
@@ -88,10 +87,7 @@ std::vector<std::vector<Dist>> approx_bounded_hop_multi(
       ws.dijkstra(gi, sources[a], di, cap);
       for (NodeId v = 0; v < n; ++v) {
         if (di[v] > cap || best[a][v] < kInfDist) continue;
-        const Dist shifted = di[v] << i;
-        QC_CHECK((shifted >> i) == di[v] && shifted < kInfDist,
-                 "scaled distance overflow");
-        best[a][v] = shifted;
+        best[a][v] = scaled_label(di[v], i);
         --unlabelled[a];
       }
       if (unlabelled[a] != 0) open[keep++] = a;
@@ -99,44 +95,6 @@ std::vector<std::vector<Dist>> approx_bounded_hop_multi(
     open.resize(keep);
   }
   return best;
-}
-
-/// Dense-matrix Dijkstra into caller-owned scratch. Binary heap with
-/// lazy deletion, matching the graph kernels: each settle is O(log n)
-/// instead of an O(n) linear scan (the relaxation pass over the row
-/// stays O(n) — it's a dense matrix). `cap` follows the
-/// DijkstraWorkspace contract: labels <= cap are exact, relaxations
-/// past it are pruned (pruned targets keep kInfDist), so a caller that
-/// discards labels above `cap` sees identical output either way.
-void dijkstra_matrix_into(const std::vector<std::vector<Dist>>& w,
-                          std::uint32_t s, Dist cap, std::vector<Dist>& dist,
-                          std::vector<char>& fixed,
-                          std::vector<std::pair<Dist, std::uint32_t>>& heap) {
-  const std::size_t n = w.size();
-  QC_REQUIRE(s < n, "matrix Dijkstra source out of range");
-  dist.assign(n, kInfDist);
-  fixed.assign(n, 0);
-  heap.clear();
-  const auto cmp = std::greater<>{};
-  dist[s] = 0;
-  heap.emplace_back(0, s);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    const auto [du, u] = heap.back();
-    heap.pop_back();
-    if (fixed[u] || du != dist[u]) continue;
-    fixed[u] = 1;
-    const auto& row = w[u];
-    for (std::size_t v = 0; v < n; ++v) {
-      if (v == u || row[v] >= kInfDist) continue;
-      const Dist nd = dist_add(du, row[v]);
-      if (nd < dist[v] && nd <= cap) {
-        dist[v] = nd;
-        heap.emplace_back(nd, static_cast<std::uint32_t>(v));
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      }
-    }
-  }
 }
 
 /// Scratch-reusing body of approx_bounded_hop_matrix: Lemma 3.2 on a
@@ -176,36 +134,17 @@ void approx_matrix_into(const std::vector<std::vector<Dist>>& w,
       for (std::size_t b = 0; b < n; ++b) {
         wi[a][b] = (a != b && w[a][b] < kInfDist)
                        ? scale.rounded_weight(w[a][b], i)
-                       : a == b ? 0
-                                : kInfDist;
+                       : kInfDist;
       }
     }
-    // In-place Floyd–Warshall APSP on the rounded matrix. For a dense
-    // b×b graph this beats b heap Dijkstras by a large constant, and
-    // the integers cannot differ: shortest distances are unique, and a
-    // pair is folded into `best` iff its distance is <= cap — exactly
-    // the pairs the cap-pruned Dijkstra would have settled (every
-    // prefix of a <= cap path is <= cap). Sums cannot overflow:
-    // every stored label is <= kInfDist = 2^64/4.
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::vector<Dist>& wk = wi[k];
-      for (std::size_t a = 0; a < n; ++a) {
-        const Dist dak = wi[a][k];
-        if (dak >= kInfDist) continue;
-        std::vector<Dist>& wa = wi[a];
-        for (std::size_t b = 0; b < n; ++b) {
-          const Dist nd = dak + wk[b];
-          if (nd < wa[b]) wa[b] = nd;
-        }
-      }
-    }
+    // A pair is folded into `best` iff its closed distance is <= cap:
+    // exactly the pairs a cap-pruned Dijkstra would settle (every prefix
+    // of a <= cap path is <= cap), so the integers cannot differ.
+    min_plus_closure(wi);
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = 0; b < n; ++b) {
         if (wi[a][b] > cap || best[a][b] < kInfDist) continue;
-        const Dist shifted = wi[a][b] << i;
-        QC_CHECK((shifted >> i) == wi[a][b] && shifted < kInfDist,
-                 "scaled distance overflow");
-        best[a][b] = shifted;
+        best[a][b] = scaled_label(wi[a][b], i);
         if (a != b) --unlabelled;
       }
     }
@@ -220,13 +159,83 @@ std::vector<Dist> approx_bounded_hop_from(const WeightedGraph& g, NodeId s,
   return approx_bounded_hop_multi(g, {s}, scale).front();
 }
 
+// Binary heap with lazy deletion, matching the graph kernels: each
+// settle is O(log n) instead of an O(n) linear scan (the relaxation
+// pass over the row stays O(n) — it's a dense matrix).
 std::vector<Dist> dijkstra_matrix(const std::vector<std::vector<Dist>>& w,
                                   std::uint32_t s) {
-  std::vector<Dist> dist;
-  std::vector<char> fixed;
-  std::vector<std::pair<Dist, std::uint32_t>> heap;
-  dijkstra_matrix_into(w, s, kInfDist, dist, fixed, heap);
+  const std::size_t n = w.size();
+  QC_REQUIRE(s < n, "matrix Dijkstra source out of range");
+  std::vector<Dist> dist(n, kInfDist);
+  std::vector<char> fixed(n, 0);
+  std::vector<std::pair<Dist, std::uint32_t>> heap{{0, s}};
+  const auto cmp = std::greater<>{};
+  dist[s] = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    const auto [du, u] = heap.back();
+    heap.pop_back();
+    if (fixed[u] || du != dist[u]) continue;
+    fixed[u] = 1;
+    const auto& row = w[u];
+    for (std::size_t v = 0; v < n; ++v) {
+      if (v == u || row[v] >= kInfDist) continue;
+      const Dist nd = dist_add(du, row[v]);
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        heap.emplace_back(nd, static_cast<std::uint32_t>(v));
+        std::push_heap(heap.begin(), heap.end(), cmp);
+      }
+    }
+  }
   return dist;
+}
+
+// Sums cannot overflow: every entry stays <= kInfDist = 2^64/4, and a
+// row through a kInfDist pivot entry is skipped.
+void min_plus_closure(std::vector<std::vector<Dist>>& d) {
+  const std::size_t n = d.size();
+  for (std::size_t a = 0; a < n; ++a) d[a][a] = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::vector<Dist>& dk = d[k];
+    for (std::size_t a = 0; a < n; ++a) {
+      const Dist dak = d[a][k];
+      if (dak >= kInfDist) continue;
+      std::vector<Dist>& da = d[a];
+      for (std::size_t c = 0; c < n; ++c) {
+        const Dist nd = dak + dk[c];
+        if (nd < da[c]) da[c] = nd;
+      }
+    }
+  }
+}
+
+void lightest_k(const std::vector<Dist>& row, std::uint32_t self,
+                std::uint64_t k, std::vector<std::uint32_t>& out) {
+  out.clear();
+  for (std::uint32_t c = 0; c < row.size(); ++c) {
+    if (c != self && row[c] < kInfDist) out.push_back(c);
+  }
+  std::sort(out.begin(), out.end(), [&](std::uint32_t x, std::uint32_t y) {
+    return std::pair(row[x], x) < std::pair(row[y], y);
+  });
+  if (out.size() > k) out.resize(k);
+}
+
+void shortcut_step(std::vector<std::vector<Dist>>& h, std::uint64_t k,
+                   std::vector<std::vector<Dist>>& w2,
+                   std::vector<std::vector<std::uint32_t>>* nearest,
+                   std::vector<std::uint32_t>& pick) {
+  min_plus_closure(h);
+  if (nearest != nullptr) nearest->assign(h.size(), {});
+  for (std::uint32_t a = 0; a < h.size(); ++a) {
+    lightest_k(h[a], a, k, pick);
+    for (const std::uint32_t c : pick) {
+      w2[a][c] = std::min(w2[a][c], h[a][c]);
+      w2[c][a] = std::min(w2[c][a], h[a][c]);
+    }
+    if (nearest != nullptr) (*nearest)[a] = pick;
+  }
 }
 
 Dist hop_diameter_matrix(const std::vector<std::vector<Dist>>& w) {
@@ -544,64 +553,18 @@ SetEvaluation ToolkitCache::evaluate_set(std::vector<NodeId> set,
     }
   }
 
-  // k-star union H (Algorithm 4 / Observation 3.12), as in
-  // skeleton_from_rows.
-  const std::size_t kk = static_cast<std::size_t>(
-      std::min<std::uint64_t>(params_.k, b > 0 ? b - 1 : 0));
+  // k-star union H and shortcut weights w″ (Algorithm 4 / Observation
+  // 3.12): the integers skeleton_from_rows computes, from one closure of
+  // H instead of a Dijkstra per member, without storing N^k.
   ws.h_.assign(b, std::vector<Dist>(b, kInfDist));
-  for (std::size_t a = 0; a < b; ++a) {
-    ws.order_.clear();
-    for (std::uint32_t c = 0; c < b; ++c) {
-      if (c != a && ws.w1_[a][c] < kInfDist) ws.order_.push_back(c);
-    }
-    std::sort(ws.order_.begin(), ws.order_.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return std::pair(ws.w1_[a][x], x) <
-                       std::pair(ws.w1_[a][y], y);
-              });
-    if (ws.order_.size() > kk) ws.order_.resize(kk);
+  for (std::uint32_t a = 0; a < b; ++a) {
+    lightest_k(ws.w1_[a], a, params_.k, ws.order_);
     for (const std::uint32_t c : ws.order_) {
       ws.h_[a][c] = ws.h_[c][a] = ws.w1_[a][c];
     }
   }
-
-  // Shortcut weights w″ from H — identical to skeleton_from_rows except
-  // the nearest_k lists are consumed on the fly instead of stored. The
-  // per-source Dijkstras on H become one in-place Floyd-Warshall APSP
-  // (dense b×b matrix; shortest distances are unique, so the selection
-  // below sees the same integers).
   ws.w2_ = ws.w1_;
-  ws.wi_ = ws.h_;
-  for (std::size_t a = 0; a < b; ++a) ws.wi_[a][a] = 0;
-  for (std::size_t k2 = 0; k2 < b; ++k2) {
-    const std::vector<Dist>& wk = ws.wi_[k2];
-    for (std::size_t a = 0; a < b; ++a) {
-      const Dist dak = ws.wi_[a][k2];
-      if (dak >= kInfDist) continue;
-      std::vector<Dist>& wa = ws.wi_[a];
-      for (std::size_t c = 0; c < b; ++c) {
-        const Dist nd = dak + wk[c];
-        if (nd < wa[c]) wa[c] = nd;
-      }
-    }
-  }
-  for (std::size_t a = 0; a < b; ++a) {
-    const std::vector<Dist>& da = ws.wi_[a];
-    ws.order_.resize(b);
-    std::iota(ws.order_.begin(), ws.order_.end(), 0);
-    std::sort(ws.order_.begin(), ws.order_.end(),
-              [&](std::uint32_t x, std::uint32_t y) {
-                return std::pair(da[x], x) < std::pair(da[y], y);
-              });
-    std::size_t taken = 0;
-    for (const std::uint32_t c : ws.order_) {
-      if (c == a || da[c] >= kInfDist) continue;
-      if (taken == kk) break;
-      ++taken;
-      ws.w2_[a][c] = std::min(ws.w2_[a][c], da[c]);
-      ws.w2_[c][a] = std::min(ws.w2_[c][a], da[c]);
-    }
-  }
+  shortcut_step(ws.h_, params_.k, ws.w2_, nullptr, ws.order_);
 
   std::uint64_t max_w2 = 1;
   for (std::size_t a = 0; a < b; ++a) {

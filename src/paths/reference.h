@@ -44,6 +44,28 @@ std::vector<std::vector<Dist>> approx_bounded_hop_matrix(
 std::vector<Dist> dijkstra_matrix(const std::vector<std::vector<Dist>>& w,
                                   std::uint32_t s);
 
+/// In-place min-plus closure (Floyd–Warshall) of a square matrix whose
+/// entries are at most kInfDist (kInfDist = no edge): on return d[a][c]
+/// is the shortest a–c distance and the diagonal is 0. Shortest
+/// distances are unique, so every row equals `dijkstra_matrix`'s.
+void min_plus_closure(std::vector<std::vector<Dist>>& d);
+
+/// The at most k lightest finite entries of `row` other than `self`, as
+/// indices ordered by (weight, index), into `out`: a member's k-star
+/// (Algorithm 4) and, on a closed row, its k nearest N^k.
+void lightest_k(const std::vector<Dist>& row, std::uint32_t self,
+                std::uint64_t k, std::vector<std::uint32_t>& out);
+
+/// Observation 3.12's shortcut step on the k-star union `h` (kInfDist =
+/// no edge): closes `h` in place, then for each member a takes its k
+/// nearest others by (d_H, index), lowers w2[a][c] and w2[c][a] to
+/// d_H(a, c) on those pairs and, with `nearest` non-null, records them
+/// as (*nearest)[a]. `pick` is scratch.
+void shortcut_step(std::vector<std::vector<Dist>>& h, std::uint64_t k,
+                   std::vector<std::vector<Dist>>& w2,
+                   std::vector<std::vector<std::uint32_t>>* nearest,
+                   std::vector<std::uint32_t>& pick);
+
 /// Hop diameter of a dense matrix graph under its weights: the maximum,
 /// over connected pairs, of the minimum edge count among weight-shortest
 /// paths. Used to check the k-shortcut property (Theorem 3.10 of [21])
@@ -102,10 +124,11 @@ struct SetEvaluation {
   std::vector<Dist> member_ecc;   ///< indexed like the sorted set
 };
 
-/// Reusable scratch for `ToolkitCache::evaluate_set`: overlay matrices,
-/// heap/order buffers, and the per-scale rounded-weight copy all keep
-/// their capacity across calls, so repeated evaluations allocate nothing
-/// after warm-up. Not thread-safe — one workspace per worker.
+/// Reusable scratch for `ToolkitCache::evaluate_set`: the overlay
+/// matrices, the per-scale rounded-weight copy and the pick and sort
+/// index buffers all keep their capacity across calls, so repeated
+/// evaluations allocate nothing after warm-up. Not thread-safe — one
+/// workspace per worker.
 class SetEvalWorkspace {
  public:
   SetEvalWorkspace() = default;
@@ -113,10 +136,10 @@ class SetEvalWorkspace {
  private:
   friend class ToolkitCache;
   std::vector<std::vector<Dist>> w1_;      // overlay weights w′
-  std::vector<std::vector<Dist>> h_;       // k-star union H
+  std::vector<std::vector<Dist>> h_;       // k-star union H, then d_H
   std::vector<std::vector<Dist>> w2_;      // shortcut weights w″
   std::vector<std::vector<Dist>> overlay_; // d̃^{ℓ″} on (G″, w″)
-  std::vector<std::vector<Dist>> wi_;      // Floyd-Warshall scratch matrix
+  std::vector<std::vector<Dist>> wi_;      // per-scale rounded matrix
   std::vector<std::uint32_t> order_;
   std::vector<const std::vector<Dist>*> row_ptrs_;
   std::vector<std::uint32_t> bmin_arg_;    // per-target best hub by B

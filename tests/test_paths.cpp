@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "graph/algorithms.h"
@@ -275,6 +276,119 @@ TEST(EarlyStop, MatrixMatchesFullScaleLoop) {
                                         << " eps_inv=" << eps_inv);
       const HopScale hs{ell, eps_inv, max_w};
       EXPECT_EQ(approx_bounded_hop_matrix(w, hs), full_scale_matrix(w, hs));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The overlay steps that Algorithm 4 and the oracle share, against the
+// Skeleton's loop: a full sort per member for its k-star, then one
+// matrix Dijkstra per member on H and the (d_H, index) selection.
+// ---------------------------------------------------------------------
+struct ShortcutOutput {
+  std::vector<std::vector<std::uint32_t>> nearest;
+  std::vector<std::vector<Dist>> w2;
+};
+
+ShortcutOutput skeleton_shortcut(const std::vector<std::vector<Dist>>& w1,
+                                 std::uint64_t k) {
+  const std::size_t b = w1.size();
+  const auto kk = static_cast<std::size_t>(std::min<std::uint64_t>(k, b - 1));
+  std::vector<std::vector<Dist>> h(b, std::vector<Dist>(b, kInfDist));
+  for (std::size_t a = 0; a < b; ++a) {
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t c = 0; c < b; ++c) {
+      if (c != a && w1[a][c] < kInfDist) order.push_back(c);
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                return std::pair(w1[a][x], x) < std::pair(w1[a][y], y);
+              });
+    if (order.size() > kk) order.resize(kk);
+    for (const std::uint32_t c : order) h[a][c] = h[c][a] = w1[a][c];
+  }
+  ShortcutOutput out{std::vector<std::vector<std::uint32_t>>(b), w1};
+  for (std::size_t a = 0; a < b; ++a) {
+    const auto dh = dijkstra_matrix(h, static_cast<std::uint32_t>(a));
+    std::vector<std::uint32_t> order(b);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t x, std::uint32_t y) {
+                return std::pair(dh[x], x) < std::pair(dh[y], y);
+              });
+    for (const std::uint32_t c : order) {
+      if (c == a || dh[c] >= kInfDist) continue;
+      if (out.nearest[a].size() == kk) break;
+      out.nearest[a].push_back(c);
+      out.w2[a][c] = std::min(out.w2[a][c], dh[c]);
+      out.w2[c][a] = std::min(out.w2[c][a], dh[c]);
+    }
+  }
+  return out;
+}
+
+// Symmetric b×b matrices, kInfDist on the diagonal: ~30% holes with
+// weights 1..4 (ties in every row), the same cut into two blocks with
+// no edge between them, and one weight for every edge.
+std::vector<std::pair<std::string, std::vector<std::vector<Dist>>>>
+overlay_matrices(std::uint64_t seed, std::size_t b) {
+  Rng rng(seed);
+  std::vector<std::vector<Dist>> holes(b, std::vector<Dist>(b, kInfDist));
+  for (std::size_t a = 0; a < b; ++a) {
+    for (std::size_t c = a + 1; c < b; ++c) {
+      if (!rng.chance(0.3)) holes[a][c] = holes[c][a] = 1 + rng.below(4);
+    }
+  }
+  auto blocks = holes;
+  auto tied = holes;
+  for (std::size_t a = 0; a < b; ++a) {
+    for (std::size_t c = 0; c < b; ++c) {
+      if ((a < b / 2) != (c < b / 2)) blocks[a][c] = kInfDist;
+      if (tied[a][c] < kInfDist) tied[a][c] = 7;
+    }
+  }
+  return {{"holes", holes}, {"blocks", blocks}, {"tied", tied}};
+}
+
+TEST(OverlaySteps, ClosureMatchesDijkstraRowByRow) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (auto [name, d] : overlay_matrices(seed, 11)) {
+      SCOPED_TRACE(::testing::Message() << name << " seed " << seed);
+      const auto w = d;
+      min_plus_closure(d);
+      for (std::uint32_t a = 0; a < w.size(); ++a) {
+        EXPECT_EQ(d[a], dijkstra_matrix(w, a)) << "row " << a;
+      }
+    }
+  }
+}
+
+TEST(OverlaySteps, ShortcutStepMatchesSkeletonSelection) {
+  const std::size_t b = 11;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const auto& [name, w1] : overlay_matrices(seed, b)) {
+      for (const std::uint64_t k : {std::uint64_t{0}, std::uint64_t{1},
+                                    std::uint64_t{2}, b - 1, b + 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " seed " << seed << " k " << k);
+        // H as both callers build it: the union of the members' k-stars.
+        std::vector<std::vector<Dist>> h(b, std::vector<Dist>(b, kInfDist));
+        std::vector<std::uint32_t> pick;
+        for (std::uint32_t a = 0; a < b; ++a) {
+          lightest_k(w1[a], a, k, pick);
+          for (const std::uint32_t c : pick) h[a][c] = h[c][a] = w1[a][c];
+        }
+        auto h_again = h;
+        ShortcutOutput got{{}, w1};
+        shortcut_step(h, k, got.w2, &got.nearest, pick);
+        const ShortcutOutput want = skeleton_shortcut(w1, k);
+        EXPECT_EQ(got.nearest, want.nearest);
+        EXPECT_EQ(got.w2, want.w2);
+        // Without `nearest` the step lowers the same w″.
+        auto w2 = w1;
+        shortcut_step(h_again, k, w2, nullptr, pick);
+        EXPECT_EQ(w2, want.w2);
+      }
     }
   }
 }
@@ -576,6 +690,121 @@ TEST(OverlaySsspGolden, RunsArePinned) {
     }
     EXPECT_EQ(got, c.pins);
   }
+}
+
+// One Algorithm 4 run as literals: its ledger and an FNV-1a digest of
+// w1, nearest_k, w2 and max_w2.
+struct EmbeddingPin {
+  congest::RunStats stats;
+  std::uint64_t digest = 0;
+
+  friend bool operator==(const EmbeddingPin&, const EmbeddingPin&) = default;
+  friend void PrintTo(const EmbeddingPin& p, std::ostream* os) {
+    *os << "{{" << p.stats.rounds << ", " << p.stats.messages << ", "
+        << p.stats.bits << "}, " << p.digest << "ull}";
+  }
+};
+
+EmbeddingPin pin_embedding(const OverlayEmbedding& emb) {
+  std::uint64_t h = congest::fnv1a({});
+  const auto matrix = [&h](const std::vector<std::vector<Dist>>& m) {
+    for (const auto& row : m) {
+      for (const Dist d : row) h = congest::fnv1a({d}, h);
+    }
+  };
+  matrix(emb.w1);
+  for (const auto& near : emb.nearest_k) {
+    h = congest::fnv1a({near.size()}, h);
+    for (const std::uint32_t c : near) h = congest::fnv1a({c}, h);
+  }
+  matrix(emb.w2);
+  h = congest::fnv1a({emb.max_w2}, h);
+  return {emb.stats, h};
+}
+
+// Algorithm 4 on sets where the k-star pick drops overlay edges (k <
+// b − 1), against literals captured from the loop that ran its own
+// selection sort and one matrix Dijkstra per member on H.
+TEST(EmbedOverlayGolden, RunsArePinned) {
+  struct Case {
+    std::uint64_t seed;
+    NodeId n;
+    EmbeddingPin pin;
+  };
+  const std::vector<Case> cases = {
+      {1, 128, {{28, 38151, 1264610}, 5176305480344948961ull}},
+      {2, 128, {{30, 42847, 1509426}, 2412753432629552866ull}},
+      {3, 128, {{24, 26165, 849624}, 7919887812444639713ull}},
+      {3, 40, {{23, 2277, 61626}, 6795246551602437457ull}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "seed " << c.seed << " n " << c.n);
+    SkeletonFixture fx(c.seed, c.n);
+    ASSERT_LT(fx.params.k + 1, fx.set.size()) << "the pick keeps every edge";
+    EXPECT_EQ(pin_embedding(fx.emb), c.pin);
+    EXPECT_EQ(fx.emb.nearest_k, fx.ref.nearest_k);
+    EXPECT_EQ(fx.emb.w2, fx.ref.overlay_w2);
+  }
+}
+
+// Algorithms 3 and 4 reject a source set with a repeat or a node past n,
+// naming the entry point and the source, before any round runs.
+TEST(SourceValidation, RepeatedOrOutOfRangeSourcesAreRejected) {
+  Rng rng(5);
+  const auto g =
+      gen::randomize_weights(gen::erdos_renyi_connected(24, 0.2, rng), 6, rng);
+  const auto params = Params::make(24, unweighted_diameter(g));
+  const HopScale hs{params.ell, params.eps_inv, g.max_weight()};
+  std::uint64_t rounds = 0;
+  congest::Config cfg;
+  cfg.hooks.on_round_metrics = [&rounds](const congest::RoundMetrics&) {
+    ++rounds;
+  };
+  const auto rejection = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const ArgumentError& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "the call returned";
+    return {};
+  };
+  const std::vector<std::pair<std::vector<NodeId>, std::string>> cases = {
+      {{3, 7, 29}, "source 29"}, {{3, 7, 3}, "source 3"}};
+  for (const auto& [sources, named] : cases) {
+    SCOPED_TRACE(::testing::Message() << "bad source: " << named);
+    Rng delays(1);
+    const auto req = RunRequest{}
+                         .with_config(cfg)
+                         .with_sources(sources)
+                         .with_scale(hs)
+                         .with_cap(4)
+                         .with_rng(delays)
+                         .with_params(params);
+    const std::vector<std::vector<Dist>> rows(sources.size(),
+                                              std::vector<Dist>(24, 5));
+    const std::pair<const char*, std::string> rejections[] = {
+        {"distributed_multi_source_bhs",
+         rejection([&] { (void)distributed_multi_source_bhs(g, req); })},
+        {"distributed_multi_source_hop_bfs",
+         rejection([&] { (void)distributed_multi_source_hop_bfs(g, req); })},
+        {"distributed_embed_overlay",
+         rejection([&] { (void)distributed_embed_overlay(g, rows, req); })}};
+    for (const auto& [entry, what] : rejections) {
+      EXPECT_NE(what.find(entry), std::string::npos) << what;
+      EXPECT_NE(what.find(named), std::string::npos) << what;
+    }
+  }
+  // Algorithm 4 also needs every approx row to span the network.
+  const std::vector<std::vector<Dist>> short_rows(3, std::vector<Dist>(23, 5));
+  const std::string what = rejection([&] {
+    (void)distributed_embed_overlay(
+        g, short_rows,
+        RunRequest{}.with_config(cfg).with_sources({3, 7, 9}).with_params(
+            params));
+  });
+  EXPECT_NE(what.find("distributed_embed_overlay"), std::string::npos) << what;
+  EXPECT_EQ(rounds, 0u);
 }
 
 TEST(Skeleton, SingletonSetWorks) {
