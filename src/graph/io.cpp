@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -637,6 +639,86 @@ std::uint64_t resolve_budget(std::uint64_t mem_budget_bytes) {
   return mem_budget_bytes == 0 ? kDefaultMemBudgetBytes : mem_budget_bytes;
 }
 
+// The radix sort's scratch copy of the records, mapped from the kernel
+// and unmapped when the sort ends. Through malloc, a second buffer as
+// large as the input would return to the heap together with the
+// records, and glibc trims a heap top that grows past twice its mmap
+// threshold: a later allocation then faults in fresh pages that the
+// one-copy sort left resident. (bench_datasets' external_sort child,
+// forked after an in-memory sort of the same file, read 2.4-2.7 MiB of
+// new RSS instead of 1.7.)
+class EdgeScratch {
+ public:
+  explicit EdgeScratch(std::size_t count) : count_(count) {
+    if (count_ == 0) return;
+#if defined(_WIN32)
+    data_ = new Edge[count_];
+#else
+    void* p = ::mmap(nullptr, count_ * sizeof(Edge), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<Edge*>(p);
+#endif
+  }
+  ~EdgeScratch() {
+    if (data_ == nullptr) return;
+#if defined(_WIN32)
+    delete[] data_;
+#else
+    ::munmap(data_, count_ * sizeof(Edge));
+#endif
+  }
+  EdgeScratch(const EdgeScratch&) = delete;
+  EdgeScratch& operator=(const EdgeScratch&) = delete;
+
+  std::span<Edge> span() { return {data_, count_}; }
+
+ private:
+  Edge* data_ = nullptr;
+  std::size_t count_;
+};
+
+// Sorts canonical records of an n-node graph by (u, v): an LSD radix
+// sort on the compact key (u << b) | v, where b = bit_width(n - 1)
+// bits hold any id, in 12-bit digits (three passes at n = 2^18). One
+// counting pass fills every digit's histogram; a digit that all
+// records share is skipped, and every other one scatters the records
+// stably between `edges` and `scratch` (same size), so the sort needs
+// 2·16·m bytes. Returns whichever of the two the last pass filled, in
+// the unique ascending (u, v) order that std::sort and the external
+// merge give.
+std::span<const Edge> radix_sort_edges(std::span<Edge> edges,
+                                       std::span<Edge> scratch,
+                                       std::uint64_t n) {
+  if (edges.size() < 2) return edges;
+  constexpr unsigned kDigitBits = 12;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const unsigned id_bits = static_cast<unsigned>(std::bit_width(n - 1));
+  const unsigned digits = (2 * id_bits + kDigitBits - 1) / kDigitBits;
+  const auto key = [id_bits](const Edge& e) {
+    return (std::uint64_t{e.u} << id_bits) | e.v;
+  };
+  const auto digit = [](std::uint64_t k, unsigned d) {
+    return static_cast<std::size_t>(k >> (d * kDigitBits)) & (kBuckets - 1);
+  };
+  std::vector<std::size_t> count(digits * kBuckets, 0);
+  for (const Edge& e : edges) {
+    const std::uint64_t k = key(e);
+    for (unsigned d = 0; d < digits; ++d) ++count[d * kBuckets + digit(k, d)];
+  }
+  for (unsigned d = 0; d < digits; ++d) {
+    std::size_t* next = count.data() + d * kBuckets;
+    if (next[digit(key(edges[0]), d)] == edges.size()) continue;
+    std::size_t start = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      start += std::exchange(next[b], start);
+    }
+    for (const Edge& e : edges) scratch[next[digit(key(e), d)]++] = e;
+    std::swap(edges, scratch);
+  }
+  return edges;
+}
+
 }  // namespace
 
 BGraphInfo shuffle_bgraph(const std::string& in_path,
@@ -699,23 +781,32 @@ BGraphInfo sort_bgraph(const std::string& in_path,
   const std::uint64_t budget = resolve_budget(mem_budget_bytes);
   BGraphReader in(in_path);
   Edge e;
+  const auto by_key = [](const Edge& a, const Edge& b) {
+    return edge_key(a.u, a.v) < edge_key(b.u, b.v);
+  };
   if (in.info().m * sizeof(Edge) <= budget) {
-    // Small-input fast path: the original in-memory sort, verbatim.
-    // The external path below must stay byte-identical to this one.
+    // In memory when the records fit the budget: radix-sorted when its
+    // scratch copy fits as well, else std::sort-ed in place. The
+    // external path below must stay byte-identical to both.
     std::vector<Edge> edges;
     edges.reserve(in.info().m);
     while (in.next(e)) edges.push_back(e);
-    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-      return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-    });
-    for (std::size_t i = 1; i < edges.size(); ++i) {
-      QC_REQUIRE(edge_key(edges[i - 1].u, edges[i - 1].v) !=
-                     edge_key(edges[i].u, edges[i].v),
-                 in_path + ": duplicate edge (" + std::to_string(edges[i].u) +
-                     ", " + std::to_string(edges[i].v) + ")");
+    const bool radix = 2 * edges.size() * sizeof(Edge) <= budget;
+    EdgeScratch scratch(radix ? edges.size() : 0);
+    std::span<const Edge> sorted = edges;
+    if (radix) {
+      sorted = radix_sort_edges(edges, scratch.span(), in.info().n);
+    } else {
+      std::sort(edges.begin(), edges.end(), by_key);
+    }
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+      QC_REQUIRE(edge_key(sorted[i - 1].u, sorted[i - 1].v) !=
+                     edge_key(sorted[i].u, sorted[i].v),
+                 in_path + ": duplicate edge (" + std::to_string(sorted[i].u) +
+                     ", " + std::to_string(sorted[i].v) + ")");
     }
     BGraphWriter out(out_path, in.info().n);
-    for (const Edge& edge : edges) out.add(edge.u, edge.v, edge.weight);
+    for (const Edge& edge : sorted) out.add(edge.u, edge.v, edge.weight);
     return out.close();
   }
   // Out-of-core: spill sorted runs of at most one budget each, then
@@ -731,9 +822,7 @@ BGraphInfo sort_bgraph(const std::string& in_path,
       std::min<std::uint64_t>(run_cap, in.info().m)));
   const auto flush_run = [&] {
     if (run.empty()) return;
-    std::sort(run.begin(), run.end(), [](const Edge& a, const Edge& b) {
-      return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-    });
+    std::sort(run.begin(), run.end(), by_key);
     SpillWriter w(spill.file(run_records.size()));
     for (const Edge& r : run) w.add(r);
     w.close();
@@ -973,19 +1062,23 @@ void validate_csr_offsets(std::span<const std::size_t> offsets,
                  " half-edges");
 }
 
+// Tests every half-edge and builds the error text only for the first
+// one that fails: a mapped scale-18 graph has 4.4M half-edges, and a
+// string per half-edge cost nine times the scan itself.
 void validate_csr_halves(std::span<const HalfEdge> halves, std::uint64_t n,
                          Weight max_weight, std::uint64_t base_byte,
                          const std::string& path) {
   for (std::size_t i = 0; i < halves.size(); ++i) {
     const HalfEdge& h = halves[i];
+    if (std::uint64_t{h.to} < n && h.weight >= 1 && h.weight <= max_weight) {
+      continue;
+    }
     const std::string at =
-        " at byte " + std::to_string(base_byte + i * sizeof(HalfEdge));
-    QC_REQUIRE(std::uint64_t{h.to} < n, path + ": half-edge " +
-                                            std::to_string(i) + at +
-                                            ": target out of range");
+        path + ": half-edge " + std::to_string(i) + " at byte " +
+        std::to_string(base_byte + i * sizeof(HalfEdge));
+    QC_REQUIRE(std::uint64_t{h.to} < n, at + ": target out of range");
     QC_REQUIRE(h.weight >= 1 && h.weight <= max_weight,
-               path + ": half-edge " + std::to_string(i) + at +
-                   ": weight outside [1, max_weight]");
+               at + ": weight outside [1, max_weight]");
   }
 }
 

@@ -213,7 +213,8 @@ BGraphInfo shuffle_bgraph(const std::string& in_path,
 /// the sorted header flag. Throws ArgumentError on duplicate edges —
 /// this is the designated full-dedup validation pass for inputs of
 /// unknown provenance. Inputs whose record vector fits
-/// `mem_budget_bytes` (0 = kDefaultMemBudgetBytes) sort in memory;
+/// `mem_budget_bytes` (0 = kDefaultMemBudgetBytes) sort in memory, by
+/// a radix sort when a scratch copy of the records fits as well;
 /// larger inputs spill sorted runs of at most one budget each to
 /// `out_path + ".spill/"` and stream a loser-tree K-way merge into
 /// the output, rejecting adjacent-equal keys during the merge — the

@@ -16,10 +16,11 @@ namespace {
 struct Cursor {
   std::string_view s;
   std::size_t i = 0;
+  std::uint64_t id = 0;  ///< the request's id once read, for the reply
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw ArgumentError("bad request JSON at byte " + std::to_string(i) +
-                        ": " + what);
+    throw RequestError(
+        "bad request JSON at byte " + std::to_string(i) + ": " + what, id);
   }
   bool done() const { return i >= s.size(); }
   char peek() const { return done() ? '\0' : s[i]; }
@@ -112,7 +113,7 @@ Query parse_request(std::string_view line) {
       c.expect(':');
       c.skip_ws();
       if (key == "id") {
-        q.id = c.parse_uint();
+        q.id = c.id = c.parse_uint();
       } else if (key == "graph") {
         q.graph = c.parse_string();
       } else if (key == "type") {
@@ -139,7 +140,7 @@ Query parse_request(std::string_view line) {
   c.skip_ws();
   if (!c.done()) c.fail("trailing bytes after the request object");
   if (q.type.empty()) {
-    throw ArgumentError("request needs a non-empty \"type\"");
+    throw RequestError("request needs a non-empty \"type\"", q.id);
   }
   return q;
 }

@@ -32,10 +32,24 @@
 #include <string_view>
 
 #include "service/query_engine.h"
+#include "util/error.h"
 
 namespace qc::service {
 
-/// Parses one request line. Throws ArgumentError on malformed JSON,
+/// The error parse_request throws. It carries the request's id when
+/// the line gave one before the fault (0 otherwise), so the error reply
+/// still answers that id.
+class RequestError : public ArgumentError {
+ public:
+  RequestError(const std::string& what, std::uint64_t id)
+      : ArgumentError(what), id_(id) {}
+  std::uint64_t id() const { return id_; }
+
+ private:
+  std::uint64_t id_;
+};
+
+/// Parses one request line. Throws RequestError on malformed JSON,
 /// unknown keys, non-integer ids, or a missing/empty "type".
 Query parse_request(std::string_view line);
 

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <numeric>
+#include <ostream>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -13,6 +16,7 @@
 #include "congest/simulator.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "graph/update.h"
 #include "run_digest.h"
 #include "util/rng.h"
@@ -1532,6 +1536,287 @@ TEST(SleepUntil, CrashLandsInTheTwinsRound) {
     EXPECT_EQ(got.trace, twin.trace);
     EXPECT_EQ(got.heard, twin.heard);
   }
+}
+
+// ---------------------------------------------------------------------
+// BFS tree and aggregate pins
+// ---------------------------------------------------------------------
+
+// What one build_bfs_tree or global_aggregate run produced: the ledger
+// (zero when the aggregate threw), the traffic digest of its hook log,
+// a digest of every node's outputs, and the diagnostic or failure text.
+struct PrimitivePin {
+  RunStats stats;
+  std::uint64_t traffic = 0;
+  std::uint64_t outputs = 0;
+  std::string text;
+
+  friend bool operator==(const PrimitivePin&, const PrimitivePin&) = default;
+};
+
+void PrintTo(const PrimitivePin& p, std::ostream* os) {
+  *os << "{{" << p.stats.rounds << ", " << p.stats.messages << ", "
+      << p.stats.bits << "}, " << p.traffic << "ull, " << p.outputs
+      << "ull, \"" << p.text << "\"}";
+}
+
+struct PrimitiveGraph {
+  const char* name;
+  WeightedGraph g;
+  /// Crash-stop events of the BFS tree's crash plan.
+  std::vector<CrashEvent> crashes;
+};
+
+// Path, grid, star, hypercube, ER and an R-MAT bgraph read back with
+// load_bgraph. Each crash plan cuts some nodes off: the path behind
+// node 16, the grid's rows 3-5 behind its crashed row 2, the
+// hypercube's node 63 behind its six crashed neighbours; on the star,
+// ER and R-MAT graphs only the crashed nodes stay unreached.
+std::vector<PrimitiveGraph> primitive_graphs() {
+  std::vector<PrimitiveGraph> out;
+  out.push_back({"path33", gen::path(33), {{16, 1}}});
+  std::vector<CrashEvent> row2;
+  for (NodeId v = 14; v < 21; ++v) row2.push_back({v, 1});
+  out.push_back({"grid6x7", gen::grid(6, 7), row2});
+  out.push_back({"star40", gen::star(40), {{39, 0}, {20, 1}}});
+  out.push_back({"hypercube6",
+                 gen::hypercube(6),
+                 {{62, 2}, {61, 2}, {59, 2}, {55, 2}, {47, 2}, {31, 2}}});
+  Rng rng(11);
+  out.push_back({"er64", gen::erdos_renyi_connected(64, 0.08, rng),
+                 {{32, 1}, {63, 0}}});
+  const std::string bg = ::testing::TempDir() + "primitive_pins_rmat10.bg";
+  (void)gen::rmat_bgraph(bg, 10, 4096, 16, 5);
+  out.push_back({"rmat10", load_bgraph(bg), {{512, 1}, {1023, 0}}});
+  std::remove(bg.c_str());
+  return out;
+}
+
+enum class PinPlan { kNone, kDelay, kDrop, kCrash };
+
+Config pin_config(const PrimitiveGraph& pg, PinPlan plan, unsigned workers,
+                  std::vector<RoundMetrics>& log) {
+  Config cfg;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = 0;
+  cfg.hooks.on_round_metrics = [&log](const RoundMetrics& m) {
+    log.push_back(m);
+  };
+  cfg.faults.seed = 17;
+  if (plan == PinPlan::kDelay) {
+    cfg.faults.probabilities.delay = 0.05;
+    cfg.faults.probabilities.delay_rounds = 2;
+  } else if (plan == PinPlan::kDrop) {
+    cfg.faults.probabilities.drop = 0.05;
+  } else if (plan == PinPlan::kCrash) {
+    cfg.faults.crashes = pg.crashes;
+  }
+  return cfg;
+}
+
+PrimitivePin pin_bfs_tree(const PrimitiveGraph& pg, PinPlan plan,
+                          unsigned workers) {
+  std::vector<RoundMetrics> log;
+  const BfsTreeResult res =
+      build_bfs_tree(pg.g, 0, pin_config(pg, plan, workers, log));
+  std::uint64_t h = fnv1a({});
+  for (const BfsTreeNodeResult& node : res.nodes) {
+    h = fnv1a({node.parent, node.depth, node.children.size()}, h);
+    for (const NodeId c : node.children) h = fnv1a({c}, h);
+  }
+  for (const NodeId v : res.unreached) h = fnv1a({v}, h);
+  return {res.stats, traffic_digest(log), h, res.outcome.diagnostic};
+}
+
+// Node v holds (7v + 3) mod 101, summed at root 0.
+PrimitivePin pin_aggregate(const PrimitiveGraph& pg, PinPlan plan,
+                           unsigned workers) {
+  std::vector<std::uint64_t> inputs(pg.g.node_count());
+  for (NodeId v = 0; v < pg.g.node_count(); ++v) inputs[v] = (7 * v + 3) % 101;
+  std::vector<RoundMetrics> log;
+  try {
+    const AggregateResult res =
+        global_aggregate(pg.g, 0, inputs, AggregateOp::kSum, 20,
+                         pin_config(pg, plan, workers, log));
+    return {res.stats, traffic_digest(log), res.value, ""};
+  } catch (const AlgorithmFailure& e) {
+    return {RunStats{}, traffic_digest(log), 0, e.what()};
+  }
+}
+
+// Literals captured from the programs that ran every live node in every
+// round, before the BFS tree and the aggregate slept between their own
+// events: sleeping may change how many nodes the engine runs, never
+// what they send, when, or what they learn. Rows follow
+// primitive_graphs(); columns are the plans.
+TEST(PrimitivePins, BfsTreeRunsArePinned) {
+  const std::vector<std::array<PrimitivePin, 3>> want = {
+      {{  // path33
+        {{33, 96, 480}, 7026963090838079821ull, 14946624120696105825ull, ""},
+        {{41, 96, 480}, 15818247947278525233ull, 14946624120696105825ull,
+         ""},
+        {{68, 46, 232}, 2942760119888854898ull, 1106807127946113187ull,
+         "BFS tree incomplete: 17 of 33 nodes unreached (crashed nodes: "
+         "1, deliveries lost to crashes: 1, to link-down: 0)"},
+      }},
+      {{  // grid6x7
+        {{12, 183, 1035}, 14794909078263691668ull, 10178105967809867968ull,
+         ""},
+        {{12, 183, 1035}, 16443034187577400600ull, 12331009433352799004ull,
+         ""},
+        {{86, 58, 328}, 16465120454253388342ull, 6519699451306050896ull,
+         "BFS tree incomplete: 28 of 42 nodes unreached (crashed nodes: "
+         "7, deliveries lost to crashes: 7, to link-down: 0)"},
+      }},
+      {{  // star40
+        {{2, 117, 585}, 11380136994800301001ull, 2791716479041164231ull, ""},
+        {{4, 117, 585}, 11380136994800301001ull, 3880327026485772519ull, ""},
+        {{2, 115, 577}, 14231874433416094103ull, 1672945194826207059ull,
+         "BFS tree incomplete: 1 of 40 nodes unreached (crashed nodes: 1, "
+         "deliveries lost to crashes: 1, to link-down: 0)"},
+      }},
+      {{  // hypercube6
+        {{7, 447, 2751}, 4085190399441010425ull, 14594118845561397859ull,
+         ""},
+        {{9, 447, 2751}, 4085190399441010425ull, 8090989853746387252ull, ""},
+        {{130, 398, 2450}, 13476450969294919811ull, 11057305163535808666ull,
+         "BFS tree incomplete: 7 of 64 nodes unreached (crashed nodes: 6, "
+         "deliveries lost to crashes: 30, to link-down: 0)"},
+      }},
+      {{  // er64
+        {{5, 379, 2275}, 5976003891498675432ull, 16018822992438234590ull,
+         ""},
+        {{7, 379, 2275}, 1147107181270546486ull, 12191168546497646874ull,
+         ""},
+        {{5, 366, 2196}, 12913175830895672943ull, 11583597904302824095ull,
+         "BFS tree incomplete: 2 of 64 nodes unreached (crashed nodes: 2, "
+         "deliveries lost to crashes: 11, to link-down: 0)"},
+      }},
+      {{  // rmat10
+        {{9, 9789, 97449}, 15026100545730215403ull, 1628566343205800094ull,
+         ""},
+        {{14, 9789, 97449}, 14801330648109993453ull, 6874323092090206654ull,
+         ""},
+        {{9, 9787, 97437}, 5337054247151913665ull, 10051473019037569475ull,
+         "BFS tree incomplete: 1 of 1024 nodes unreached (crashed nodes: "
+         "1, deliveries lost to crashes: 143, to link-down: 0)"},
+      }},
+  };
+  const auto graphs = primitive_graphs();
+  ASSERT_EQ(want.size(), graphs.size());
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const auto plans = {PinPlan::kNone, PinPlan::kDelay, PinPlan::kCrash};
+    std::size_t col = 0;
+    for (const PinPlan plan : plans) {
+      for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << graphs[i].name << " plan " << col << " workers "
+                     << workers);
+        EXPECT_EQ(pin_bfs_tree(graphs[i], plan, workers), want[i][col]);
+      }
+      ++col;
+    }
+  }
+}
+
+TEST(PrimitivePins, AggregateRunsArePinned) {
+  const std::vector<std::array<PrimitivePin, 3>> want = {
+      {{  // path33
+        {{98, 160, 1984}, 16599868049191441943ull, 1472ull, ""},
+        {{0, 0, 0}, 5685645412728500253ull, 0ull,
+         "global aggregate failed: 4 of 33 nodes without a value (12, 16, "
+         "21, 29) after 58 rounds"},
+        {{0, 0, 0}, 13446550179000980473ull, 0ull,
+         "global aggregate failed: 33 of 33 nodes without a value (0, 1, "
+         "2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...) after 141 "
+         "rounds"},
+      }},
+      {{  // grid6x7
+        {{35, 265, 3022}, 10628989989295406089ull, 2012ull, ""},
+        {{0, 0, 0}, 14330519290686442499ull, 0ull,
+         "global aggregate failed: 1 of 42 nodes without a value (21) "
+         "after 40 rounds"},
+        {{0, 0, 0}, 13777323453104719656ull, 0ull,
+         "global aggregate failed: 42 of 42 nodes without a value (0, 1, "
+         "2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...) after 177 "
+         "rounds"},
+      }},
+      {{  // star40
+        {{5, 195, 2418}, 9236343414232463287ull, 1843ull, ""},
+        {{9, 195, 2418}, 17425768623212868597ull, 1843ull, ""},
+        {{0, 0, 0}, 13982514905695552529ull, 0ull,
+         "global aggregate failed: 40 of 40 nodes without a value (0, 1, "
+         "2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...) after 169 "
+         "rounds"},
+      }},
+      {{  // hypercube6
+        {{20, 573, 5970}, 8457165632639523997ull, 2992ull, ""},
+        {{0, 0, 0}, 8336760347791876554ull, 0ull,
+         "global aggregate failed: 1 of 64 nodes without a value (22) "
+         "after 23 rounds"},
+        {{0, 0, 0}, 1771777495369747978ull, 0ull,
+         "global aggregate failed: 64 of 64 nodes without a value (0, 1, "
+         "2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...) after 265 "
+         "rounds"},
+      }},
+      {{  // er64
+        {{14, 505, 5426}, 427332480142563272ull, 2992ull, ""},
+        {{0, 0, 0}, 10163084507522211433ull, 0ull,
+         "global aggregate failed: 2 of 64 nodes without a value (19, 46) "
+         "after 17 rounds"},
+        {{0, 0, 0}, 8379929766483580488ull, 0ull,
+         "global aggregate failed: 22 of 64 nodes without a value (2, 3, "
+         "5, 7, 8, 12, 19, 20, 25, 29, 36, 37, 39, 41, 43, 44, ...) after "
+         "265 rounds"},
+      }},
+      {{  // rmat10
+        {{26, 11835, 152250}, 1412940648293265549ull, 51179ull, ""},
+        {{0, 0, 0}, 14118448849985731462ull, 0ull,
+         "global aggregate failed: 5 of 1024 nodes without a value (206, "
+         "416, 432, 448, 578) after 36 rounds"},
+        {{0, 0, 0}, 1754005576961935263ull, 0ull,
+         "global aggregate failed: 1024 of 1024 nodes without a value (0, "
+         "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, ...) after "
+         "4105 rounds"},
+      }},
+  };
+  const auto graphs = primitive_graphs();
+  ASSERT_EQ(want.size(), graphs.size());
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const auto plans = {PinPlan::kNone, PinPlan::kDelay, PinPlan::kDrop};
+    std::size_t col = 0;
+    for (const PinPlan plan : plans) {
+      for (const unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << graphs[i].name << " plan " << col << " workers "
+                     << workers);
+        EXPECT_EQ(pin_aggregate(graphs[i], plan, workers), want[i][col]);
+      }
+      ++col;
+    }
+  }
+}
+
+// Each node runs on its own events only. On a path a BFS node runs when
+// the announce and then its child's adopt reach it (two activations);
+// an aggregate node also when its children are known and when the value
+// comes down (four). Running every live node in every round sums to
+// Theta(n * D) activations on a path: 2079 and 10208 here.
+TEST(SleepingPrimitives, ActivationsFollowEvents) {
+  const auto g = gen::path(64);
+  const std::uint64_t n = g.node_count();
+  std::uint64_t activations = 0;
+  Config cfg;
+  cfg.hooks.on_round_metrics = [&activations](const RoundMetrics& m) {
+    activations += m.active_nodes;
+  };
+  (void)build_bfs_tree(g, 0, cfg);
+  EXPECT_LE(activations, 2 * n);
+  activations = 0;
+  const std::vector<std::uint64_t> inputs(n, 1);
+  EXPECT_EQ(global_aggregate(g, 0, inputs, AggregateOp::kSum, 8, cfg).value,
+            n);
+  EXPECT_LE(activations, 4 * n);
 }
 
 }  // namespace

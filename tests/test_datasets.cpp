@@ -13,8 +13,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "congest/simulator.h"
@@ -238,6 +241,99 @@ TEST(BGraph, SortRejectsDuplicateEdges) {
   EXPECT_THROW(sort_bgraph(path, sorted), ArgumentError);
 }
 
+// Distinct canonical records on n nodes, in random order with random
+// weights: every pair of ids at a power-of-two boundary (2^k - 1, 2^k,
+// 2^k + 1, which include every digit boundary of the radix sort's key)
+// plus up to `extra` random pairs.
+std::vector<Edge> boundary_records(std::uint64_t n, std::size_t extra,
+                                   std::uint64_t seed) {
+  std::vector<NodeId> ids = {0, static_cast<NodeId>(n - 1)};
+  for (std::uint64_t p = 1; p <= n; p *= 2) {
+    for (const std::uint64_t id : {p - 1, p, p + 1}) {
+      if (id < n) ids.push_back(static_cast<NodeId>(id));
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::set<std::pair<NodeId, NodeId>> pairs;
+  for (std::size_t a = 0; a < ids.size(); ++a) {
+    for (std::size_t b = a + 1; b < ids.size(); ++b) {
+      pairs.emplace(ids[a], ids[b]);
+    }
+  }
+  Rng rng(seed);
+  const std::uint64_t all_pairs = n * (n - 1) / 2;
+  const std::uint64_t want =
+      std::min<std::uint64_t>(all_pairs, pairs.size() + extra);
+  while (pairs.size() < want) {
+    const auto u = static_cast<NodeId>(rng.below(n));
+    const auto v = static_cast<NodeId>(rng.below(n));
+    if (u != v) pairs.emplace(std::min(u, v), std::max(u, v));
+  }
+  std::vector<Edge> records;
+  for (const auto& [u, v] : pairs) {
+    records.push_back(Edge{u, v, static_cast<Weight>(1 + rng.below(1000))});
+  }
+  rng.shuffle(records);
+  return records;
+}
+
+void write_records(const std::string& path, std::uint64_t n,
+                   const std::vector<Edge>& records) {
+  BGraphWriter w(path, n);
+  for (const Edge& e : records) w.add(e.u, e.v, e.weight);
+  w.close();
+}
+
+// The file a std::sort by (u, v) of the same records writes.
+std::string std_sorted_bytes(std::uint64_t n, std::vector<Edge> records) {
+  std::sort(records.begin(), records.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+  });
+  const std::string path = tmp_path("std_sorted.bg");
+  write_records(path, n, records);
+  return slurp(path);
+}
+
+TEST(BGraph, SortMatchesStdSortAcrossDigitBoundaries) {
+  for (const std::uint64_t n :
+       {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{4095},
+        std::uint64_t{4096}, std::uint64_t{4097},
+        (std::uint64_t{1} << 24) + 3}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    const auto records = boundary_records(n, 3000, n);
+    const std::string in = tmp_path("digits_in.bg");
+    const std::string out = tmp_path("digits_out.bg");
+    write_records(in, n, records);
+    const BGraphInfo info = sort_bgraph(in, out);
+    EXPECT_TRUE(info.sorted);
+    EXPECT_EQ(info.m, records.size());
+    EXPECT_EQ(slurp(out), std_sorted_bytes(n, records));
+  }
+}
+
+// Budgets on both sides of each switch: the external path below 16
+// bytes per record, std::sort in memory from there, and the radix sort
+// from 2 * 16 bytes per record (the records and its scratch copy) all
+// write the same bytes.
+TEST(BGraph, SortSwitchesPathsWithoutChangingBytes) {
+  const std::uint64_t n = 4097;
+  const auto records = boundary_records(n, 2000, 9);
+  const std::string in = tmp_path("switch_in.bg");
+  const std::string out = tmp_path("switch_out.bg");
+  write_records(in, n, records);
+  const std::string want = std_sorted_bytes(n, records);
+  const std::uint64_t one = sizeof(Edge) * records.size();
+  const std::uint64_t both = 2 * one;
+  for (const std::uint64_t budget :
+       {one - 16, one, both - 16, both, both + 16}) {
+    SCOPED_TRACE(::testing::Message() << "budget=" << budget);
+    EXPECT_EQ(sort_bgraph(in, out, budget).m, records.size());
+    EXPECT_EQ(slurp(out), want);
+    EXPECT_FALSE(std::filesystem::exists(out + ".spill"));
+  }
+}
+
 // --- out-of-core sort and shuffle (ISSUE 10) --------------------------
 
 TEST(BGraph, ExternalSortByteIdenticalToInMemory) {
@@ -335,6 +431,7 @@ TEST(BGraph, ExternalSortSurvivesByteMutationFuzzing) {
   const std::string good = slurp(shuf);
   const std::string mutant = tmp_path("fuzz_mutant.bg");
   const std::string out = tmp_path("fuzz_out.bg");
+  const std::string in_memory = tmp_path("fuzz_in_memory.bg");
 
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
@@ -345,12 +442,17 @@ TEST(BGraph, ExternalSortSurvivesByteMutationFuzzing) {
     try {
       const BGraphInfo info =
           sort_bgraph(mutant, out, /*mem_budget_bytes=*/1024);
-      // Accepted mutants must still produce a well-formed sorted file.
+      // Accepted mutants must still produce a well-formed sorted file,
+      // and the in-memory sort at the default budget the same bytes.
       EXPECT_TRUE(info.sorted) << "byte " << i;
       EXPECT_TRUE(BGraphReader(out).info().sorted) << "byte " << i;
+      sort_bgraph(mutant, in_memory);
+      EXPECT_EQ(slurp(in_memory), slurp(out)) << "byte " << i;
       ++accepted;
     } catch (const ArgumentError&) {
       EXPECT_FALSE(std::filesystem::exists(out + ".spill")) << "byte " << i;
+      EXPECT_THROW(sort_bgraph(mutant, in_memory), ArgumentError)
+          << "byte " << i;
       ++rejected;
     }
     EXPECT_FALSE(std::filesystem::exists(mutant + ".spill")) << "byte " << i;
@@ -591,6 +693,53 @@ TEST(BcsrIo, MapRejectsCorruptOffsets) {
   spit(bad, bytes);
   EXPECT_THROW(map_csr(bad), ArgumentError);
   EXPECT_THROW(read_csr(bad), ArgumentError);
+}
+
+// The half-edge check builds its error text only for a bad half-edge;
+// the text must still name the half-edge, its byte and the reason.
+TEST(BcsrIo, BadHalfEdgeErrorNamesIndexByteAndReason) {
+  const auto g = small_random(53);
+  const std::string path = tmp_path("halves.bcsr");
+  write_csr(g.csr(), path);
+  const std::string good = slurp(path);
+  const std::uint64_t n = g.node_count();
+  const std::size_t i = 37;
+  const std::size_t at = kBGraphHeaderBytes +
+                         (n + 1) * sizeof(std::size_t) + i * sizeof(HalfEdge);
+  ASSERT_LT(at + sizeof(HalfEdge), good.size());
+  const auto with = [&](std::size_t offset, std::uint64_t value,
+                        std::size_t width) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + at + offset, &value, width);
+    return bytes;
+  };
+  const std::string where =
+      "half-edge " + std::to_string(i) + " at byte " + std::to_string(at);
+  const struct {
+    std::string bytes;
+    const char* reason;
+  } cases[] = {
+      {with(0, n, 4), ": target out of range"},
+      {with(8, 0, 8), ": weight outside [1, max_weight]"},
+      {with(8, g.max_weight() + 1, 8), ": weight outside [1, max_weight]"},
+  };
+  const std::string bad = tmp_path("halves_bad.bcsr");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.reason);
+    spit(bad, c.bytes);
+    for (const bool mapped : {true, false}) {
+      try {
+        (void)(mapped ? map_csr(bad) : read_csr(bad));
+        ADD_FAILURE() << "loaded a bad half-edge, mapped=" << mapped;
+      } catch (const ArgumentError& e) {
+        EXPECT_NE(std::string(e.what()).find(where + c.reason),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_EQ(map_csr(bad, /*validate_edges=*/false).halves().size(),
+              g.csr().halves().size());
+  }
 }
 
 // --- streaming generators ---------------------------------------------

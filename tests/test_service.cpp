@@ -561,6 +561,24 @@ TEST(Wire, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request(R"({"type":"d")"), ArgumentError);
 }
 
+// A line that fails to parse still answers the id it gave before the
+// fault; a line with no readable id answers 0.
+TEST(Wire, ParseErrorCarriesTheIdReadBeforeIt) {
+  const auto id_of = [](std::string_view line) -> std::uint64_t {
+    try {
+      (void)parse_request(line);
+    } catch (const RequestError& e) {
+      return e.id();
+    }
+    ADD_FAILURE() << "parsed: " << line;
+    return ~std::uint64_t{0};
+  };
+  EXPECT_EQ(id_of(R"({"id":2,"graph":"g0","type":"sssp","source":0,"tar)"),
+            2u);
+  EXPECT_EQ(id_of("hello, world"), 0u);
+  EXPECT_EQ(id_of(R"({"id":3,"graph":"g0","kind":"sssp"})"), 3u);
+}
+
 TEST(Wire, FormatsResponsesDeterministically) {
   QueryResult r;
   r.id = 3;

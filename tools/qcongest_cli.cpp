@@ -520,8 +520,9 @@ int cmd_serve(const Args& a) {
     service::Query q;
     try {
       q = service::parse_request(line);
-    } catch (const std::exception& e) {
+    } catch (const service::RequestError& e) {
       service::QueryResult bad;
+      bad.id = e.id();
       bad.error = e.what();
       outq.push_back({service::format_response(bad), std::nullopt});
       emit_ready(false);
@@ -642,8 +643,9 @@ int cmd_dataset(const std::string& verb, const Args& a) {
     return 0;
   }
   // Out-of-core budget for shuffle/sort, in MiB (0 = the library's
-  // 256 MiB default). Inputs below the budget take the in-memory fast
-  // path; larger ones spill to <out>.spill/.
+  // 256 MiB default). Shuffle and sort run in memory when the records
+  // fit the budget (16 bytes each), sort as a radix sort when its
+  // scratch copy fits too; larger inputs spill to <out>.spill/.
   const std::uint64_t mem_budget = a.num("mem-budget", 0) << 20;
   if (verb == "shuffle") {
     QC_REQUIRE(!in.empty() && !out.empty(), "dataset shuffle needs --in/--out");
@@ -752,7 +754,8 @@ void usage() {
       "            shuffle   --in F.bg --out F.bg [--seed S]\n"
       "                      [--mem-budget MiB]  (out-of-core past budget)\n"
       "            sort      --in F.bg --out F.bg [--mem-budget MiB]\n"
-      "                      (also full dedup check; spills sorted runs)\n"
+      "                      (also full dedup check; radix sort in memory\n"
+      "                      when twice the records fit the budget)\n"
       "            summarize --in F.bg\n"
       "            pack-csr  --in F.bg --out F.bcsr [--workers K]\n"
       "                      (mmap-able CSR image; parallel two-pass)\n");
